@@ -57,8 +57,7 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		builds     = fs.Int("builds", 0, "max concurrent structure builds (0 = GOMAXPROCS)")
-		cache      = fs.Int("cache", 0, "memo entry cap per build (0 = no cap, the byte budget governs; <0 = disable memoization)")
-		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed (0 = default 256 MiB, <0 = no byte bound)")
+		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed (0 = default 256 MiB, <0 = no memo)")
 		shards     = fs.Int("cache-shards", 0, "memo shards per build (0 = auto: ~GOMAXPROCS, power of two)")
 		maxBatch   = fs.Int("max-batch", 0, "max queries per batch request (0 = default 65536)")
 		ordered    = fs.Bool("ordered", false, "renumber registered graphs into BFS vertex order (wire IDs unchanged; per-graph \"ordered\" field overrides)")
@@ -74,7 +73,6 @@ func run(args []string) error {
 	}
 	cfg := &server.Config{
 		MaxConcurrentBuilds: *builds,
-		CacheEntries:        *cache,
 		CacheBytes:          *cacheBytes,
 		CacheShards:         *shards,
 		MaxBatchQueries:     *maxBatch,

@@ -69,7 +69,7 @@ func TestFacadeOracleSet(t *testing.T) {
 // TestFacadeServer stands the ftbfsd handler up through the facade and
 // runs one build + query round trip.
 func TestFacadeServer(t *testing.T) {
-	srv := ftbfs.NewServer(&ftbfs.ServerConfig{CacheEntries: 64})
+	srv := ftbfs.NewServer(&ftbfs.ServerConfig{CacheBytes: 64 << 10})
 	if err := srv.RegisterGraph("f", &ftbfs.ServerGenSpec{Family: "cycle", N: 12}); err != nil {
 		t.Fatal(err)
 	}

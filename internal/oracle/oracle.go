@@ -8,9 +8,9 @@
 // shared immutable state — the materialized subgraph H, the G→H edge-ID
 // mapping, and a two-tier byte-budgeted memo of per-failure-event distance
 // tables — built once per structure. Per-goroutine Oracle handles carry
-// only BFS scratch and are cheap to create (or recycle through
+// only repair scratch and are cheap to create (or recycle through
 // Acquire/Release), so one failure event's BFS is computed once and shared
-// across every concurrent client.
+// across every concurrent client — by distance lookups and routes alike.
 //
 // The memo's two tiers (see cache.go): tier 0 pins each source's
 // fault-free base table outside the LRU, and tier 1 stores failure events
@@ -35,6 +35,30 @@ import (
 // least-recently-used failure events are evicted first (queries stay
 // correct, just uncached).
 const DefaultCacheEntries = 4096
+
+// ErrCode says which check rejected a query.
+type ErrCode uint8
+
+const (
+	ErrBadSource   ErrCode = iota + 1 // source is not one of the structure's sources
+	ErrBadTarget                      // target outside the vertex range
+	ErrBadFault                       // fault edge ID outside the edge range
+	ErrFaultBudget                    // more distinct faults than the structure tolerates
+)
+
+// QueryError is the error every query method returns for a query the
+// structure cannot answer: a code for machine consumers and the message
+// for people.
+type QueryError struct {
+	Code ErrCode
+	msg  string
+}
+
+func (e *QueryError) Error() string { return e.msg }
+
+func queryErr(code ErrCode, format string, args ...any) error {
+	return &QueryError{Code: code, msg: fmt.Sprintf(format, args...)}
+}
 
 // OracleSet is the shared, immutable query state over one structure: the
 // materialized subgraph H, the G→H edge-ID translation, the pinned
@@ -226,7 +250,7 @@ func (s *OracleSet) pinBaseFrom(idx int, rep *bfs.Repairer) []int32 {
 // Handle returns a fresh per-goroutine query handle over the shared state.
 // Handles are not safe for concurrent use; the set they share is.
 func (s *OracleSet) Handle() *Oracle {
-	return &Oracle{set: s, runner: bfs.NewRunner(s.sub)}
+	return &Oracle{set: s}
 }
 
 // Acquire returns a pooled handle; pair with Release on the hot serving
@@ -242,14 +266,13 @@ func (s *OracleSet) Release(o *Oracle) {
 	s.pool.Put(o)
 }
 
-// Oracle is a per-goroutine query handle over a shared OracleSet: BFS
+// Oracle is a per-goroutine query handle over a shared OracleSet: repair
 // scratch plus key-canonicalization buffers. It is not safe for concurrent
 // use; create one per goroutine with OracleSet.Handle (they share the
 // set's materialized subgraph and memo).
 type Oracle struct {
 	set    *OracleSet
-	runner *bfs.Runner
-	rep    *bfs.Repairer // lazy: built on the first uncached distance query
+	rep    *bfs.Repairer // lazy: built on the first uncached query
 	faults []int         // scratch: fault IDs translated into sub-graph IDs
 	canon  []int32       // scratch: sorted G fault IDs forming the cache key
 	dists  []int32       // scratch: Dists materialization of delta-encoded views
@@ -296,17 +319,17 @@ func (o *Oracle) prepare(s int, faults []int) ([]int32, int, error) {
 		}
 	}
 	if srcIdx < 0 {
-		return nil, -1, fmt.Errorf("oracle: %d is not a structure source %v", s, st.Sources)
+		return nil, -1, queryErr(ErrBadSource, "oracle: %d is not a structure source %v", s, st.Sources)
 	}
 	m := st.G.M()
 	for _, id := range faults {
 		if id < 0 || id >= m {
-			return nil, -1, fmt.Errorf("oracle: fault edge %d out of range [0,%d)", id, m)
+			return nil, -1, queryErr(ErrBadFault, "oracle: fault edge %d out of range [0,%d)", id, m)
 		}
 	}
 	canon := o.canonicalize(faults)
 	if len(canon) > st.Faults {
-		return nil, -1, fmt.Errorf("oracle: %d distinct faults exceed budget %d", len(canon), st.Faults)
+		return nil, -1, queryErr(ErrFaultBudget, "oracle: %d distinct faults exceed budget %d", len(canon), st.Faults)
 	}
 	return canon, srcIdx, nil
 }
@@ -407,7 +430,7 @@ func (o *Oracle) Dist(s, v int, faults []int) (int32, error) {
 		return bfs.Unreachable, err
 	}
 	if v < 0 || v >= o.set.st.G.N() {
-		return bfs.Unreachable, fmt.Errorf("oracle: target %d out of range", v)
+		return bfs.Unreachable, queryErr(ErrBadTarget, "oracle: target %d out of range", v)
 	}
 	return o.run(s, srcIdx, canon).At(v), nil
 }
@@ -444,17 +467,36 @@ func (o *Oracle) DistsView(s int, faults []int) (DistView, error) {
 	return o.run(s, srcIdx, canon), nil
 }
 
-// Route returns an optimal s→v path inside H \ F (nil when disconnected).
-// Unlike Dist it always re-runs the BFS (paths are not memoized). Vertex
-// IDs on the returned path are G's (the structure preserves them).
+// Route returns an optimal s→v path inside H \ F (nil when disconnected),
+// walked back from v over the event's memoized distance table — H \ F holds
+// a BFS tree of G \ F (Theorem 1.1), so a vertex at d > 0 has a neighbour at
+// d−1. Each hop takes the first non-faulted arc to d−1 in the vertex's span;
+// spans are in edge-ID order, so ties go to the lowest edge ID whatever the
+// vertex numbering. Vertex IDs on the path are G's.
 func (o *Oracle) Route(s, v int, faults []int) (path.Path, error) {
-	canon, _, err := o.prepare(s, faults)
+	canon, srcIdx, err := o.prepare(s, faults)
 	if err != nil {
 		return nil, err
 	}
 	if v < 0 || v >= o.set.st.G.N() {
-		return nil, fmt.Errorf("oracle: target %d out of range", v)
+		return nil, queryErr(ErrBadTarget, "oracle: target %d out of range", v)
 	}
-	o.runner.Run(s, o.translate(canon), nil)
-	return o.runner.PathTo(v), nil
+	t := o.run(s, srcIdx, canon)
+	d := t.At(v)
+	if d == bfs.Unreachable {
+		return nil, nil
+	}
+	cut := o.translate(canon)
+	off, arcs := o.set.sub.ArcData()
+	p := make(path.Path, d+1)
+	p[d] = v
+	for ; d > 0; d-- {
+		for _, a := range arcs[off[p[d]]:off[p[d]+1]] {
+			if t.At(int(a.To)) == d-1 && !slices.Contains(cut, int(a.ID)) {
+				p[d-1] = int(a.To)
+				break
+			}
+		}
+	}
+	return p, nil
 }

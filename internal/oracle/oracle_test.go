@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
@@ -51,49 +53,85 @@ func TestOracleMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestOracleRouteValid checks routes under each memo setup — entry cap,
+// byte budget, memo off — on the fault-free, one-fault and two-fault
+// events: every route is a shortest path of G \ F whose every hop, walking
+// back from the target, takes the lowest-ID edge of H \ F to a vertex one
+// step closer (which also keeps it inside H and off F), and a route on an
+// event the memo already holds is a hit.
 func TestOracleRouteValid(t *testing.T) {
 	g := gen.Grid(4, 4)
 	st, err := core.BuildDual(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(st)
-	if err != nil {
-		t.Fatal(err)
+	events := [][]int{nil}
+	for a := 0; a < g.M(); a++ {
+		events = append(events, []int{a})
+		for b := a + 1; b < g.M(); b += 5 {
+			events = append(events, []int{a, b})
+		}
+	}
+	setups := []struct {
+		name string
+		new  func() (*OracleSet, error)
+	}{
+		{"entries", func() (*OracleSet, error) { return NewSet(st) }},
+		{"bytes", func() (*OracleSet, error) { return NewSetBytes(st, 1<<20) }},
+		{"off", func() (*OracleSet, error) { return NewSetCapacity(st, 0) }},
 	}
 	truth := bfs.NewRunner(g)
-	for a := 0; a < g.M(); a++ {
-		faults := []int{a}
-		truth.Run(0, faults, nil)
-		for v := 1; v < g.N(); v++ {
-			p, err := o.Route(0, v, faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := truth.Dist(v)
-			if want == bfs.Unreachable {
-				if p != nil {
-					t.Fatalf("route to unreachable %d", v)
+	for _, su := range setups {
+		set, err := su.new()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := set.Handle()
+		memo := su.name != "off"
+		for _, faults := range events {
+			truth.Run(0, faults, nil)
+			for v := 0; v < g.N(); v++ {
+				before := set.CacheStats()
+				p, err := o.Route(0, v, faults)
+				if err != nil {
+					t.Fatal(err)
 				}
-				continue
-			}
-			if p == nil || int32(p.Len()) != want || !p.ValidIn(g) {
-				t.Fatalf("route faults %v → %d wrong: %v (want len %d)", faults, v, p, want)
-			}
-			// The route must avoid the faults and stay inside H.
-			for _, e := range p.Edges() {
-				id, ok := g.EdgeID(e.U, e.V)
-				if !ok || !st.Edges.Has(id) {
-					t.Fatalf("route uses edge outside structure: %v", e)
+				if after := set.CacheStats(); memo && v > 0 && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+					t.Fatalf("%s: route on cached event %v: %+v -> %+v, want one hit, no miss", su.name, faults, before, after)
 				}
-				if id == a {
-					t.Fatalf("route uses failed edge")
+				want := truth.Dist(v)
+				if want == bfs.Unreachable {
+					if p != nil {
+						t.Fatalf("%s: route to unreachable %d", su.name, v)
+					}
+					continue
+				}
+				if p == nil || int32(p.Len()) != want || p[0] != 0 || p[len(p)-1] != v {
+					t.Fatalf("%s: route faults %v → %d wrong: %v (want len %d)", su.name, faults, v, p, want)
+				}
+				for i := len(p) - 1; i > 0; i-- {
+					lowest := -1 // G's arcs come in edge-ID order
+					for _, a := range g.Arcs(p[i]) {
+						if st.Edges.Has(int(a.ID)) && !slices.Contains(faults, int(a.ID)) && truth.Dist(int(a.To)) == int32(i-1) {
+							lowest = int(a.ID)
+							break
+						}
+					}
+					if id, _ := g.EdgeID(p[i-1], p[i]); id != lowest || lowest < 0 {
+						t.Fatalf("%s: route faults %v → %d: hop %d-%d is edge %d, want lowest surviving edge %d",
+							su.name, faults, v, p[i], p[i-1], id, lowest)
+					}
 				}
 			}
+		}
+		if cs := set.CacheStats(); memo && cs.DeltaEntries == 0 {
+			t.Fatalf("%s: no delta entries, the delta walk went untested: %+v", su.name, cs)
 		}
 	}
 }
 
+// TestOracleValidation pins every rejection's typed code and message, and
+// the check order: source, then faults, then budget, then target.
 func TestOracleValidation(t *testing.T) {
 	g := gen.PathGraph(5)
 	st, err := core.BuildDual(g, 0, nil)
@@ -104,20 +142,27 @@ func TestOracleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Dist(3, 1, nil); err == nil {
-		t.Fatal("non-source accepted")
+	errOf := func(_ any, err error) error { return err }
+	cases := []struct {
+		err  error
+		code ErrCode
+		msg  string
+	}{
+		{errOf(o.Dist(3, 1, nil)), ErrBadSource, "oracle: 3 is not a structure source [0]"},
+		{errOf(o.Dist(0, 1, []int{0, 1, 2})), ErrFaultBudget, "oracle: 3 distinct faults exceed budget 2"},
+		{errOf(o.Dist(0, 99, nil)), ErrBadTarget, "oracle: target 99 out of range"},
+		{errOf(o.Dist(0, 1, []int{99})), ErrBadFault, "oracle: fault edge 99 out of range [0,4)"},
+		{errOf(o.Dists(0, []int{-1})), ErrBadFault, "oracle: fault edge -1 out of range [0,4)"},
+		{errOf(o.DistsView(2, nil)), ErrBadSource, "oracle: 2 is not a structure source [0]"},
+		{errOf(o.Route(0, 99, nil)), ErrBadTarget, "oracle: target 99 out of range"},
+		{errOf(o.Route(7, 99, []int{99})), ErrBadSource, "oracle: 7 is not a structure source [0]"},
+		{errOf(o.Route(0, 99, []int{99, 0, 1})), ErrBadFault, "oracle: fault edge 99 out of range [0,4)"},
 	}
-	if _, err := o.Dist(0, 1, []int{0, 1, 2}); err == nil {
-		t.Fatal("fault budget ignored")
-	}
-	if _, err := o.Dist(0, 99, nil); err == nil {
-		t.Fatal("bad target accepted")
-	}
-	if _, err := o.Dist(0, 1, []int{99}); err == nil {
-		t.Fatal("bad fault edge accepted")
-	}
-	if _, err := o.Route(0, 99, nil); err == nil {
-		t.Fatal("route bad target accepted")
+	for i, tc := range cases {
+		var qe *QueryError
+		if !errors.As(tc.err, &qe) || qe.Code != tc.code || qe.Error() != tc.msg {
+			t.Errorf("case %d: error %v, want code %d %q", i, tc.err, tc.code, tc.msg)
+		}
 	}
 	if o.Faults() != 2 || len(o.Sources()) != 1 {
 		t.Fatal("accessors wrong")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,10 +15,13 @@ import (
 // This file is the binary half of the batch query endpoint: the same
 // route as the JSON batch (POST .../query), selected per request by the
 // batchcodec Content-Type. The wire format is fixed-width and
-// CRC-guarded (see internal/server/batchcodec); the handler allocates
-// per batch, never per item — body buffers and response writers are
-// pooled, item decoding is a zero-copy view, and every answer appends
-// straight into the pooled writer's buffers.
+// CRC-guarded (see internal/server/batchcodec). Items decode into the
+// same query the JSON path builds and are answered by the same answer
+// call; this file only decodes items and encodes replies, translating
+// the oracle's rejection codes into the protocol's. The handler
+// allocates per batch, never per valid item — body buffers and response
+// writers are pooled, item decoding is a zero-copy view, and every reply
+// appends straight into the pooled writer's buffers.
 
 // binBodyPool recycles request-body buffers across binary batch
 // requests; binRespPool recycles response writers (record + value
@@ -29,16 +33,13 @@ var (
 	binRespPool = sync.Pool{New: func() any { return new(batchcodec.ResponseWriter) }}
 )
 
-// binLimits captures the per-request validation bounds once, so the
-// per-item hotpath does no pointer chasing into the structure. Sources
-// are in the internal numbering (items are translated before the
-// membership scan); the scan is linear because structures have a
-// handful of sources.
-type binLimits struct {
-	n       int
-	m       uint32
-	budget  int
-	sources []int
+// binErrCodes translates the oracle's rejection codes into the binary
+// protocol's; any other error is internal.
+var binErrCodes = map[oracle.ErrCode]batchcodec.ErrCode{
+	oracle.ErrBadSource:   batchcodec.ErrBadSource,
+	oracle.ErrBadTarget:   batchcodec.ErrBadTarget,
+	oracle.ErrBadFault:    batchcodec.ErrBadFault,
+	oracle.ErrFaultBudget: batchcodec.ErrFaultBudget,
 }
 
 // handleBatchQueryBinary answers one binary batch frame. Item errors
@@ -67,8 +68,6 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 			"batch of %d queries exceeds limit %d", req.Len(), s.cfg.MaxBatchQueries)
 		return
 	}
-	st := set.Structure()
-	lim := binLimits{n: st.G.N(), m: uint32(st.G.M()), budget: st.Faults, sources: st.Sources}
 	o := set.Acquire()
 	defer set.Release(o)
 	rw := binRespPool.Get().(*batchcodec.ResponseWriter)
@@ -76,9 +75,16 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 	defer binRespPool.Put(rw)
 	ctx := r.Context()
 	values := 0
-	var scratch [2]int
+	var faults [2]int
 	for i := 0; i < req.Len(); i++ {
-		values += answerBinaryItem(o, req.Item(i), x, rw, lim, &scratch)
+		it := req.Item(i)
+		if it.Valid() {
+			q := binQuery(it, &faults)
+			values += writeBinary(rw, q.op, answer(o, &q, x), x)
+		} else {
+			rw.Error(batchcodec.ErrBadItem)
+			values += 2
+		}
 		// Same response-size bound as the JSON path: whole-table items on
 		// big graphs must not force an arbitrarily large response into
 		// memory. (The binary protocol has no streaming mode; oversized
@@ -98,124 +104,54 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 	_, _ = w.Write(frame)
 }
 
-// answerBinaryItem validates and answers one binary batch item,
-// appending exactly one record to rw, and returns the response values
-// the item contributed (2 fixed words + value words — the same
-// accounting as the JSON path). Validation happens here, in wire
-// space, because the oracle's error strings cannot cross the binary
-// protocol: each rejection maps to a typed in-band code, checked in
-// the oracle's own order (item shape, faults, source, target). The
-// faults scratch array lives in the caller so this function does not
-// allocate at all.
+// binQuery decodes one well-formed binary item into the shared query
+// shape; its faults alias the caller's scratch array, so decoding does not
+// allocate. Out-of-range IDs pass through for the oracle to reject.
 //
 //ftbfs:hotpath
-func answerBinaryItem(o *oracle.Oracle, it batchcodec.Item, x xlat,
-	rw *batchcodec.ResponseWriter, lim binLimits, scratch *[2]int) int {
-	if !it.Valid() {
-		rw.Error(batchcodec.ErrBadItem)
-		return 2
-	}
-	nf := it.NumFaults()
-	distinct := 0
-	if nf >= 1 {
-		if it.Fault0 >= lim.m {
-			rw.Error(batchcodec.ErrBadFault)
-			return 2
-		}
-		scratch[0] = int(it.Fault0)
-		distinct = 1
-	}
-	if nf == 2 {
-		if it.Fault1 >= lim.m {
-			rw.Error(batchcodec.ErrBadFault)
-			return 2
-		}
-		if it.Fault1 != it.Fault0 {
-			scratch[distinct] = int(it.Fault1)
-			distinct++
-		}
-	}
-	if distinct > lim.budget {
-		rw.Error(batchcodec.ErrFaultBudget)
-		return 2
-	}
-	src := int(it.Source)
-	if src < 0 || src >= lim.n {
-		rw.Error(batchcodec.ErrBadSource)
-		return 2
-	}
-	src = x.in(src)
-	isSource := false
-	for _, v := range lim.sources {
-		if v == src {
-			isSource = true
-			break
-		}
-	}
-	if !isSource {
-		rw.Error(batchcodec.ErrBadSource)
-		return 2
-	}
-	faults := scratch[:distinct]
-	if it.AllDists() {
-		if x.identity() {
-			// Serve the table in its stored representation: a full table
-			// streams straight into the value area, a delta-encoded one is
-			// written as base-plus-patch — no intermediate materialization
-			// either way.
-			v, err := o.DistsView(src, faults)
-			if err != nil {
-				rw.Error(batchcodec.ErrInternal)
-				return 2
-			}
-			if v.Full != nil {
-				rw.Dists(v.Full)
-			} else {
-				rw.DistsPatched(v.Base, v.Keys, v.Vals)
-			}
-			return 2 + v.Len()
-		}
-		// Reindexing permutes the whole table anyway; materialize into the
-		// handle's scratch (DistsReindexed copies out of it immediately).
-		d, err := o.Dists(src, faults)
-		if err != nil {
-			rw.Error(batchcodec.ErrInternal)
-			return 2
-		}
-		rw.DistsReindexed(d, x.toNew)
-		return 2 + len(d)
-	}
-	target := int(it.Target)
-	if target < 0 || target >= lim.n {
-		rw.Error(batchcodec.ErrBadTarget)
-		return 2
-	}
-	target = x.in(target)
+func binQuery(it batchcodec.Item, faults *[2]int) query {
+	faults[0], faults[1] = int(it.Fault0), int(it.Fault1)
+	q := query{op: opDist, source: int(it.Source), target: int(it.Target), faults: faults[:it.NumFaults()]}
 	if it.Route() {
-		p, err := o.Route(src, target, faults)
-		if err != nil {
-			rw.Error(batchcodec.ErrInternal)
-			return 2
-		}
-		if p == nil {
-			rw.Dist(-1, false)
-			return 2
-		}
-		// Route returns a freshly allocated path, safe to relabel in place.
-		path := []int(p)
-		if !x.identity() {
-			for i, v := range path {
-				path[i] = x.out(v)
-			}
-		}
-		rw.Path(path)
-		return 2 + len(path)
+		q.op = opRoute
+	} else if it.AllDists() {
+		q.op = opDists
 	}
-	d, err := o.Dist(src, target, faults)
-	if err != nil {
-		rw.Error(batchcodec.ErrInternal)
+	return q
+}
+
+// writeBinary appends one reply to rw as exactly one record and returns
+// the response values it contributed (2 fixed words + value words — the
+// same accounting as the JSON path). Whole tables are re-indexed on the
+// way into the value area on ordered graphs.
+//
+//ftbfs:hotpath
+func writeBinary(rw *batchcodec.ResponseWriter, op queryOp, r reply, x xlat) int {
+	switch {
+	case r.err != nil:
+		rw.Error(binErrCode(r.err))
+		return 2
+	case op == opDists && x.identity():
+		rw.Dists(r.dists)
+	case op == opDists:
+		rw.DistsReindexed(r.dists, x.toNew)
+	case r.path != nil:
+		rw.Path(r.path)
+		return 2 + len(r.path)
+	default:
+		rw.Dist(r.dist, r.dist != bfs.Unreachable)
 		return 2
 	}
-	rw.Dist(d, d != bfs.Unreachable)
-	return 2
+	return 2 + len(r.dists)
+}
+
+// binErrCode maps a query error to its in-band code.
+func binErrCode(err error) batchcodec.ErrCode {
+	var qe *oracle.QueryError
+	if errors.As(err, &qe) {
+		if code, ok := binErrCodes[qe.Code]; ok {
+			return code
+		}
+	}
+	return batchcodec.ErrInternal
 }

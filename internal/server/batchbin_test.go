@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/server/batchcodec"
@@ -69,6 +70,7 @@ func binItems(t *testing.T) []batchcodec.Item {
 		{Source: -4, Target: 3},                                                       // source out of range
 		{Source: 0, Target: 600},                                                      // target out of range
 		{Source: 0, Target: 3, Fault0: 1 << 30, Flags: 1},                             // fault out of range
+		{Source: 7, Target: 3, Fault0: 1 << 30, Flags: 1},                             // bad source AND bad fault: the source is checked first
 		{Source: 0, Target: 3, Flags: batchcodec.FlagRoute | batchcodec.FlagAllDists}, // malformed
 	}
 }
@@ -96,10 +98,18 @@ func jsonTwin(items []batchcodec.Item) []batchQuery {
 	return out
 }
 
+// jsonErrs names the failed check in the JSON message of each binary
+// error code.
+var jsonErrs = map[batchcodec.ErrCode]string{
+	batchcodec.ErrBadSource: "is not a structure source",
+	batchcodec.ErrBadTarget: "target",
+	batchcodec.ErrBadFault:  "fault edge",
+}
+
 // TestBinaryBatchMatchesJSON runs the same mixed batch through the JSON
 // and binary protocols — on a plain and on a BFS-ordered graph — and
-// requires record-for-record agreement: same error partition, same
-// distances, same tables, same paths, all in the wire numbering.
+// requires record-for-record agreement: same errors, same distances, same
+// tables, same paths, all in the wire numbering.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
 	for _, ordered := range []bool{false, true} {
 		name := map[bool]string{false: "plain", true: "ordered"}[ordered]
@@ -149,6 +159,9 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 					t.Fatalf("item %d: binary err %v vs JSON error %q", i, rec.Err(), res.Error)
 				}
 				if rec.Err() != batchcodec.ErrNone {
+					if !strings.Contains(res.Error, jsonErrs[rec.Err()]) {
+						t.Fatalf("item %d: binary err %v vs JSON error %q", i, rec.Err(), res.Error)
+					}
 					continue
 				}
 				switch {
@@ -183,10 +196,13 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 				}
 			}
 
-			// Pin the typed codes of the error tail (items 8..12).
+			// Pin the typed codes of the error tail (items 8..13). Both
+			// protocols report the oracle's first failed check, so the item
+			// with a bad source and a bad fault is ErrBadSource here and the
+			// source message over JSON.
 			wantErrs := []batchcodec.ErrCode{
 				batchcodec.ErrBadSource, batchcodec.ErrBadSource, batchcodec.ErrBadTarget,
-				batchcodec.ErrBadFault, batchcodec.ErrBadItem,
+				batchcodec.ErrBadFault, batchcodec.ErrBadSource, batchcodec.ErrBadItem,
 			}
 			for k, want := range wantErrs {
 				if got := resp.Record(len(items) - len(wantErrs) + k).Err(); got != want {

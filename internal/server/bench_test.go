@@ -96,8 +96,9 @@ func BenchmarkServerDistParallel(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "queries/s")
 }
 
-// BenchmarkServerRoute measures the uncached routing path (every route
-// re-runs a BFS over the sparse structure).
+// BenchmarkServerRoute measures the GET route path over 50 rotating
+// single-fault events: after the first pass every route is a memo hit plus
+// a walk back from the target over the event's distance table.
 func BenchmarkServerRoute(b *testing.B) {
 	h, prefix := benchServer(b)
 	b.ReportAllocs()

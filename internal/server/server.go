@@ -36,7 +36,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,21 +63,15 @@ type Config struct {
 	// MaxConcurrentBuilds bounds simultaneously running structure builds
 	// (default: GOMAXPROCS; builds beyond it queue).
 	MaxConcurrentBuilds int
-	// CacheEntries caps each build's shared failure-event memo by entry
-	// count. 0 means no entry cap — the byte budget alone governs, which
-	// is the default and lets delta-compressed events pack the budget;
-	// < 0 disables memoization entirely.
-	CacheEntries int
-	// CacheBytes bounds each build's memo by memory (default
-	// DefaultCacheBytes = 256 MiB; < 0 removes the byte bound, falling
-	// back to an oracle.DefaultCacheEntries entry cap when CacheEntries
-	// is 0 — a memo with no bound at all is never offered). Entries
-	// are byte-accounted — delta-compressed events are charged only for
-	// what the fault actually changed — and least-recently-used events
-	// are evicted to stay within the budget. Untrusted clients can force
-	// one entry per distinct fault set, so the bound must not scale
-	// with n; pinned fault-free base tables (4 bytes × n per source) sit
-	// outside it and are reported separately as pinnedBytes.
+	// CacheBytes is each build's failure-event memo budget: 0 means
+	// DefaultCacheBytes (256 MiB), > 0 is the budget, < 0 turns the memo
+	// off. Entries are byte-accounted — delta-compressed events are
+	// charged only for what the fault actually changed — and
+	// least-recently-used events are evicted to stay within the budget.
+	// Untrusted clients can force one entry per distinct fault set, so
+	// the bound must not scale with n; pinned fault-free base tables
+	// (4 bytes × n per source) sit outside it and are reported
+	// separately as pinnedBytes.
 	CacheBytes int64
 	// CacheShards overrides the memo shard count per build (0 = auto:
 	// ~GOMAXPROCS shards, rounded to a power of two). 1 restores the
@@ -229,9 +225,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/snapshot", s.handleGetSnapshot)
 	mux.HandleFunc("PUT /v1/graphs/{graph}/builds/{build}/snapshot", s.handlePutSnapshot)
 	mux.HandleFunc("POST /v1/graphs/{graph}/builds/{build}/query", s.handleBatchQuery)
-	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/dist", s.handleDist)
-	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/dists", s.handleDists)
-	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/route", s.handleRoute)
+	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/dist", s.handleGet(opDist))
+	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/dists", s.handleGet(opDists))
+	mux.HandleFunc("GET /v1/graphs/{graph}/builds/{build}/route", s.handleGet(opRoute))
 	return mux
 }
 
@@ -721,23 +717,11 @@ func (s *Server) persistBuild(graphName string, be *buildEntry) {
 }
 
 // newOracleSet builds a build's shared query state with the configured
-// memo bounds and shard count. The bounds pass straight through to the
-// oracle's byte-accounted cache: the old "clamp the entry cap by 4n bytes
-// per table" approximation is gone — the cache charges each entry what it
-// actually costs (deltas are a fraction of a full table), so the budget is
-// enforced exactly and holds far more events.
+// memo budget and shard count. The oracle treats a budget ≤ 0 with no
+// entry cap as "no memo", which is exactly CacheBytes < 0 (New has already
+// replaced 0 with the default).
 func (s *Server) newOracleSet(st *core.Structure) (*oracle.OracleSet, error) {
-	entries, bytes := s.cfg.CacheEntries, s.cfg.CacheBytes
-	if bytes < 0 {
-		// Explicit "no byte bound". A memo with no bound at all is never
-		// offered (untrusted clients could grow it without limit), so when
-		// there is no entry cap either, fall back to the classic one.
-		bytes = 0
-		if entries == 0 {
-			entries = oracle.DefaultCacheEntries
-		}
-	}
-	return oracle.NewSetBudget(st, entries, bytes, s.cfg.CacheShards)
+	return oracle.NewSetBudget(st, 0, s.cfg.CacheBytes, s.cfg.CacheShards)
 }
 
 // progressInfo is the wire form of a build's live progress counters.
@@ -1003,28 +987,17 @@ func wireSources(g *graph.Graph, internal []int) []int {
 	return out
 }
 
-// reindexDists renders an internal-order distance table in wire order.
-// Kept out of the query hotpath: whole-table answers over ordered graphs
-// pay one n-sized copy, which response encoding dwarfs. The cache-owned
-// input table is left untouched.
+// reindexDists copies an internal-order distance table into wire order (a
+// plain copy on unordered graphs): a JSON batch keeps every result until
+// the response is written, and the oracle only lends the table. Kept out
+// of the query hotpath: the n-sized copy is dwarfed by encoding it.
 func reindexDists(d []int32, toNew []int32) []int32 {
+	if toNew == nil {
+		return slices.Clone(d)
+	}
 	out := make([]int32, len(d))
 	for w, nw := range toNew {
 		out[w] = d[nw]
-	}
-	return out
-}
-
-// reindexDistsView is reindexDists reading through a distance view:
-// delta-encoded tables are resolved per position (a short binary search
-// each) instead of being materialized and then permuted.
-func reindexDistsView(v oracle.DistView, toNew []int32) []int32 {
-	if v.Full != nil {
-		return reindexDists(v.Full, toNew)
-	}
-	out := make([]int32, len(toNew))
-	for w, nw := range toNew {
-		out[w] = v.At(int(nw))
 	}
 	return out
 }
@@ -1047,77 +1020,121 @@ func parseFaults(q string) ([]int, error) {
 	return out, nil
 }
 
-func queryInt(r *http.Request, key string) (int, error) {
-	raw := r.URL.Query().Get(key)
+func queryInt(v url.Values, key string) (int, error) {
+	raw := v.Get(key)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", key)
 	}
-	v, err := strconv.Atoi(raw)
+	n, err := strconv.Atoi(raw)
 	if err != nil {
 		return 0, fmt.Errorf("bad %q: %q", key, raw)
 	}
-	return v, nil
+	return n, nil
 }
 
-// withOracle parses common query parameters, checks out a pooled handle
-// and invokes fn with it.
-func (s *Server) withOracle(w http.ResponseWriter, r *http.Request,
-	needTarget bool, fn func(o *oracle.Oracle, x xlat, src, target int, faults []int) error) {
-	set, x := s.readySet(w, r)
-	if set == nil {
-		return
+// queryOp is what a query asks for.
+type queryOp uint8
+
+const (
+	opDist  queryOp = iota // one distance
+	opDists                // the failure event's whole distance table
+	opRoute                // one distance and a realizing path
+)
+
+// query is one decoded query item in the wire numbering: what every
+// protocol — GET, JSON, NDJSON and binary — decodes into. Decoders reject
+// only item shapes their encoding can spell but not answer; everything
+// else is the oracle's to validate.
+type query struct {
+	op             queryOp
+	source, target int // target is unused by opDists
+	faults         []int
+}
+
+// reply is the answer to one query, for the protocol encoders: err (a
+// *oracle.QueryError) for a rejected query, else dist for opDist and
+// opRoute (bfs.Unreachable when cut off), path for a reachable opRoute
+// (wire numbering) and dists for opDists (internal numbering, lent by the
+// oracle until the handle's next query, so each encoder copies or
+// re-indexes it at once). Four fields, nine words: small enough to return
+// in registers, which keeps the per-item cost of the binary path flat.
+type reply struct {
+	err   error
+	dist  int32
+	path  []int
+	dists []int32
+}
+
+// answer resolves one query with the request's pooled handle, translating
+// vertex IDs through x at the boundary (wire in, wire out). It is this
+// package's only caller of the oracle's query methods, so it must not
+// allocate beyond what the oracle returns.
+//
+//ftbfs:hotpath
+func answer(o *oracle.Oracle, q *query, x xlat) reply {
+	src := x.in(q.source)
+	switch q.op {
+	case opDists:
+		d, err := o.Dists(src, q.faults)
+		return reply{err: err, dists: d}
+	case opRoute:
+		p, err := o.Route(src, x.in(q.target), q.faults)
+		if p == nil {
+			return reply{err: err, dist: bfs.Unreachable}
+		}
+		// Route returns a freshly allocated path, safe to relabel in place.
+		for i, v := range p {
+			p[i] = x.out(v)
+		}
+		return reply{dist: int32(p.Len()), path: p}
+	default:
+		d, err := o.Dist(src, x.in(q.target), q.faults)
+		return reply{err: err, dist: d}
 	}
-	src, err := queryInt(r, "source")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	target := -1
-	if needTarget {
-		if target, err = queryInt(r, "target"); err != nil {
+}
+
+// handleGet serves the single-query GET endpoints (dist, dists, route).
+// The query string is parsed once into the JSON batch item it abbreviates
+// and answered as one, so the two APIs cannot diverge; an item error
+// becomes a 400.
+func (s *Server) handleGet(op queryOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		set, x := s.readySet(w, r)
+		if set == nil {
+			return
+		}
+		q, err := parseGet(r.URL.Query(), op)
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		o := set.Acquire()
+		defer set.Release(o)
+		res := answerJSON(o, q, x)
+		if res.Error != "" {
+			writeErr(w, http.StatusBadRequest, "%s", res.Error)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
 	}
-	faults, err := parseFaults(r.URL.Query().Get("faults"))
+}
+
+// parseGet decodes a GET endpoint's query string into a batch item.
+func parseGet(v url.Values, op queryOp) (*batchQuery, error) {
+	src, err := queryInt(v, "source")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	o := set.Acquire()
-	defer set.Release(o)
-	if err := fn(o, x, src, target, faults); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	q := &batchQuery{Source: src, Route: op == opRoute}
+	if op != opDists {
+		target, err := queryInt(v, "target")
+		if err != nil {
+			return nil, err
+		}
+		q.Target = &target
 	}
-}
-
-// answerOne serves one GET-style query through the shared batch logic so
-// the single-query and batch APIs cannot diverge (res.Error maps to 400).
-func answerOne(w http.ResponseWriter, o *oracle.Oracle, q *batchQuery, x xlat) error {
-	res := answerQuery(o, q, x)
-	if res.Error != "" {
-		return errors.New(res.Error)
-	}
-	writeJSON(w, http.StatusOK, res)
-	return nil
-}
-
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
-	s.withOracle(w, r, true, func(o *oracle.Oracle, x xlat, src, target int, faults []int) error {
-		return answerOne(w, o, &batchQuery{Source: src, Target: &target, Faults: faults}, x)
-	})
-}
-
-func (s *Server) handleDists(w http.ResponseWriter, r *http.Request) {
-	s.withOracle(w, r, false, func(o *oracle.Oracle, x xlat, src, _ int, faults []int) error {
-		return answerOne(w, o, &batchQuery{Source: src, Faults: faults}, x)
-	})
-}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	s.withOracle(w, r, true, func(o *oracle.Oracle, x xlat, src, target int, faults []int) error {
-		return answerOne(w, o, &batchQuery{Source: src, Target: &target, Faults: faults, Route: true}, x)
-	})
+	q.Faults, err = parseFaults(v.Get("faults"))
+	return q, err
 }
 
 // ---- batch queries ----
@@ -1180,63 +1197,34 @@ type batchStreamTrailer struct {
 // most streamFlushEvery lines. A var only so tests can lower it.
 var maxBatchResultValues = 4 << 20
 
-// answerQuery resolves one batch item with the request's pooled handle,
-// translating vertex IDs through x at the boundary (wire in, wire out).
-// It is the per-item dispatch of every query endpoint, so it must not
-// allocate beyond the result it returns.
+// answerJSON decodes, answers and renders one JSON batch item — the GET,
+// JSON and NDJSON path through the query core. A route without a target
+// is the one item shape JSON can spell but not answer.
 //
 //ftbfs:hotpath
-func answerQuery(o *oracle.Oracle, q *batchQuery, x xlat) batchResult {
+func answerJSON(o *oracle.Oracle, b *batchQuery, x xlat) batchResult {
+	q := query{op: opDists, source: b.Source, faults: b.Faults}
 	switch {
-	case q.Route:
-		if q.Target == nil {
-			return batchResult{Error: "route query needs a target"}
-		}
-		p, err := o.Route(x.in(q.Source), x.in(*q.Target), q.Faults)
-		if err != nil {
-			return batchResult{Error: err.Error()}
-		}
-		reachable := p != nil
-		res := batchResult{Reachable: &reachable}
-		if p != nil {
-			d := int32(p.Len())
-			res.Dist = &d
-			// Route returns a freshly allocated path, safe to relabel in
-			// place.
-			path := []int(p)
-			if !x.identity() {
-				for i, v := range path {
-					path[i] = x.out(v)
-				}
-			}
-			res.Path = path
-		}
-		return res
-	case q.Target != nil:
-		d, err := o.Dist(x.in(q.Source), x.in(*q.Target), q.Faults)
-		if err != nil {
-			return batchResult{Error: err.Error()}
-		}
-		reachable := d != bfs.Unreachable
-		return batchResult{Dist: &d, Reachable: &reachable}
-	default:
-		// DistsView, not Dists: the view references immutable memory, so
-		// the result survives until the whole batch is encoded even when
-		// later items reuse this handle (the non-streaming handler collects
-		// every result before writing). Delta-encoded events materialize a
-		// fresh exact-size table; full tables are shared with the cache.
-		v, err := o.DistsView(x.in(q.Source), q.Faults)
-		if err != nil {
-			return batchResult{Error: err.Error()}
-		}
-		if !x.identity() {
-			return batchResult{Dists: reindexDistsView(v, x.toNew)}
-		}
-		if v.Full != nil {
-			return batchResult{Dists: v.Full}
-		}
-		return batchResult{Dists: v.AppendTo(nil)}
+	case b.Target != nil && b.Route:
+		q.op, q.target = opRoute, *b.Target
+	case b.Target != nil:
+		q.op, q.target = opDist, *b.Target
+	case b.Route:
+		return batchResult{Error: "route query needs a target"}
 	}
+	r := answer(o, &q, x)
+	switch {
+	case r.err != nil:
+		return batchResult{Error: r.err.Error()}
+	case q.op == opDists:
+		return batchResult{Dists: reindexDists(r.dists, x.toNew)}
+	}
+	d, reachable := r.dist, r.dist != bfs.Unreachable
+	res := batchResult{Reachable: &reachable, Path: r.path}
+	if reachable || q.op == opDist {
+		res.Dist = &d // not &r.dist, which would move all of r to the heap
+	}
+	return res
 }
 
 // handleBatchQuery answers a JSON batch of (source, target?, faults)
@@ -1288,7 +1276,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		// buffering, and write failures surface on the next Encode.
 		flush := func() { _ = rc.Flush() }
 		for i := range req.Queries {
-			if err := enc.Encode(answerQuery(o, &req.Queries[i], x)); err != nil {
+			if err := enc.Encode(answerJSON(o, &req.Queries[i], x)); err != nil {
 				return // client went away; nothing sensible to write
 			}
 			// Re-arm on elapsed time, not item count: slow uncached
@@ -1313,7 +1301,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	results := make([]batchResult, len(req.Queries))
 	values := 0
 	for i := range req.Queries {
-		results[i] = answerQuery(o, &req.Queries[i], x)
+		results[i] = answerJSON(o, &req.Queries[i], x)
 		values += 2 + len(results[i].Dists) + len(results[i].Path)
 		if values > maxBatchResultValues {
 			writeErr(w, http.StatusRequestEntityTooLarge,

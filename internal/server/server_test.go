@@ -15,7 +15,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/oracle"
 )
 
 // testClient wraps an httptest server with JSON helpers.
@@ -323,9 +322,9 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
-// TestCacheBudgetWiring checks that Config's cache bounds reach each
-// build's oracle set exactly as configured: the default byte budget, both
-// explicit caps, the no-byte-bound fallback and the disable switch.
+// TestCacheBudgetWiring checks that Config.CacheBytes reaches each
+// build's oracle set exactly as configured: the default budget, an
+// explicit one, and < 0 turning the memo off.
 func TestCacheBudgetWiring(t *testing.T) {
 	g := gen.GNP(12, 0.3, 1)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -339,10 +338,8 @@ func TestCacheBudgetWiring(t *testing.T) {
 		wantBytes   int64
 	}{
 		{"default", Config{}, 0, DefaultCacheBytes},
-		{"both bounds", Config{CacheEntries: 64, CacheBytes: 1 << 20}, 64, 1 << 20},
-		{"byte budget only", Config{CacheBytes: 1 << 20}, 0, 1 << 20},
-		{"no byte bound", Config{CacheBytes: -1}, oracle.DefaultCacheEntries, 0},
-		{"disabled", Config{CacheEntries: -1}, 0, 0},
+		{"byte budget", Config{CacheBytes: 1 << 20}, 0, 1 << 20},
+		{"disabled", Config{CacheBytes: -1}, 0, 0},
 	}
 	for _, tc := range cases {
 		set, err := New(&tc.cfg).newOracleSet(st)
@@ -383,7 +380,7 @@ func TestServerHealthz(t *testing.T) {
 func TestServerConcurrentClients(t *testing.T) {
 	seed := int64(21)
 	g := gen.GNP(24, 0.2, seed)
-	c := newTestClient(t, &Config{CacheEntries: 16}) // small memo: force eviction under load
+	c := newTestClient(t, &Config{CacheBytes: 4 << 10}) // ~16 entries at n=24: force eviction under load
 	c.createGraph("cc", GenSpec{Family: "gnp", N: 24, P: 0.2, Seed: seed})
 	id := c.startBuild("cc", createBuildRequest{Mode: "dual", Sources: []int{0}})
 	if info := c.waitReady("cc", id); info.Status != StatusReady {
