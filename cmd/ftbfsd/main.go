@@ -57,7 +57,7 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		builds     = fs.Int("builds", 0, "max concurrent structure builds (0 = GOMAXPROCS)")
-		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed (0 = default 256 MiB, <0 = no memo)")
+		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed, pinned per-source base trees (~16 B × n each) sit outside it (0 = default 256 MiB, <0 = no memo)")
 		shards     = fs.Int("cache-shards", 0, "memo shards per build (0 = auto: ~GOMAXPROCS, power of two)")
 		maxBatch   = fs.Int("max-batch", 0, "max queries per batch request (0 = default 65536)")
 		ordered    = fs.Bool("ordered", false, "renumber registered graphs into BFS vertex order (wire IDs unchanged; per-graph \"ordered\" field overrides)")

@@ -6,39 +6,111 @@ import (
 	"repro/internal/graph"
 )
 
+// Tree is a frozen fault-free BFS tree of one source: its distance table,
+// the parent of every reached vertex, and each vertex's children in CSR
+// form — the base a Repairer patches faults against. A Tree is immutable
+// once built, so any number of repairers, on any goroutines, may repair
+// against one shared tree (RunFrom); the oracle pins one per structure
+// source.
+type Tree struct {
+	g      *graph.Graph
+	src    int
+	dist   []int32
+	parent []int32 // -1 at the source and at unreached vertices
+	// Children of v are kids[kidOff[v]:kidOff[v+1]].
+	kidOff []int32
+	kids   []int32
+}
+
+// NewTree runs the fault-free BFS from src over g and freezes it.
+func NewTree(g *graph.Graph, src int) *Tree {
+	t := new(Tree)
+	t.build(NewRunner(g), src)
+	return t
+}
+
+// build runs the fault-free BFS from src on r and freezes it into t,
+// reusing t's buffers when they are large enough.
+func (t *Tree) build(r *Runner, src int) {
+	r.Run(src, nil, nil)
+	n := r.g.N()
+	t.g, t.src = r.g, src
+	t.dist = resize(t.dist, n)
+	copy(t.dist, r.dist)
+	t.parent = resize(t.parent, n)
+	t.kidOff = resize(t.kidOff, n+1)
+	clear(t.kidOff)
+	for v := 0; v < n; v++ {
+		p := int32(-1)
+		if t.dist[v] > 0 {
+			p = r.parent[v]
+			t.kidOff[p+1]++
+		}
+		t.parent[v] = p
+	}
+	for i := 0; i < n; i++ {
+		t.kidOff[i+1] += t.kidOff[i]
+	}
+	t.kids = resize(t.kids, int(t.kidOff[n]))
+	fill := r.queue[:n] // the finished run's queue is free scratch
+	copy(fill, t.kidOff[:n])
+	for v := 0; v < n; v++ {
+		if p := t.parent[v]; p >= 0 {
+			t.kids[fill[p]] = int32(v)
+			fill[p]++
+		}
+	}
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// Dists returns the fault-free distance table. Callers must not mutate it.
+func (t *Tree) Dists() []int32 { return t.dist }
+
+// Bytes returns the memory held by the tree's tables: distances, parents
+// and the child CSR — about 16 bytes per vertex.
+func (t *Tree) Bytes() int64 {
+	return 4 * int64(len(t.dist)+len(t.parent)+len(t.kidOff)+len(t.kids))
+}
+
 // Repairer computes fault-restricted BFS distance tables by incrementally
-// repairing a fault-free base table instead of re-running BFS from scratch.
+// repairing a fault-free base Tree instead of re-running BFS from scratch.
 // The invariant (arXiv:1505.00692 §2): a faulted non-tree edge changes no
 // distance at all (the BFS tree path to every vertex survives), and a
 // faulted tree edge can only change vertices in the subtree hanging below
-// it. Run therefore classifies each fault, detaches the union R of the
+// it. A run therefore classifies each fault, detaches the union R of the
 // affected subtrees, seeds every vertex of R from its surviving boundary
 // arcs (whose far endpoints keep their exact base distance), and repairs R
 // level-synchronously. When R's arc volume exceeds the graph's — repairing
 // would cost more than starting over — it falls back to the full Runner,
-// which keeps PR 8's compact/bitset regime split; the base and fallback
-// runs inherit that split too, so large graphs still scan via the bitset.
+// which keeps the compact/bitset scan regime split; tree builds and
+// fallback runs inherit that split too, so large graphs still scan via the
+// bitset.
 //
-// Distances are the only output: BFS parent choice is discovery-order
-// dependent and the repair schedule legitimately differs from scratch, so
-// consumers that need paths (oracle routing) keep the Runner. Distance
-// tables are bit-identical to a from-scratch run by construction.
+// There is one kernel and two ways to name its base. RunFrom repairs
+// against a caller-held Tree, typically one shared by many repairers —
+// switching trees costs one n-entry table copy, not a BFS. Run names a
+// source instead and repairs against a repairer-owned tree, rebuilt in
+// place (one full BFS) whenever the source moves. Distances are the only
+// output, bit-identical to a from-scratch run by construction; paths are
+// walked back over a distance table (the oracle's Route does so).
 //
 // A Repairer is not safe for concurrent use; create one per goroutine and
-// keep it — it amortizes its base table across every fault set sharing a
-// source, and rebases automatically (one full BFS) when the source moves.
+// keep it. The trees it repairs against may be shared freely.
 type Repairer struct {
 	g *graph.Graph
-	r *Runner // base runs + full-recompute fallback
+	r *Runner // owned-tree builds + full-recompute fallback
 
-	src     int // base source; -1 until the first Run
-	bDist   []int32
-	bParent []int32
-	// Children of the base BFS tree in CSR form.
-	kidOff []int32
-	kids   []int32
+	t   *Tree // base of the live table; nil until the first run
+	own *Tree // Run's tree; nil until Run first needs it
 
-	// out is the live table: base distances with the current repair
+	// out is the live table: t's distances with the current repair
 	// patched in. Every patched vertex is in region; undo restores them.
 	out    []int32
 	region []int32
@@ -55,22 +127,18 @@ type Repairer struct {
 	volLimit int
 }
 
-// NewRepairer returns a repairer bound to g. The base table is built
-// lazily on the first Run (it needs a source).
+// NewRepairer returns a repairer bound to g. It holds no base tree of its
+// own until Run first needs one.
 func NewRepairer(g *graph.Graph) *Repairer {
 	n := g.N()
 	r := &Repairer{
 		g:        g,
 		r:        NewRunner(g),
-		src:      -1,
-		bDist:    make([]int32, n),
-		bParent:  make([]int32, n),
-		kidOff:   make([]int32, n+1),
 		out:      make([]int32, n),
-		region:   nil,
 		inR:      make([]uint32, n),
 		done:     make([]uint32, n),
 		eMask:    make([]uint32, g.M()),
+		seeds:    make([]int64, 0, 64),
 		cur:      make([]int32, 0, n),
 		next:     make([]int32, 0, n),
 		volLimit: g.M(),
@@ -81,66 +149,46 @@ func NewRepairer(g *graph.Graph) *Repairer {
 	return r
 }
 
-// rebase runs the fault-free BFS from src and freezes it as the base
-// table, rebuilding the child CSR.
-func (r *Repairer) rebase(src int) {
-	r.r.Run(src, nil, nil)
-	n := r.g.N()
-	copy(r.bDist, r.r.dist)
-	for v := 0; v < n; v++ {
-		if r.bDist[v] > 0 {
-			r.bParent[v] = r.r.parent[v]
-		} else {
-			r.bParent[v] = -1
-		}
-	}
-	for i := range r.kidOff {
-		r.kidOff[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kidOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		r.kidOff[i+1] += r.kidOff[i]
-	}
-	if cap(r.kids) < int(r.kidOff[n]) {
-		r.kids = make([]int32, r.kidOff[n])
-	} else {
-		r.kids = r.kids[:r.kidOff[n]]
-	}
-	if r.seeds == nil {
-		r.seeds = make([]int64, 0, 64)
-	}
-	fill := r.cur[:0]
-	fill = append(fill, r.kidOff[:n]...)
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kids[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
-	copy(r.out, r.bDist)
-	r.src = src
-	r.region = r.region[:0]
-}
-
-// undo restores the live table to the base for every vertex the previous
-// repair detached.
+// undo restores the live table to the tree's distances for every vertex
+// the previous repair detached.
 func (r *Repairer) undo() {
+	base, out := r.t.dist, r.out
 	for _, v := range r.region {
-		r.out[v] = r.bDist[v]
+		out[v] = base[v]
 	}
 	r.region = r.region[:0]
 }
 
 // Run computes the distance table from src with the given edges disabled
-// (the edge-failure model; vertex faults go through the Runner). Results
-// are valid until the next Run.
+// (the edge-failure model; vertex faults go through the Runner), repairing
+// against the current tree when it belongs to src and rebuilding the
+// repairer-owned tree when the source moves. Results are valid until the
+// next run.
 func (r *Repairer) Run(src int, disabledEdges []int) {
-	if src != r.src {
-		r.rebase(src)
+	t := r.t
+	if t == nil || t.src != src {
+		if r.own == nil {
+			r.own = new(Tree)
+		}
+		r.t = nil // the live table may rest on own, which is rebuilt in place
+		r.own.build(r.r, src)
+		t = r.own
+	}
+	r.RunFrom(t, disabledEdges)
+}
+
+// RunFrom computes the distance table from t's source with the given edges
+// disabled, repairing against t. t must be built over the repairer's
+// graph; it is only read, so it may be shared with other repairers.
+// Results are valid until the next run.
+func (r *Repairer) RunFrom(t *Tree, disabledEdges []int) {
+	if t.g != r.g {
+		panic("bfs: RunFrom with a tree of another graph")
+	}
+	if t != r.t {
+		copy(r.out, t.dist)
+		r.region = r.region[:0]
+		r.t = t
 	} else {
 		r.undo()
 	}
@@ -164,12 +212,13 @@ func (r *Repairer) Run(src int, disabledEdges []int) {
 	}
 	// Classify: a fault is a tree edge iff its deeper endpoint claims it
 	// as the parent link; only those detach a subtree.
+	dist, parent := t.dist, t.parent
 	for _, id := range disabledEdges {
 		e := r.g.EdgeAt(id)
 		c := -1
-		if r.bDist[e.V] > 0 && int(r.bParent[e.V]) == e.U && r.bDist[e.V] == r.bDist[e.U]+1 {
+		if dist[e.V] > 0 && int(parent[e.V]) == e.U && dist[e.V] == dist[e.U]+1 {
 			c = e.V
-		} else if r.bDist[e.U] > 0 && int(r.bParent[e.U]) == e.V && r.bDist[e.U] == r.bDist[e.V]+1 {
+		} else if dist[e.U] > 0 && int(parent[e.U]) == e.V && dist[e.U] == dist[e.V]+1 {
 			c = e.U
 		}
 		if c >= 0 && r.inR[c] != ep {
@@ -183,7 +232,7 @@ func (r *Repairer) Run(src int, disabledEdges []int) {
 	if !r.detach() {
 		r.full = true
 		r.region = r.region[:0]
-		r.r.Run(src, disabledEdges, nil)
+		r.r.Run(t.src, disabledEdges, nil)
 		return
 	}
 	r.repair()
@@ -195,6 +244,7 @@ func (r *Repairer) Run(src int, disabledEdges []int) {
 //ftbfs:hotpath
 func (r *Repairer) detach() bool {
 	ep := r.ep
+	kidOff, kids := r.t.kidOff, r.t.kids
 	vol := 0
 	for i := 0; i < len(r.region); i++ {
 		v := r.region[i]
@@ -202,7 +252,7 @@ func (r *Repairer) detach() bool {
 		if vol > r.volLimit {
 			return false
 		}
-		for _, c := range r.kids[r.kidOff[v]:r.kidOff[v+1]] {
+		for _, c := range kids[kidOff[v]:kidOff[v+1]] {
 			if r.inR[c] != ep {
 				r.inR[c] = ep
 				r.region = append(r.region, c)
@@ -214,7 +264,7 @@ func (r *Repairer) detach() bool {
 
 // repair re-settles the detached region level-synchronously. Each x in R
 // is seeded with min over surviving boundary arcs (u,x), u outside R, of
-// bDist(u)+1 — exact because outside distances are unchanged — and the
+// base(u)+1 — exact because outside distances are unchanged — and the
 // two-queue sweep admits seeds in level order, so every vertex settles at
 // its true fault-restricted distance (last-crossing argument). Region
 // vertices never reached stay Unreachable.
@@ -223,16 +273,16 @@ func (r *Repairer) detach() bool {
 func (r *Repairer) repair() {
 	ep := r.ep
 	inR, done, eMask := r.inR, r.done, r.eMask
-	bDist, out := r.bDist, r.out
+	base, out := r.t.dist, r.out
 	r.seeds = r.seeds[:0]
 	for _, x := range r.region {
 		out[x] = Unreachable
 		best := int32(-1)
 		for _, a := range r.g.Arcs(int(x)) {
-			if inR[a.To] == ep || eMask[a.ID] == ep || bDist[a.To] < 0 {
+			if inR[a.To] == ep || eMask[a.ID] == ep || base[a.To] < 0 {
 				continue
 			}
-			if d := bDist[a.To] + 1; best < 0 || d < best {
+			if d := base[a.To] + 1; best < 0 || d < best {
 				best = d
 			}
 		}
@@ -280,7 +330,7 @@ func (r *Repairer) repair() {
 	r.cur, r.next = cur[:0], next[:0]
 }
 
-// Dist returns the hop distance to v under the last Run, or Unreachable.
+// Dist returns the hop distance to v under the last run, or Unreachable.
 func (r *Repairer) Dist(v int) int32 {
 	if r.full {
 		return r.r.dist[v]
@@ -288,8 +338,8 @@ func (r *Repairer) Dist(v int) int32 {
 	return r.out[v]
 }
 
-// Dists returns the distance table of the last Run. The slice is owned by
-// the repairer and overwritten by the next Run.
+// Dists returns the distance table of the last run. The slice is owned by
+// the repairer and overwritten by the next run.
 func (r *Repairer) Dists() []int32 {
 	if r.full {
 		return r.r.dist
@@ -297,26 +347,14 @@ func (r *Repairer) Dists() []int32 {
 	return r.out
 }
 
-// Changed returns the vertices whose distance may differ from the
-// fault-free base table after the last Run, and ok=true when the run was
-// served incrementally (possibly as a no-op: an empty slice means no
-// distance changed). ok=false means a full recompute ran and every vertex
-// may differ. The slice is valid until the next Run.
+// Changed returns the vertices whose distance may differ from the base
+// tree's table after the last run, and ok=true when the run was served
+// incrementally (possibly as a no-op: an empty slice means no distance
+// changed). ok=false means a full recompute ran and every vertex may
+// differ. The slice is valid until the next run.
 func (r *Repairer) Changed() ([]int32, bool) {
 	if r.full {
 		return nil, false
 	}
 	return r.region, true
-}
-
-// Base returns the fault-free distance table for the current source — the
-// table deltas from Changed decode against. Faulted Runs never touch it
-// (they patch out, or run the fallback Runner's own table), so it stays
-// valid until the source moves and the repairer rebases; callers must not
-// mutate it. Nil before the first Run.
-func (r *Repairer) Base() []int32 {
-	if r.src < 0 {
-		return nil
-	}
-	return r.bDist
 }

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,9 +24,10 @@ func compareDists(t *testing.T, rep *Repairer, ref *Runner, tag string) {
 }
 
 // TestRepairRegimeEquivalence drives the repairer through random fault
-// sequences in both scan regimes (the fallback and base runs inherit the
-// runner's compact/bitset split) and pins every distance table against a
-// from-scratch BFS. Sources move mid-sequence to exercise rebasing.
+// sequences in both scan regimes (the fallback runs and tree builds inherit
+// the runner's compact/bitset split) and pins every distance table against
+// a from-scratch BFS. Sources move mid-sequence to exercise the rebuild of
+// the repairer-owned tree.
 func TestRepairRegimeEquivalence(t *testing.T) {
 	for _, bitset := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -57,7 +59,7 @@ func TestRepairRegimeEquivalence(t *testing.T) {
 						moved[v] = true
 					}
 					for v := 0; v < g.N(); v++ {
-						if rep.Dist(v) != rep.bDist[v] && !moved[int32(v)] {
+						if rep.Dist(v) != rep.t.dist[v] && !moved[int32(v)] {
 							t.Fatalf("trial %d: dist[%d] changed but not in Changed()", trial, v)
 						}
 					}
@@ -76,16 +78,7 @@ func TestRepairFaultClasses(t *testing.T) {
 	rep := NewRepairer(g)
 	ref := NewRunner(g)
 	rep.Run(0, nil)
-	var treeEdges, nonTree []int
-	for id := 0; id < g.M(); id++ {
-		e := g.EdgeAt(id)
-		if (rep.bDist[e.V] == rep.bDist[e.U]+1 && int(rep.bParent[e.V]) == e.U) ||
-			(rep.bDist[e.U] == rep.bDist[e.V]+1 && int(rep.bParent[e.U]) == e.V) {
-			treeEdges = append(treeEdges, id)
-		} else {
-			nonTree = append(nonTree, id)
-		}
-	}
+	treeEdges, nonTree := splitTreeEdges(rep.t)
 	if len(treeEdges) == 0 || len(nonTree) == 0 {
 		t.Fatalf("degenerate instance: %d tree, %d non-tree", len(treeEdges), len(nonTree))
 	}
@@ -118,6 +111,89 @@ func TestRepairFaultClasses(t *testing.T) {
 	}
 }
 
+// splitTreeEdges partitions t's graph's edges into those that are some
+// vertex's parent link in t and the rest.
+func splitTreeEdges(t *Tree) (treeEdges, nonTree []int) {
+	for id := 0; id < t.g.M(); id++ {
+		e := t.g.EdgeAt(id)
+		if (t.dist[e.V] == t.dist[e.U]+1 && int(t.parent[e.V]) == e.U) ||
+			(t.dist[e.U] == t.dist[e.V]+1 && int(t.parent[e.U]) == e.V) {
+			treeEdges = append(treeEdges, id)
+		} else {
+			nonTree = append(nonTree, id)
+		}
+	}
+	return treeEdges, nonTree
+}
+
+// TestSharedTreeEquivalence has two repairers share one Tree per source
+// and interleave sources and fault sets through RunFrom, so each tree
+// serves both repairers and a repairer's consecutive runs often switch
+// trees (a table copy) rather than undo a repair on the same one. The fault
+// sets cover every class — non-tree no-ops, subtree-local repairs, volume
+// fallbacks (one repairer runs under a tiny volume cap) and disconnecting
+// cuts (the graph is a tree plus chords, full of bridges) — and each class
+// must occur. Every table must equal a from-scratch Runner's, and every
+// incremental Changed() set must cover the vertices that moved.
+func TestSharedTreeEquivalence(t *testing.T) {
+	g := gen.TreePlusChords(200, 60, 3)
+	srcs := []int{0, 57, 133}
+	trees := make([]*Tree, len(srcs))
+	edges := make([][2][]int, len(srcs)) // per source: tree edges, non-tree edges
+	for i, s := range srcs {
+		trees[i] = NewTree(g, s)
+		edges[i][0], edges[i][1] = splitTreeEdges(trees[i])
+	}
+	reps := []*Repairer{NewRepairer(g), NewRepairer(g)}
+	reps[1].volLimit = 24
+	ref := NewRunner(g)
+	rng := rand.New(rand.NewSource(11))
+	var noop, local, fallback, cut int
+	for trial := 0; trial < 600; trial++ {
+		rep := reps[trial%2]
+		i := rng.Intn(len(srcs))
+		tr := trees[i]
+		var faults []int
+		for k := rng.Intn(3); k >= 0; k-- {
+			class := edges[i][rng.Intn(2)]
+			faults = append(faults, class[rng.Intn(len(class))])
+		}
+		rep.RunFrom(tr, faults)
+		ref.Run(srcs[i], faults, nil)
+		tag := fmt.Sprintf("trial %d src %d faults %v", trial, srcs[i], faults)
+		compareDists(t, rep, ref, tag)
+		ch, ok := rep.Changed()
+		switch {
+		case !ok:
+			fallback++
+		case len(ch) == 0:
+			noop++
+		default:
+			local++
+			moved := map[int32]bool{}
+			for _, v := range ch {
+				moved[v] = true
+			}
+			for v := 0; v < g.N(); v++ {
+				if rep.Dist(v) != tr.dist[v] && !moved[int32(v)] {
+					t.Fatalf("%s: dist[%d] moved but not in Changed()", tag, v)
+				}
+			}
+		}
+		for v := 0; v < g.N(); v++ {
+			if rep.Dist(v) == Unreachable && tr.dist[v] != Unreachable {
+				cut++
+				break
+			}
+		}
+	}
+	t.Logf("%d no-op, %d local, %d fallback, %d cut", noop, local, fallback, cut)
+	if noop == 0 || local == 0 || fallback == 0 || cut == 0 {
+		t.Fatalf("fault classes not all covered: %d no-op, %d local, %d fallback, %d cut",
+			noop, local, fallback, cut)
+	}
+}
+
 // TestRepairVolumeFallback forces the volume cap and checks the fallback
 // answers are identical and recovery works.
 func TestRepairVolumeFallback(t *testing.T) {
@@ -142,7 +218,7 @@ func TestRepairVolumeFallback(t *testing.T) {
 
 // FuzzRepairEquivalence fuzzes (graph seed, source, fault selection) and
 // demands the repaired table equal the from-scratch table bit for bit, in
-// both scan regimes.
+// both scan regimes, through Run and through RunFrom on shared trees.
 func FuzzRepairEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint64(0x1234), uint8(2))
 	f.Add(int64(2), uint16(7), uint64(0xffff_ffff), uint8(4))
@@ -169,6 +245,28 @@ func FuzzRepairEquivalence(f *testing.F) {
 			rep.Run(src, faults[:k/2])
 			ref.Run(src, faults[:k/2], nil)
 			compareDists(t, rep, ref, "fuzz-undo")
+
+			// The same input through RunFrom on a tree shared with a
+			// second repairer that alternates between it and another
+			// source's tree.
+			other := (src + g.N()/2) % g.N()
+			tr, otr := NewTree(g, src), NewTree(g, other)
+			a, b := NewRepairer(g), NewRepairer(g)
+			if bitset {
+				a.r.ForceBitset()
+				b.r.ForceBitset()
+			}
+			for round := 0; round < 2; round++ {
+				a.RunFrom(tr, faults)
+				ref.Run(src, faults, nil)
+				compareDists(t, a, ref, "fuzz-shared")
+				b.RunFrom(otr, faults)
+				ref.Run(other, faults, nil)
+				compareDists(t, b, ref, "fuzz-shared-other")
+				b.RunFrom(tr, faults[:k/2])
+				ref.Run(src, faults[:k/2], nil)
+				compareDists(t, b, ref, "fuzz-shared-switch")
+			}
 		}
 	})
 }

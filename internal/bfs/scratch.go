@@ -12,7 +12,7 @@ import (
 // belongs to exactly one goroutine between Acquire and Release (or for the
 // lifetime of a locally constructed one); results read from its Runner or
 // Repairer are invalid after Release. Holding a Scratch across fault
-// events is the point — the Repairer's base table amortizes across every
+// events is the point — the Repairer's base tree amortizes across every
 // event sharing a source.
 type Scratch struct {
 	g      *graph.Graph
@@ -38,7 +38,7 @@ func (s *Scratch) Repairer() *Repairer {
 }
 
 // ScratchPool hands out Scratch arenas for one graph. It wraps sync.Pool,
-// so arenas (and their warm base tables) are recycled across goroutines
+// so arenas (and their warm base trees) are recycled across goroutines
 // instead of reallocated per fan-out.
 type ScratchPool struct {
 	pool sync.Pool

@@ -239,9 +239,10 @@ func BenchmarkOracleVsFullGraphBFS(b *testing.B) {
 }
 
 // BenchmarkOracleQueryUncached measures the unmemoized path — every query
-// pays canonicalization, fault translation and one BFS over the structure's
-// CSR subgraph (cache disabled). This is the floor the LRU saves against,
-// and the path batch queries hit on every distinct failure event.
+// pays canonicalization, fault translation and one repair against the
+// source's pinned tree over the structure's CSR subgraph (cache disabled).
+// This is the floor the LRU saves against, and the path batch queries hit
+// on every distinct failure event.
 func BenchmarkOracleQueryUncached(b *testing.B) {
 	g := gen.SparseGNP(400, 8, 1)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -259,6 +260,57 @@ func BenchmarkOracleQueryUncached(b *testing.B) {
 		if _, err := o.Dists(0, []int{i % g.M()}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOracleMiss measures one memo miss on the serving shape: uniform
+// two-edge failure events on a two-source structure over a sparse
+// 1000-vertex graph, under an 8 MiB byte budget that fills and evicts.
+// one-source sends every miss from source 0; two-sources alternates
+// between the structure's sources, as multi-source batches do. Every miss
+// repairs against its source's pinned tree, so a source switch costs a
+// table copy rather than a BFS and the two stay within 1.5× of each other.
+// The structure is built once, outside both sub-benchmarks, from
+// single-fault builds so the bench smoke run stays short; its fault budget
+// is then raised to 2 to admit two-edge events. A miss's cost depends on
+// H's size and the detached subtrees, not on H's guarantee, so the timing
+// holds for a dual structure too.
+func BenchmarkOracleMiss(b *testing.B) {
+	g := gen.SparseGNP(1000, 6, 1)
+	st, err := core.BuildMultiSource(g, []int{0, 500}, nil, core.BuildSingle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st.Faults = 2
+	for _, bc := range []struct {
+		name string
+		srcs []int
+	}{{"one-source", []int{0}}, {"two-sources", []int{0, 500}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			set, err := NewSetBytes(st, 8<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := set.Handle()
+			for _, s := range bc.srcs { // pin the trees
+				if _, err := o.Dist(s, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			faults := make([]int, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				faults[0], faults[1] = rng.Intn(g.M()), rng.Intn(g.M())
+				for faults[1] == faults[0] {
+					faults[1] = rng.Intn(g.M())
+				}
+				if _, err := o.Dist(bc.srcs[i%len(bc.srcs)], i%g.N(), faults); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -14,16 +15,18 @@ import (
 // per entry, so lookups compare against the stored key and a 64-bit hash
 // collision degrades to a miss, never to a wrong answer. Entries come in
 // two encodings: a FULL table (4 bytes × n) or a DELTA against the
-// source's pinned fault-free base table — sorted changed-vertex IDs plus
-// their new distances (8 bytes × changed vertices), chosen when the
-// incremental repairer proves the event touched at most n/deltaDenom
-// vertices. A typical fault detaches a tiny subtree, so most entries cost
-// a few hundred bytes instead of 4n, and a fixed byte budget holds orders
-// of magnitude more events.
+// distance table of the source's pinned fault-free tree — sorted
+// changed-vertex IDs plus their new distances (8 bytes × changed
+// vertices), chosen when the incremental repairer proves the event touched
+// at most n/deltaDenom vertices. A typical fault detaches a tiny subtree,
+// so most entries cost a few hundred bytes instead of 4n, and a fixed byte
+// budget holds orders of magnitude more events. Each entry is one struct
+// plus one backing array that holds the key and the payload together.
 //
-// Tier 0 — the pinned bases — lives on the OracleSet (see oracle.go),
-// outside the LRU: a delta entry is meaningless without its base, so
-// bases are never evicted and are accounted separately (PinnedBytes).
+// Tier 0 — the pinned trees — lives on the OracleSet (see oracle.go),
+// outside the LRU: a delta entry is meaningless without its base, and
+// every miss repairs against one, so trees are never evicted and are
+// accounted separately (PinnedBytes).
 //
 // Eviction is byte-accounted: each entry is charged its payload plus a
 // fixed overhead, and inserts evict least-recently-used entries until both
@@ -75,11 +78,14 @@ func mixWord(h uint64, v uint32) uint64 {
 const deltaDenom = 8
 
 // entryOverheadBytes is the fixed per-entry cost charged on top of the
-// payload: the cacheEntry struct, its map slot, the intrusive-list links
-// and the key copy's allocator rounding. Charging it uniformly keeps the
-// byte budget honest for no-op deltas (every fault a non-tree edge: zero
-// changed vertices), which would otherwise be free and unbounded in
-// number.
+// key and payload words: the cacheEntry struct, its map slot, the
+// intrusive-list links and the backing array's allocator rounding.
+// Charging it uniformly keeps the byte budget honest for no-op deltas
+// (every fault a non-tree edge: zero changed vertices), which would
+// otherwise be free and unbounded in number. It is deliberately not
+// re-derived from the struct's current size: a fixed charge keeps the cost
+// formula, so a budget holds exactly the same events and hit rates and
+// entry counts stay comparable across measurements.
 const entryOverheadBytes = 128
 
 // CacheStats is a snapshot of the shared memo's counters, aggregated
@@ -96,7 +102,7 @@ type CacheStats struct {
 	BytesCapacity int64 // configured byte budget (0 = no byte bound)
 	DeltaEntries  int   // tier-1 entries stored as deltas vs a pinned base
 	FullEntries   int   // tier-1 entries stored as full tables
-	PinnedBytes   int64 // tier-0 pinned base tables, outside the LRU budget
+	PinnedBytes   int64 // tier-0 pinned base trees (distances, parents, child CSR), outside the LRU budget
 }
 
 // DistView is a read-only view of one failure event's distance table.
@@ -161,37 +167,50 @@ func (t DistView) AppendTo(dst []int32) []int32 {
 }
 
 type cacheEntry struct {
-	hash   uint64
-	src    int32
-	faults []int32 // canonical (sorted) fault IDs; the true key
+	hash uint64
+	src  int32
+	nf   int32 // number of fault IDs at the head of data
 
-	// Exactly one encoding, immutable once inserted: full, or the delta
-	// triple (base is the source's pinned tier-0 table the delta decodes
-	// against — pinned, so the reference can never dangle).
-	full             []int32
-	base, keys, vals []int32
+	// base is the distance table of the source's pinned tree, which a
+	// delta decodes against; nil marks a full table. data is the entry's one backing array, immutable
+	// once inserted: the canonical (sorted) fault IDs — the true key —
+	// then the payload, either the delta's sorted changed-vertex IDs
+	// followed by their distances, or the full table. The tree is pinned,
+	// so base can never dangle.
+	base []int32
+	data []int32
 
-	bytes      int64 // accounted cost: payload + entryOverheadBytes
 	prev, next *cacheEntry
+}
+
+// newEntry returns an entry for the key (src, canon) whose backing array
+// has room for size payload words after the key, and that payload slice
+// for the caller to fill before inserting. base is the delta's pinned
+// table, or nil for a full table.
+func newEntry(hash uint64, src int32, canon, base []int32, size int) (*cacheEntry, []int32) {
+	data := make([]int32, len(canon)+size)
+	copy(data, canon)
+	e := &cacheEntry{hash: hash, src: src, nf: int32(len(canon)), base: base, data: data}
+	return e, data[len(canon):]
 }
 
 // view returns the entry's by-value lookup view (no allocation).
 //
 //ftbfs:hotpath
 func (e *cacheEntry) view() DistView {
-	if e.full != nil {
-		return DistView{Full: e.full}
+	p := e.data[e.nf:]
+	if e.base == nil {
+		return DistView{Full: p}
 	}
-	return DistView{Base: e.base, Keys: e.keys, Vals: e.vals}
+	k := len(p) / 2
+	return DistView{Base: e.base, Keys: p[:k:k], Vals: p[k:]}
 }
 
-// cost is the bytes the entry is charged against the budget.
+// cost is the bytes the entry is charged against the budget: the overhead
+// plus 4 per key word and 4 per payload word — 4 per vertex of a full
+// table, 8 per changed vertex of a delta (its ID and its distance).
 func (e *cacheEntry) cost() int64 {
-	b := int64(entryOverheadBytes) + 4*int64(len(e.faults))
-	if e.full != nil {
-		return b + 4*int64(len(e.full))
-	}
-	return b + 8*int64(len(e.keys))
+	return entryOverheadBytes + 4*int64(len(e.data))
 }
 
 // lruCache is an intrusively-linked LRU protected by a single mutex,
@@ -230,15 +249,7 @@ func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
 
 //ftbfs:hotpath
 func keyEqual(e *cacheEntry, src int32, canon []int32) bool {
-	if e.src != src || len(e.faults) != len(canon) {
-		return false
-	}
-	for i, id := range canon {
-		if e.faults[i] != id {
-			return false
-		}
-	}
-	return true
+	return e.src == src && slices.Equal(e.data[:e.nf], canon)
 }
 
 // moveToFront relinks e as most recent.
@@ -281,27 +292,31 @@ func (c *lruCache) add(e *cacheEntry) DistView {
 	if !c.enabled {
 		return e.view()
 	}
-	e.bytes = e.cost()
+	cost := e.cost()
+	if c.maxBytes > 0 && cost > c.maxBytes {
+		// Bigger than the whole budget: it can never fit, so serve it
+		// uncached instead of evicting everything for nothing — and
+		// before touching the index, so an incumbent sharing its hash
+		// stays cached.
+		return e.view()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if in, ok := c.entries[e.hash]; ok {
-		if keyEqual(in, e.src, e.faults) {
+		if keyEqual(in, e.src, e.data[:e.nf]) {
 			// Another handle inserted the same event concurrently; keep
 			// the incumbent so every client shares one table.
 			c.moveToFront(in)
 			return in.view()
 		}
-		// True 64-bit hash collision: replace the incumbent (the map can
-		// hold one entry per hash; correctness is preserved either way).
+		// True 64-bit hash collision: the map holds one entry per hash,
+		// so the new event replaces the incumbent — an eviction like any
+		// other (correctness is preserved either way).
 		c.unlink(in)
-	}
-	if c.maxBytes > 0 && e.bytes > c.maxBytes {
-		// Bigger than the whole budget: it can never fit, so serve it
-		// uncached instead of evicting everything for nothing.
-		return e.view()
+		c.evictions++
 	}
 	for (c.maxEntries > 0 && len(c.entries) >= c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes+e.bytes > c.maxBytes) {
+		(c.maxBytes > 0 && c.bytes+cost > c.maxBytes) {
 		lru := c.head.prev
 		if lru == &c.head {
 			break
@@ -311,8 +326,8 @@ func (c *lruCache) add(e *cacheEntry) DistView {
 	}
 	c.entries[e.hash] = e
 	c.pushFront(e)
-	c.bytes += e.bytes
-	if e.full != nil {
+	c.bytes += cost
+	if e.base == nil {
 		c.fullN++
 	} else {
 		c.deltaN++
@@ -338,8 +353,8 @@ func (c *lruCache) unlink(e *cacheEntry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	delete(c.entries, e.hash)
-	c.bytes -= e.bytes
-	if e.full != nil {
+	c.bytes -= e.cost()
+	if e.base == nil {
 		c.fullN--
 	} else {
 		c.deltaN--

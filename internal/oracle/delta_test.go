@@ -220,8 +220,11 @@ func TestCacheBudgetAccessor(t *testing.T) {
 }
 
 // TestPrewarmPinsBases checks Prewarm's tier-0 contract: it pins every
-// source's base exactly once, counts only fresh pins, touches no tier-1
-// state or hit/miss counters, and stays off when memoization is disabled.
+// source's base tree exactly once, counts only fresh pins, touches no
+// tier-1 state or hit/miss counters, and stays off when memoization is
+// disabled. PinnedBytes counts each whole tree: distances and parents (n
+// words each), child offsets (n+1) and one child slot per reached vertex
+// other than the source.
 func TestPrewarmPinsBases(t *testing.T) {
 	g := gen.GNP(20, 0.3, 4)
 	st, err := core.BuildMultiSource(g, []int{0, 9, 17}, nil, core.BuildSingle)
@@ -239,7 +242,18 @@ func TestPrewarmPinsBases(t *testing.T) {
 	if cs.Len != 0 || cs.Hits != 0 || cs.Misses != 0 {
 		t.Fatalf("Prewarm leaked into tier-1 state: %+v", cs)
 	}
-	if want := int64(3 * 4 * g.N()); cs.PinnedBytes != want {
+	var want int64
+	for _, src := range st.Sources {
+		reached := 0
+		for _, d := range bfs.Distances(set.sub, src, nil) {
+			if d != bfs.Unreachable {
+				reached++
+			}
+		}
+		n := set.sub.N()
+		want += 4 * int64(n+n+(n+1)+(reached-1))
+	}
+	if cs.PinnedBytes != want {
 		t.Fatalf("PinnedBytes = %d, want %d", cs.PinnedBytes, want)
 	}
 	if n := set.Prewarm(); n != 0 {

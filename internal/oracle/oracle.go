@@ -13,10 +13,12 @@
 // across every concurrent client — by distance lookups and routes alike.
 //
 // The memo's two tiers (see cache.go): tier 0 pins each source's
-// fault-free base table outside the LRU, and tier 1 stores failure events
-// as deltas against that base whenever the incremental repairer proves the
-// event only touched a small region — so a byte budget holds orders of
-// magnitude more events than full 4n-byte tables would.
+// fault-free BFS tree outside the LRU — the base every handle's repairer
+// patches faults against, and whose distance table every delta decodes
+// against — and tier 1 stores failure events as deltas against that base
+// whenever the incremental repairer proves the event only touched a small
+// region, so a byte budget holds orders of magnitude more events than full
+// 4n-byte tables would.
 package oracle
 
 import (
@@ -62,7 +64,7 @@ func queryErr(code ErrCode, format string, args ...any) error {
 
 // OracleSet is the shared, immutable query state over one structure: the
 // materialized subgraph H, the G→H edge-ID translation, the pinned
-// per-source base tables, and a concurrency-safe bounded memo of
+// per-source base trees, and a concurrency-safe bounded memo of
 // per-failure-event distance tables keyed by canonicalized fault sets. It
 // is safe for concurrent use; obtain per-goroutine handles with Handle or
 // Acquire.
@@ -77,22 +79,23 @@ type OracleSet struct {
 	cache  *shardedCache
 	pool   sync.Pool
 
-	// Tier 0: one pinned fault-free table per structure source (indexed
-	// like st.Sources), computed once on first need and never evicted —
-	// every delta entry in the memo decodes against its source's base, so
-	// the base must outlive all of them.
-	bases       []pinnedBase
+	// Tier 0: one pinned fault-free BFS tree per structure source (indexed
+	// like st.Sources), built once on first need — memo on or off — and
+	// never evicted. Every miss repairs against its source's tree, and
+	// every delta entry in the memo decodes against the tree's distances,
+	// so the tree must outlive all of them.
+	trees       []pinnedTree
 	pinnedBytes atomic.Int64
-	baseHits    atomic.Int64 // empty-fault-set queries served from a pinned base
-	baseMisses  atomic.Int64 // empty-fault-set queries that computed the base
+	baseHits    atomic.Int64 // empty-fault-set queries served from a pinned tree
+	baseMisses  atomic.Int64 // empty-fault-set queries that built the tree
 }
 
-// pinnedBase holds one source's fault-free distance table. dist is nil
-// until the first query needs it; the mutex only serializes the one-time
-// computation (reads are a lock-free atomic load).
-type pinnedBase struct {
-	mu   sync.Mutex
-	dist atomic.Pointer[[]int32]
+// pinnedTree holds one source's fault-free BFS tree. It is nil until the
+// first query needs it; the mutex only serializes the one-time build
+// (reads are a lock-free atomic load).
+type pinnedTree struct {
+	mu sync.Mutex
+	t  atomic.Pointer[bfs.Tree]
 }
 
 // NewSet builds the shared query state for st with the default cache bound.
@@ -113,7 +116,7 @@ func NewSetCapacity(st *core.Structure, cacheEntries int) (*OracleSet, error) {
 // memo holds as many failure events as fit in cacheBytes (delta-encoded
 // events are charged only for what the fault actually changed, so a budget
 // typically holds 10–100× more events than full tables would). Pinned
-// fault-free base tables are accounted separately (CacheStats.PinnedBytes)
+// fault-free base trees are accounted separately (CacheStats.PinnedBytes)
 // and never evicted. cacheBytes ≤ 0 disables memoization.
 func NewSetBytes(st *core.Structure, cacheBytes int64) (*OracleSet, error) {
 	return NewSetBudget(st, 0, cacheBytes, 0)
@@ -148,7 +151,7 @@ func newSet(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) 
 	s := &OracleSet{
 		st:    st,
 		cache: newShardedCache(cacheEntries, cacheBytes, shards),
-		bases: make([]pinnedBase, len(st.Sources)),
+		trees: make([]pinnedTree, len(st.Sources)),
 	}
 	// Materialize H directly in CSR form; sub edge IDs are assigned in
 	// increasing G-edge-ID order, no per-edge hashing involved.
@@ -167,7 +170,7 @@ func (s *OracleSet) Faults() int { return s.st.Faults }
 func (s *OracleSet) Sources() []int { return append([]int(nil), s.st.Sources...) }
 
 // CacheStats returns a snapshot of the shared memo's counters: the tier-1
-// shard sums plus the tier-0 pinned-base hits, misses and bytes.
+// shard sums plus the tier-0 pinned-tree hits, misses and bytes.
 func (s *OracleSet) CacheStats() CacheStats {
 	cs := s.cache.stats()
 	cs.Hits += s.baseHits.Load()
@@ -184,67 +187,42 @@ func (s *OracleSet) CacheBudget() (entries int, bytes int64) {
 	return s.cache.entries, s.cache.bytes
 }
 
-// Prewarm pins the fault-free (tier-0) base table for every source, so the
-// first real queries after a snapshot restore decode against a ready base
-// instead of paying a BFS. Returns the number of tables computed — 0 when
-// memoization is disabled or every base is already pinned. The check is a
-// lock-free read of the immutable budget: Prewarm runs on the restore
-// path, concurrent with live traffic, and must not sweep the shard locks
-// just to discover the memo is off.
+// Prewarm pins the fault-free (tier-0) base tree for every source, so the
+// first real queries after a snapshot restore repair and decode against a
+// ready tree instead of paying a BFS. Returns the number of trees built —
+// 0 when memoization is disabled or every tree is already pinned. The
+// check is a lock-free read of the immutable budget: Prewarm runs on the
+// restore path, concurrent with live traffic, and must not sweep the shard
+// locks just to discover the memo is off.
 func (s *OracleSet) Prewarm() int {
 	if !s.cache.enabled {
 		return 0
 	}
-	o := s.Acquire()
-	defer s.Release(o)
 	n := 0
 	for i := range s.st.Sources {
-		if _, fresh := s.pinBase(i, o); fresh {
+		if _, fresh := s.tree(i); fresh {
 			n++
 		}
 	}
 	return n
 }
 
-// pinBase returns source index idx's pinned fault-free table, computing
-// and pinning it on first need using o's repairer. fresh reports whether
-// this call did the computation.
-func (s *OracleSet) pinBase(idx int, o *Oracle) (dist []int32, fresh bool) {
-	b := &s.bases[idx]
-	if p := b.dist.Load(); p != nil {
-		return *p, false
+// tree returns source index idx's pinned fault-free BFS tree, building and
+// pinning it on first need. fresh reports whether this call built it.
+func (s *OracleSet) tree(idx int) (t *bfs.Tree, fresh bool) {
+	p := &s.trees[idx]
+	if t := p.t.Load(); t != nil {
+		return t, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p := b.dist.Load(); p != nil {
-		return *p, false
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t := p.t.Load(); t != nil {
+		return t, false
 	}
-	o.ensureRep()
-	o.rep.Run(s.st.Sources[idx], nil)
-	d := make([]int32, s.sub.N())
-	copy(d, o.rep.Dists())
-	b.dist.Store(&d)
-	s.pinnedBytes.Add(4 * int64(len(d)))
-	return d, true
-}
-
-// pinBaseFrom pins source index idx's base from a repairer that just ran a
-// faulted query for that source — rep.Base() already holds the fault-free
-// table (faulted runs never touch it), so pinning is a copy, not a BFS.
-func (s *OracleSet) pinBaseFrom(idx int, rep *bfs.Repairer) []int32 {
-	b := &s.bases[idx]
-	if p := b.dist.Load(); p != nil {
-		return *p
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p := b.dist.Load(); p != nil {
-		return *p
-	}
-	d := append([]int32(nil), rep.Base()...)
-	b.dist.Store(&d)
-	s.pinnedBytes.Add(4 * int64(len(d)))
-	return d
+	t = bfs.NewTree(s.sub, s.st.Sources[idx])
+	p.t.Store(t)
+	s.pinnedBytes.Add(t.Bytes())
+	return t, true
 }
 
 // Handle returns a fresh per-goroutine query handle over the shared state.
@@ -267,9 +245,10 @@ func (s *OracleSet) Release(o *Oracle) {
 }
 
 // Oracle is a per-goroutine query handle over a shared OracleSet: repair
-// scratch plus key-canonicalization buffers. It is not safe for concurrent
-// use; create one per goroutine with OracleSet.Handle (they share the
-// set's materialized subgraph and memo).
+// scratch plus key-canonicalization buffers. It owns no base tree — its
+// repairer runs against the set's pinned ones. It is not safe for
+// concurrent use; create one per goroutine with OracleSet.Handle (they
+// share the set's materialized subgraph, trees and memo).
 type Oracle struct {
 	set    *OracleSet
 	rep    *bfs.Repairer // lazy: built on the first uncached query
@@ -308,7 +287,7 @@ func (o *Oracle) ensureRep() {
 // faults (listing an edge twice describes the same failure event as
 // listing it once), while the range check covers the raw IDs before their
 // int32 conversion. Returns the canonical key and the index of s in the
-// structure's source list (the pinned-base slot).
+// structure's source list (the pinned-tree slot).
 func (o *Oracle) prepare(s int, faults []int) ([]int32, int, error) {
 	st := o.set.st
 	srcIdx := -1
@@ -367,56 +346,52 @@ func (o *Oracle) translate(canon []int32) []int {
 // run executes (or recalls) the BFS for the canonical key and returns a
 // view of the distance table over H \ F.
 //
-// The tiers: an empty fault set is the source's fault-free table, served
-// from (or pinned into) tier 0. A faulted event is looked up in the tier-1
-// memo; on a miss the incremental repairer runs, and the result is stored
-// as a delta against the pinned base when the repairer proved the changed
-// region is at most n/deltaDenom vertices (the repairer tracked the region
-// anyway, so encoding is one sort + gather), as a full table otherwise.
+// The tiers: an empty fault set is the source's fault-free table, read
+// from its pinned tier-0 tree. A faulted event is looked up in the tier-1
+// memo; only on a miss is the tree fetched and the incremental repairer
+// run against it, and the result is stored as a delta against the tree's
+// table when the repairer proved the changed region is at most
+// n/deltaDenom vertices (the repairer tracked the region anyway, so
+// encoding is one sort + gather), as a full table otherwise.
 //
-// Every view returned references immutable memory — pinned bases, cached
+// Every view returned references immutable memory — pinned trees, cached
 // entries (still immutable after eviction), or a fresh allocation on the
 // uncacheable paths — so callers may retain views across queries; they
 // must never mutate them.
 func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 	set := o.set
-	if !set.cache.enabled {
-		o.ensureRep()
-		o.rep.Run(s, o.translate(canon))
-		d := make([]int32, set.sub.N())
-		copy(d, o.rep.Dists())
-		return DistView{Full: d}
-	}
 	if len(canon) == 0 {
-		d, fresh := set.pinBase(srcIdx, o)
-		if fresh {
-			set.baseMisses.Add(1)
-		} else {
-			set.baseHits.Add(1)
+		t, fresh := set.tree(srcIdx)
+		if set.cache.enabled {
+			if fresh {
+				set.baseMisses.Add(1)
+			} else {
+				set.baseHits.Add(1)
+			}
 		}
-		return DistView{Full: d}
+		return DistView{Full: t.Dists()}
 	}
 	h := hashKey(s, canon)
 	if v, ok := set.cache.get(h, int32(s), canon); ok {
 		return v
 	}
+	t, _ := set.tree(srcIdx)
 	o.ensureRep()
-	o.rep.Run(s, o.translate(canon))
-	n := set.sub.N()
-	e := &cacheEntry{hash: h, src: int32(s), faults: append([]int32(nil), canon...)}
-	if changed, incremental := o.rep.Changed(); incremental && len(changed) <= n/deltaDenom {
-		e.base = set.pinBaseFrom(srcIdx, o.rep)
-		e.keys = append([]int32(nil), changed...)
-		slices.Sort(e.keys)
-		e.vals = make([]int32, len(e.keys))
-		out := o.rep.Dists()
-		for i, k := range e.keys {
-			e.vals[i] = out[k]
+	o.rep.RunFrom(t, o.translate(canon))
+	out := o.rep.Dists()
+	if changed, incremental := o.rep.Changed(); incremental && len(changed) <= len(out)/deltaDenom {
+		k := len(changed)
+		e, p := newEntry(h, int32(s), canon, t.Dists(), 2*k)
+		keys, vals := p[:k], p[k:]
+		copy(keys, changed)
+		slices.Sort(keys)
+		for i, v := range keys {
+			vals[i] = out[v]
 		}
-	} else {
-		e.full = make([]int32, n)
-		copy(e.full, o.rep.Dists())
+		return set.cache.add(e)
 	}
+	e, full := newEntry(h, int32(s), canon, nil, len(out))
+	copy(full, out)
 	return set.cache.add(e)
 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -72,6 +73,40 @@ func TestCacheEviction(t *testing.T) {
 		if d[v] != truth.Dist(v) {
 			t.Fatalf("recomputed event wrong at %d: %d vs %d", v, d[v], truth.Dist(v))
 		}
+	}
+}
+
+// TestCacheHashCollision pins the LRU's accounting of a true 64-bit hash
+// collision: a colliding insert replaces the incumbent and counts it as an
+// eviction, and a colliding insert too large for the whole budget is
+// served uncached without dropping the incumbent.
+func TestCacheHashCollision(t *testing.T) {
+	c := newLRUCache(0, 1<<20)
+	e1, _ := newEntry(7, 0, []int32{1}, nil, 4)
+	e2, _ := newEntry(7, 0, []int32{2}, nil, 4)
+	c.add(e1)
+	c.add(e2)
+	if cs := c.stats(); cs.Len != 1 || cs.Evictions != 1 || cs.BytesUsed != e2.cost() {
+		t.Fatalf("colliding insert: Len %d Evictions %d BytesUsed %d, want 1, 1, %d",
+			cs.Len, cs.Evictions, cs.BytesUsed, e2.cost())
+	}
+	if _, ok := c.get(7, 0, []int32{2}); !ok {
+		t.Fatal("the newer colliding event is not cached")
+	}
+
+	small := newLRUCache(0, 200)
+	in, _ := newEntry(7, 0, []int32{1}, nil, 4)   // 128 + 4·5 = 148 bytes
+	big, _ := newEntry(7, 0, []int32{2}, nil, 40) // 128 + 4·41 = 292 bytes > 200
+	small.add(in)
+	if v := small.add(big); len(v.Full) != 40 {
+		t.Fatalf("oversized insert served a %d-entry table, want its own 40", len(v.Full))
+	}
+	if cs := small.stats(); cs.Len != 1 || cs.Evictions != 0 || cs.BytesUsed != in.cost() {
+		t.Fatalf("oversized colliding insert: Len %d Evictions %d BytesUsed %d, want 1, 0, %d",
+			cs.Len, cs.Evictions, cs.BytesUsed, in.cost())
+	}
+	if _, ok := small.get(7, 0, []int32{1}); !ok {
+		t.Fatal("an oversized colliding insert dropped the incumbent")
 	}
 }
 
@@ -260,5 +295,88 @@ func TestQueryPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached Dist allocates %.1f objects per query, want 0", allocs)
+	}
+}
+
+// TestMissAllocations pins the allocations of a memo miss: distinct one-
+// and two-fault events alternating between two sources, stored both as
+// deltas and as full tables, each cost at most the entry and its one
+// backing array. Events are kept only if a probe set shows they change
+// something — a no-op delta has no payload to allocate, so it would make
+// the average look better than a miss is. The trees are pinned and the
+// handle's scratch grown by a warm-up first; the repair itself allocates
+// nothing.
+func TestMissAllocations(t *testing.T) {
+	g := gen.SparseGNP(200, 4, 2)
+	srcs := []int{0, 100}
+	st, err := core.BuildMultiSource(g, srcs, nil, core.BuildDual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := NewSetBytes(st, 8<<20) // ample: no evictions
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := probe.Handle()
+	const warm, runs = 300, 300
+	type event struct {
+		src    int
+		faults []int
+	}
+	rng := rand.New(rand.NewSource(5))
+	seen := map[[3]int]bool{}
+	var events []event
+	for len(events) < warm+runs+1 {
+		src := srcs[len(events)%2]
+		a, b := rng.Intn(g.M()), rng.Intn(g.M())
+		if len(events)%3 == 0 {
+			b = a // one fault
+		}
+		a, b = min(a, b), max(a, b)
+		if seen[[3]int{src, a, b}] {
+			continue
+		}
+		seen[[3]int{src, a, b}] = true
+		faults := []int{a}
+		if b != a {
+			faults = append(faults, b)
+		}
+		used := probe.CacheStats().BytesUsed
+		if _, err := po.Dist(src, 0, faults); err != nil {
+			t.Fatal(err)
+		}
+		if probe.CacheStats().BytesUsed-used > int64(entryOverheadBytes+4*len(faults)) {
+			events = append(events, event{src, faults})
+		}
+	}
+
+	set, err := NewSetBytes(st, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := set.Handle()
+	next := 0
+	miss := func() {
+		ev := events[next]
+		next++
+		if _, err := o.Dist(ev.src, next%g.N(), ev.faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for next < warm {
+		miss()
+	}
+	before := set.CacheStats()
+	allocs := testing.AllocsPerRun(runs, miss)
+	after := set.CacheStats()
+	if got := after.Misses - before.Misses; got != runs+1 {
+		t.Fatalf("%d misses in the measured window, want %d", got, runs+1)
+	}
+	if after.DeltaEntries == before.DeltaEntries || after.FullEntries == before.FullEntries {
+		t.Fatalf("measured misses did not store both encodings: %+v -> %+v", before, after)
+	}
+	t.Logf("%.2f allocations per miss", allocs)
+	if allocs > 2 {
+		t.Fatalf("a memo miss allocates %.1f objects, want at most 2 (entry + backing array)", allocs)
 	}
 }

@@ -69,8 +69,9 @@ type Config struct {
 	// charged only for what the fault actually changed — and
 	// least-recently-used events are evicted to stay within the budget.
 	// Untrusted clients can force one entry per distinct fault set, so
-	// the bound must not scale with n; pinned fault-free base tables
-	// (4 bytes × n per source) sit outside it and are reported
+	// the bound must not scale with n; the pinned fault-free base trees
+	// that every miss repairs against (distances, parents and child CSR:
+	// about 16 bytes × n per source) sit outside it and are reported
 	// separately as pinnedBytes.
 	CacheBytes int64
 	// CacheShards overrides the memo shard count per build (0 = auto:
@@ -433,7 +434,7 @@ type cacheInfo struct {
 	// Byte accounting of the two-tier memo: BytesUsed/BytesCapacity cover
 	// the evictable tier-1 entries (DeltaEntries of them delta-compressed,
 	// FullEntries stored as full tables); PinnedBytes counts the per-source
-	// fault-free base tables pinned outside the budget.
+	// fault-free base trees pinned outside the budget.
 	BytesUsed     int64 `json:"bytesUsed"`
 	BytesCapacity int64 `json:"bytesCapacity"`
 	DeltaEntries  int   `json:"deltaEntries"`
