@@ -130,15 +130,14 @@ func TestGoldenStructureFingerprints(t *testing.T) {
 			oracleRuns: 40,
 		},
 	}
-	// Every golden hash must come out of BOTH build pipelines: the default
-	// (incremental fault-repair kernel) and the from-scratch fallback
-	// (Options.NoRepair) — the repair kernel's bit-identity contract.
+	// Every golden hash must come out of the worker pool at one worker
+	// and at three: the fan-out must not change a bit of the output.
 	variants := []struct {
 		name string
 		opts *ftbfs.Options
 	}{
 		{"repair", nil},
-		{"norepair", &ftbfs.Options{NoRepair: true}},
+		{"parallel", &ftbfs.Options{Parallelism: 3}},
 	}
 	for _, c := range cases {
 		for _, vt := range variants {

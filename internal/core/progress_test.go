@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // builders enumerates every builder in this package behind one signature,
@@ -54,7 +55,7 @@ func TestBuildPreCancelled(t *testing.T) {
 // TestBuildCancelMidway cancels a running exhaustive build and checks it
 // returns promptly with ctx.Err() and without publishing anything.
 func TestBuildCancelMidway(t *testing.T) {
-	g := gen.SparseGNP(120, 5, 3) // big enough that f=2 exhaustive runs a while
+	g := gen.SparseGNP(240, 5, 3) // big enough that f=2 exhaustive runs a while
 	prog := &Progress{}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -111,24 +112,27 @@ func TestBuildWithContextIdentical(t *testing.T) {
 func TestProgressCounters(t *testing.T) {
 	g := gen.SparseGNP(40, 4, 3)
 	t.Run("dual", func(t *testing.T) {
-		prog := &Progress{}
-		st, err := BuildDual(g, 0, &Options{Seed: 1, Progress: prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps := prog.Snapshot()
-		if ps.UnitsDone != ps.UnitsTotal || ps.UnitsTotal != int64(g.N()) {
-			t.Fatalf("units %d/%d, want %d/%d", ps.UnitsDone, ps.UnitsTotal, g.N(), g.N())
-		}
-		if ps.Dijkstras != int64(st.Stats.Dijkstras) {
-			t.Fatalf("progress Dijkstras %d != stats %d", ps.Dijkstras, st.Stats.Dijkstras)
-		}
-		// Sequential builds count kept edges exactly.
-		if ps.EdgesKept != int64(st.NumEdges()) {
-			t.Fatalf("progress edges %d != structure %d", ps.EdgesKept, st.NumEdges())
-		}
-		if f := ps.Fraction(); f != 1 {
-			t.Fatalf("fraction %f at completion", f)
+		for _, workers := range []int{1, 3} {
+			prog := &Progress{}
+			st, err := BuildDual(g, 0, &Options{Seed: 1, Progress: prog, Parallelism: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := prog.Snapshot()
+			if ps.UnitsDone != ps.UnitsTotal || ps.UnitsTotal != int64(g.N()) {
+				t.Fatalf("workers=%d: units %d/%d, want %d/%d", workers, ps.UnitsDone, ps.UnitsTotal, g.N(), g.N())
+			}
+			// Extra workers' engine construction is in neither count.
+			if ps.Dijkstras != int64(st.Stats.Dijkstras) {
+				t.Fatalf("workers=%d: progress Dijkstras %d != stats %d", workers, ps.Dijkstras, st.Stats.Dijkstras)
+			}
+			// One worker counts kept edges exactly; more may double-count.
+			if ps.EdgesKept < int64(st.NumEdges()) || workers == 1 && ps.EdgesKept != int64(st.NumEdges()) {
+				t.Fatalf("workers=%d: progress edges %d, structure %d", workers, ps.EdgesKept, st.NumEdges())
+			}
+			if f := ps.Fraction(); f != 1 {
+				t.Fatalf("workers=%d: fraction %f at completion", workers, f)
+			}
 		}
 	})
 	t.Run("fullpaths", func(t *testing.T) {
@@ -154,7 +158,7 @@ func TestProgressCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := prog.Snapshot()
-		want := numFaultSets(g.M(), 2)
+		want := sched.NumFaultSets(g.M(), 2)
 		if ps.UnitsDone != want || ps.UnitsTotal != want {
 			t.Fatalf("units %d/%d, want %d", ps.UnitsDone, ps.UnitsTotal, want)
 		}

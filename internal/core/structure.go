@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -113,12 +114,6 @@ type Options struct {
 	// units, Dijkstras, kept edges) the caller may Snapshot while the
 	// build runs. It too never alters the output.
 	Progress *Progress
-	// NoRepair disables the incremental fault-repair kernel: every fault
-	// event runs a from-scratch search. The output — edge set, stats,
-	// fingerprints — is bit-identical either way (the repair kernel's
-	// contract, pinned by the equivalence tests); the knob exists for A/B
-	// measurement and as an escape hatch.
-	NoRepair bool
 	// totalScale / totalAnnounced coordinate the work-unit total across
 	// composite builds (see AnnounceTotal): BuildMultiSource scales the
 	// first per-source announcement to the whole composite and
@@ -183,8 +178,6 @@ func (o *Options) seed() int64 {
 
 func (o *Options) collect() bool { return o != nil && o.CollectPaths }
 
-func (o *Options) noRepair() bool { return o != nil && o.NoRepair }
-
 // BuildDual constructs the dual-failure FT-BFS structure of Theorem 1.1 for
 // source s: H = T0 ∪ ⋃_v H(v) where H(v) holds the last edges of the
 // replacement paths selected by Algorithm Cons2FTBFS.
@@ -205,7 +198,6 @@ func BuildSingle(g *graph.Graph, s int, opts *Options) (*Structure, error) {
 
 func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	build func(*replace.Engine, int, bool) *replace.TargetResult) (*Structure, error) {
-	ctx := opts.Context()
 	prog := opts.ProgressSink()
 	w := wsp.NewAssignment(g.M(), opts.seed())
 	t0 := time.Now()
@@ -213,171 +205,111 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.noRepair() {
-		eng.DisableRepair()
-	}
 	prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
 	// Credit the engine's base search immediately: a build cancelled
 	// before its first target still reports the work it actually did.
 	prog.AddDijkstras(1)
-	st := &Structure{
-		G:       g,
-		Sources: []int{s},
-		Faults:  faults,
-		Edges:   graph.NewEdgeSet(g.M()),
-	}
-	for _, id := range eng.TreeEdges() {
-		st.Edges.Add(id)
-	}
 	opts.AnnounceTotal(int64(g.N()))
-	prog.AddEdges(int64(st.Edges.Len()))
+	st := &Structure{G: g, Sources: []int{s}, Faults: faults}
 	collect := opts.collect()
 	if collect {
 		st.Targets = make([]*replace.TargetResult, g.N())
 	}
-	workers := opts.Workers()
-	if workers == 1 {
-		poll := cancel.New(ctx, 1) // each target pays several searches; check per target
-		prevD := 1                 // the base search, credited above
-		tEv := time.Now()
-		for v := 0; v < g.N(); v++ {
-			if err := poll.Poll(); err != nil {
-				return nil, err
-			}
-			n0 := st.Edges.Len()
-			st.fold(build(eng, v, collect), collect)
-			prog.AddUnits(1)
-			prog.AddEdges(int64(st.Edges.Len() - n0))
-			if prog != nil {
-				d := eng.Stats().Dijkstras
-				prog.AddDijkstras(int64(d - prevD))
-				prevD = d
-			}
-		}
-		prog.AddPhaseNS(PhaseEvents, time.Since(tEv).Nanoseconds())
-		es := eng.Stats()
-		st.Stats.Dijkstras = es.Dijkstras
-		st.Stats.Fallbacks = es.Fallbacks
-		st.Stats.TieWarnings = es.TieWarnings
-		return st, nil
-	}
-	if err := st.buildParallel(ctx, prog, g, w, s, workers, collect, opts.noRepair(), build); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// fold merges one target's contribution into the structure.
-func (s *Structure) fold(tr *replace.TargetResult, collect bool) {
-	if tr == nil {
-		return
-	}
-	for _, id := range tr.HEdges {
-		s.Edges.Add(id)
-	}
-	if len(tr.NewEdges) > s.Stats.MaxNewEdges {
-		s.Stats.MaxNewEdges = len(tr.NewEdges)
-	}
-	if tr.E1Count > s.Stats.MaxE1 {
-		s.Stats.MaxE1 = tr.E1Count
-	}
-	if tr.E2Count > s.Stats.MaxE2 {
-		s.Stats.MaxE2 = tr.E2Count
-	}
-	s.Stats.NewEndingPiD += tr.NewEndingPiD
-	if collect {
-		s.Targets[tr.V] = tr
-	}
-}
-
-// buildParallel fans the per-target computation out over `workers`
-// goroutines, each with a private engine over the shared weight assignment,
-// and folds the results deterministically (target order is irrelevant: each
-// target's edge set is independent). Targets are claimed in contiguous
-// ranges from a shared work-stealing dispenser rather than a static
-// stripe: with the repair kernel a target's cost tracks its π length and
-// detached-subtree volumes, which vary enough to leave static stripes
-// imbalanced. Cancellation is cooperative: every worker polls ctx between
-// targets and the whole build returns ctx.Err() — no partial fold is
-// published.
-func (s *Structure) buildParallel(ctx context.Context, prog *Progress, g *graph.Graph,
-	w *wsp.Assignment, src, workers int,
-	collect, noRepair bool, build func(*replace.Engine, int, bool) *replace.TargetResult) error {
-	type chunk struct {
-		results []*replace.TargetResult
-		stats   replace.Stats
-		err     error
-	}
-	n := g.N()
-	disp := sched.NewDispenser(n, workers)
-	out := make([]chunk, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			eng, err := replace.NewEngine(g, w, src)
-			if err != nil {
-				out[wi].err = err
-				return
-			}
-			if noRepair {
-				eng.DisableRepair()
-			}
-			prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
-			prog.AddDijkstras(1) // the worker's base search
-			poll := cancel.New(ctx, 1)
-			prevD := 1
-			tEv := time.Now()
-			for {
-				lo, hi, ok := disp.Next()
-				if !ok {
-					break
+	// Targets are independent: each worker folds the targets it claims
+	// into a private partial seeded with T0. Worker 0 reuses the engine
+	// that built T0; every other worker builds its own over the same W
+	// and subtracts that engine's construction counters, so the merged
+	// stats match a one-worker build exactly.
+	parts, err := sched.Run(opts.Context(), opts.Workers(), g.N(),
+		func(wi int, next func() (int, int, bool)) (partial, error) {
+			e := eng
+			var base replace.Stats
+			if wi > 0 {
+				t0 := time.Now()
+				var err error
+				if e, err = replace.NewEngine(g, w, s); err != nil {
+					return partial{}, fmt.Errorf("core: %w", err)
 				}
+				base = e.Stats()
+				prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
+			}
+			part := partial{edges: graph.NewEdgeSet(g.M())}
+			for _, id := range e.TreeEdges() {
+				part.edges.Add(id)
+			}
+			if wi == 0 {
+				prog.AddEdges(int64(part.edges.Len()))
+			}
+			poll := cancel.New(opts.Context(), 1) // each target pays several searches; check per target
+			prevD := e.Stats().Dijkstras
+			tEv := time.Now()
+			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 				for v := lo; v < hi; v++ {
 					if err := poll.Poll(); err != nil {
-						out[wi].err = err
-						return
+						return partial{}, err
 					}
-					if tr := build(eng, v, collect); tr != nil {
-						out[wi].results = append(out[wi].results, tr)
-						prog.AddEdges(int64(len(tr.HEdges)))
-					}
+					n0 := part.edges.Len()
+					part.fold(build(e, v, collect), st.Targets)
 					prog.AddUnits(1)
+					prog.AddEdges(int64(part.edges.Len() - n0))
 					if prog != nil {
-						d := eng.Stats().Dijkstras
+						d := e.Stats().Dijkstras
 						prog.AddDijkstras(int64(d - prevD))
 						prevD = d
 					}
 				}
 			}
 			prog.AddPhaseNS(PhaseEvents, time.Since(tEv).Nanoseconds())
-			out[wi].stats = eng.Stats()
-		}(wi)
+			es := e.Stats()
+			part.stats.Dijkstras = es.Dijkstras - base.Dijkstras
+			part.stats.Fallbacks = es.Fallbacks - base.Fallbacks
+			part.stats.TieWarnings = es.TieWarnings - base.TieWarnings
+			return part, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	// A cancelled worker means a cancelled build, whatever the others
-	// managed to finish.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for wi := range out {
-		if out[wi].err != nil {
-			return fmt.Errorf("core: worker %d: %w", wi, out[wi].err)
-		}
-	}
+	st.union(parts, prog)
+	return st, nil
+}
+
+// partial is one worker's share of a build: the edges it kept and its
+// counters.
+type partial struct {
+	edges *graph.EdgeSet
+	stats BuildStats
+}
+
+// union merges the workers' partials into st: edges unioned, counters
+// merged. The partials are consumed.
+func (st *Structure) union(parts []partial, prog *Progress) {
 	tU := time.Now()
-	for wi := range out {
-		for _, tr := range out[wi].results {
-			s.fold(tr, collect)
+	st.Edges = parts[0].edges
+	for i := range parts {
+		if i > 0 {
+			st.Edges.Union(parts[i].edges)
 		}
-		s.Stats.Dijkstras += out[wi].stats.Dijkstras
-		s.Stats.Fallbacks += out[wi].stats.Fallbacks
-		s.Stats.TieWarnings += out[wi].stats.TieWarnings
+		st.Stats.merge(&parts[i].stats)
 	}
 	prog.AddPhaseNS(PhaseUnion, time.Since(tU).Nanoseconds())
-	return nil
+}
+
+// fold merges one target's contribution into the partial, and records
+// the target in targets when the build collects them.
+func (p *partial) fold(tr *replace.TargetResult, targets []*replace.TargetResult) {
+	if tr == nil {
+		return
+	}
+	for _, id := range tr.HEdges {
+		p.edges.Add(id)
+	}
+	p.stats.MaxNewEdges = max(p.stats.MaxNewEdges, len(tr.NewEdges))
+	p.stats.MaxE1 = max(p.stats.MaxE1, tr.E1Count)
+	p.stats.MaxE2 = max(p.stats.MaxE2, tr.E2Count)
+	p.stats.NewEndingPiD += tr.NewEndingPiD
+	if targets != nil {
+		targets[tr.V] = tr
+	}
 }
 
 // BuildFullPaths is the no-sparsification ablation: it runs the same
@@ -442,152 +374,79 @@ func BuildExhaustive(g *graph.Graph, s int, f int, opts *Options) (*Structure, e
 	if f < 0 || f > 3 {
 		return nil, fmt.Errorf("core: exhaustive builder supports 0 ≤ f ≤ 3, got %d", f)
 	}
-	w := wsp.NewAssignment(g.M(), opts.seed())
-	st := &Structure{
-		G:       g,
-		Sources: []int{s},
-		Faults:  f,
-		Edges:   graph.NewEdgeSet(g.M()),
-	}
-	m := g.M()
-	units := m // first-index work units; f = 0 has only the empty set
-	if f == 0 {
-		units = 1
-	}
-	opts.AnnounceTotal(numFaultSets(m, f))
-	err := unionTrees(st, w, s, opts, units, false, func(wi int, claim func() (int, int, bool), addTree func(faults []int) bool) {
-		if wi == 0 && !addTree(nil) {
-			return
-		}
-		if f < 1 {
-			return
-		}
-		// Workers claim contiguous ranges of smallest-edge-IDs from the
-		// shared dispenser; the claimed ranges partition [0, m), and the
-		// union does not depend on the partition.
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				return
-			}
-			for a := lo; a < hi; a++ {
-				if !addTree([]int{a}) {
-					return
-				}
-				if f < 2 {
-					continue
-				}
-				for b := a + 1; b < m; b++ {
-					if !addTree([]int{a, b}) {
-						return
-					}
-					if f < 3 {
-						continue
-					}
-					for c := b + 1; c < m; c++ {
-						if !addTree([]int{a, b, c}) {
-							return
-						}
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
+	st := &Structure{G: g, Sources: []int{s}, Faults: f}
+	opts.AnnounceTotal(sched.NumFaultSets(g.M(), f))
+	if err := unionTrees(st, opts, f, -1); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// numFaultSets counts the fault sets |F| ≤ f over m items (the exhaustive
-// builders' work-unit total; int64 because C(m,3) overflows int32 fast).
-func numFaultSets(m, f int) int64 {
-	n, m64 := int64(1), int64(m)
-	if f >= 1 {
-		n += m64
-	}
-	if f >= 2 {
-		n += m64 * (m64 - 1) / 2
-	}
-	if f >= 3 {
-		n += m64 * (m64 - 1) * (m64 - 2) / 6
-	}
-	return n
-}
-
-// unionTrees fans canonical-tree enumeration out over `workers`
-// goroutines, each with a PRIVATE repair search over the shared weight
-// assignment and a private edge accumulator, then unions edges and sums
-// counters into st. workers is clamped to `units` (the caller's
-// first-index work-unit count — an idle worker would still allocate a
-// search engine). Instead of a static (wi, workers) stripe, enumerate
-// receives a claim function backed by one shared work-stealing dispenser
-// over [0, units): repair makes per-fault-set cost wildly uneven (a
-// detached subtree's volume, not n), so idle workers steal ranges rather
-// than wait out a slow stripe. Any claim partition yields the same union:
-// every tree is deterministic under W.
+// unionTrees unions the canonical shortest-path trees of G \ F from
+// st.Sources[0] over every fault set |F| ≤ f — edge sets, or vertex sets
+// when st.VertexFaults — that avoids the index skip (-1 for none), into
+// st.Edges, and sums their counters into st.Stats. The fault sets are
+// enumerated by sched.FaultSets over the smallest indices each worker
+// claims from sched.Run: repair makes per-fault-set cost wildly uneven
+// (a detached subtree's volume, not n), so idle workers steal ranges
+// rather than wait out a slow stripe. Any claim partition yields the same
+// union: every tree is deterministic under W.
 //
-// Each worker's search is an incremental repairer pinned bit-identical to
-// a from-scratch run (wsp.RepairSearch); when a run reports an
-// incremental changed set, only those vertices' tree edges can differ
-// from the base tree, so extraction walks the changed set instead of all
-// of V. The base tree itself enters through worker 0's faults == nil
-// call, which (like any fallback run) extracts over all vertices.
+// Each worker has a PRIVATE repair search over the shared weight
+// assignment and a private edge accumulator. The search is an incremental
+// repairer pinned bit-identical to a from-scratch run
+// (wsp.RepairSearch); when a run reports an incremental changed set, only
+// those vertices' tree edges can differ from the base tree, so extraction
+// walks the changed set instead of all of V. The base tree itself enters
+// through worker 0's faults == nil tree, which (like any fallback run)
+// extracts over all vertices.
 //
 // TieWarnings bookkeeping: each worker's base run observes the SAME ties
 // a sequential from-scratch enumeration would observe once, so per-worker
 // counts are baselined after construction — the sum matches the
 // sequential build exactly.
 //
-// Cancellation: addTree polls opts.Ctx every cancel.PollEvery trees and returns
-// false once cancelled; enumerate must then stop its fan-out. A cancelled
-// enumeration makes unionTrees return ctx.Err() WITHOUT touching st's
-// edge set — callers discard st, so no partial structure escapes.
-func unionTrees(st *Structure, w *wsp.Assignment, s int, opts *Options, units int, vertexFaults bool,
-	enumerate func(wi int, claim func() (int, int, bool), addTree func(faults []int) bool)) error {
-	ctx := opts.Context()
+// Cancellation: every worker polls opts.Ctx every cancel.PollEvery trees.
+// A cancelled enumeration makes unionTrees return ctx.Err() WITHOUT
+// setting st's edge set — callers discard st, so no partial structure
+// escapes.
+func unionTrees(st *Structure, opts *Options, f, skip int) error {
 	prog := opts.ProgressSink()
-	workers := opts.Workers()
-	if workers > units {
-		workers = max(1, units)
+	g, s := st.G, st.Sources[0]
+	w := wsp.NewAssignment(g.M(), opts.seed())
+	n := g.M()
+	if st.VertexFaults {
+		n = g.N()
 	}
-	g := st.G
-	disp := sched.NewDispenser(units, workers)
-	type chunk struct {
-		edges     *graph.EdgeSet
-		dijkstras int
-		ties      int
-		err       error
+	units := n // smallest fault indices; f = 0 has only the empty set
+	if f == 0 {
+		units = 0
 	}
-	out := make([]chunk, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
+	parts, err := sched.Run(opts.Context(), opts.Workers(), units,
+		func(wi int, next func() (int, int, bool)) (partial, error) {
 			t0 := time.Now()
 			search := wsp.NewRepairSearch(g, w, s)
-			if opts.noRepair() {
-				search.DisableRepair()
-			}
 			baseTies := search.TieWarnings()
-			edges := graph.NewEdgeSet(g.M())
+			part := partial{edges: graph.NewEdgeSet(g.M())}
 			prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
-			poll := cancel.New(ctx, cancel.PollEvery)
+			poll := cancel.New(opts.Context(), cancel.PollEvery)
+			var err error
 			addTree := func(faults []int) bool {
-				if err := poll.Poll(); err != nil {
-					out[wi].err = err
+				if skip >= 0 && slices.Contains(faults, skip) {
+					return true
+				}
+				if err = poll.Poll(); err != nil {
 					return false
 				}
 				o := wsp.Options{Target: -1}
-				if vertexFaults {
+				if st.VertexFaults {
 					o.DisabledVertices = faults
 				} else {
 					o.DisabledEdges = faults
 				}
 				search.Run(s, o)
-				out[wi].dijkstras++
-				n0 := edges.Len()
+				part.stats.Dijkstras++
+				n0 := part.edges.Len()
 				if changed, incremental := search.Changed(); incremental && faults != nil {
 					// Only the repaired region's tree edges can differ
 					// from the base tree (already in via worker 0's
@@ -595,42 +454,39 @@ func unionTrees(st *Structure, w *wsp.Assignment, s int, opts *Options, units in
 					//lint:ignore ctxpoll ParentEdgeOf is an O(1) accessor over the finished search, and addTree already polls once per tree above
 					for _, v := range changed {
 						if id := search.ParentEdgeOf(int(v)); id >= 0 {
-							edges.Add(id)
+							part.edges.Add(id)
 						}
 					}
 				} else {
 					//lint:ignore ctxpoll ParentEdgeOf is an O(1) accessor over the finished search, and addTree already polls once per tree above
 					for v := 0; v < g.N(); v++ {
 						if id := search.ParentEdgeOf(v); id >= 0 {
-							edges.Add(id)
+							part.edges.Add(id)
 						}
 					}
 				}
 				prog.AddUnits(1)
 				prog.AddDijkstras(1)
-				prog.AddEdges(int64(edges.Len() - n0))
+				prog.AddEdges(int64(part.edges.Len() - n0))
 				return true
 			}
 			tEv := time.Now()
-			enumerate(wi, disp.Next, addTree)
+			if wi == 0 && !addTree(nil) {
+				return part, err
+			}
+			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+				if !sched.FaultSets(lo, hi, n, f, addTree) {
+					return part, err
+				}
+			}
 			prog.AddPhaseNS(PhaseEvents, time.Since(tEv).Nanoseconds())
-			out[wi].edges = edges
-			out[wi].ties = search.TieWarnings() - baseTies
-		}(wi)
+			part.stats.TieWarnings = search.TieWarnings() - baseTies
+			return part, nil
+		})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for wi := range out {
-		if out[wi].err != nil {
-			return out[wi].err
-		}
-	}
-	tU := time.Now()
-	for wi := range out {
-		st.Edges.Union(out[wi].edges)
-		st.Stats.Dijkstras += out[wi].dijkstras
-		st.Stats.TieWarnings += out[wi].ties
-	}
-	prog.AddPhaseNS(PhaseUnion, time.Since(tU).Nanoseconds())
+	st.union(parts, prog)
 	return nil
 }
 

@@ -264,28 +264,31 @@ func TestSummaryContainsEnvelopes(t *testing.T) {
 	}
 }
 
+// TestParallelBuildMatchesSequential: the per-target builders produce the
+// same edge set AND the same BuildStats at every worker count — each
+// extra worker's engine construction is subtracted, not summed in.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	g := gen.SparseGNP(60, 5, 21)
-	seq, err := BuildDual(g, 0, &Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par, err := BuildDual(g, 0, &Options{Seed: 9, Parallelism: workers})
+	for name, build := range map[string]func(*graph.Graph, int, *Options) (*Structure, error){
+		"dual":   BuildDual,
+		"single": BuildSingle,
+	} {
+		seq, err := build(g, 0, &Options{Seed: 9})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if par.NumEdges() != seq.NumEdges() {
-			t.Fatalf("workers=%d: %d edges vs sequential %d", workers, par.NumEdges(), seq.NumEdges())
-		}
-		a, b := seq.Edges.IDs(), par.Edges.IDs()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: edge sets differ", workers)
+		for _, workers := range []int{2, 4, 7} {
+			par, err := build(g, 0, &Options{Seed: 9, Parallelism: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-		}
-		if par.Stats.MaxNewEdges != seq.Stats.MaxNewEdges {
-			t.Fatalf("stats diverged: %d vs %d", par.Stats.MaxNewEdges, seq.Stats.MaxNewEdges)
+			if !sameEdgeSets(seq, par) {
+				t.Fatalf("%s workers=%d: edge sets differ (%d vs %d edges)",
+					name, workers, par.NumEdges(), seq.NumEdges())
+			}
+			if par.Stats != seq.Stats {
+				t.Fatalf("%s workers=%d: stats %+v, sequential %+v", name, workers, par.Stats, seq.Stats)
+			}
 		}
 	}
 }

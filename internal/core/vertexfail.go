@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/wsp"
+	"repro/internal/sched"
 )
 
 // BuildVertexExhaustive constructs a structure resilient to up to f VERTEX
@@ -23,56 +23,10 @@ func BuildVertexExhaustive(g *graph.Graph, s int, f int, opts *Options) (*Struct
 	if f < 0 || f > 2 {
 		return nil, fmt.Errorf("core: vertex-fault builder supports 0 ≤ f ≤ 2, got %d", f)
 	}
-	w := wsp.NewAssignment(g.M(), opts.seed())
-	st := &Structure{
-		G:            g,
-		Sources:      []int{s},
-		Faults:       f,
-		VertexFaults: true,
-		Edges:        graph.NewEdgeSet(g.M()),
-	}
-	n := g.N()
-	units := n // first-vertex work units; f = 0 has only the empty set
-	if f == 0 {
-		units = 1
-	}
+	st := &Structure{G: g, Sources: []int{s}, Faults: f, VertexFaults: true}
 	// Work units: fault sets over the n-1 non-source vertices.
-	opts.AnnounceTotal(numFaultSets(n-1, f))
-	err := unionTrees(st, w, s, opts, units, true, func(wi int, claim func() (int, int, bool), addTree func(faults []int) bool) {
-		if wi == 0 && !addTree(nil) {
-			return
-		}
-		if f < 1 {
-			return
-		}
-		// Workers claim contiguous ranges of smallest-vertex IDs from
-		// the shared dispenser; the union is partition-independent.
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				return
-			}
-			for a := lo; a < hi; a++ {
-				if a == s {
-					continue
-				}
-				if !addTree([]int{a}) {
-					return
-				}
-				if f >= 2 {
-					for b := a + 1; b < n; b++ {
-						if b == s {
-							continue
-						}
-						if !addTree([]int{a, b}) {
-							return
-						}
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
+	opts.AnnounceTotal(sched.NumFaultSets(g.N()-1, f))
+	if err := unionTrees(st, opts, f, s); err != nil {
 		return nil, err
 	}
 	return st, nil

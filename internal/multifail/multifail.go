@@ -26,7 +26,6 @@ package multifail
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,45 +60,27 @@ func Build(g *graph.Graph, s int, f int, opts *core.Options) (*core.Structure, e
 	if opts != nil {
 		seed = opts.Seed + 1
 	}
-	ctx := opts.Context()
 	prog := opts.ProgressSink()
 	w := wsp.NewAssignment(g.M(), seed)
-	st := &core.Structure{
-		G:       g,
-		Sources: []int{s},
-		Faults:  f,
-		Edges:   graph.NewEdgeSet(g.M()),
-	}
 	// Work units are targets; the per-target relevant-tree size is not
 	// known up front, so Dijkstras is the finer-grained live counter.
 	opts.AnnounceTotal(int64(max(0, g.N()-1)))
-	// No more workers than targets; an idle worker would still allocate
-	// a search engine. Targets are claimed in contiguous ranges from a
-	// shared work-stealing dispenser — per-target relevant-tree sizes
-	// vary by orders of magnitude, so static stripes straggle.
-	workers := min(opts.Workers(), max(1, g.N()-1))
-	disp := sched.NewDispenser(g.N(), workers)
+	// Targets are claimed in contiguous ranges from sched.Run's
+	// work-stealing pool — per-target relevant-tree sizes vary by orders
+	// of magnitude, so static stripes straggle.
 	var searches atomic.Int64 // global budget shared by every worker
-	type chunk struct {
+	type partial struct {
 		edges *graph.EdgeSet
 		ties  int
-		err   error
 	}
-	out := make([]chunk, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
+	parts, err := sched.Run(opts.Context(), opts.Workers(), g.N(),
+		func(_ int, next func() (int, int, bool)) (partial, error) {
 			t0 := time.Now()
 			// The repair search reuses the base tree across the fault
 			// sets of every target; runs are bit-identical to
 			// from-scratch searches, and its base-run tie count is
 			// baselined away so the parallel sum matches sequential.
 			search := wsp.NewRepairSearch(g, w, s)
-			if opts != nil && opts.NoRepair {
-				search.DisableRepair()
-			}
 			baseTies := search.TieWarnings()
 			prog.AddPhaseNS(core.PhaseBase, time.Since(t0).Nanoseconds())
 			b := &builder{
@@ -109,46 +90,37 @@ func Build(g *graph.Graph, s int, f int, opts *core.Options) (*core.Structure, e
 				search:   search,
 				edges:    graph.NewEdgeSet(g.M()),
 				searches: &searches,
-				poll:     cancel.New(ctx, cancel.PollEvery),
+				poll:     cancel.New(opts.Context(), cancel.PollEvery),
 				prog:     prog,
 			}
 			tEv := time.Now()
-		claims:
-			for {
-				lo, hi, ok := disp.Next()
-				if !ok {
-					break
-				}
+			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 				for v := lo; v < hi; v++ {
 					if v == s {
 						continue
 					}
 					b.seen = make(map[string]bool)
 					if err := b.expand(v, nil); err != nil {
-						out[wi].err = err
-						break claims
+						return partial{}, err
 					}
 					prog.AddUnits(1)
 				}
 			}
 			prog.AddPhaseNS(core.PhaseEvents, time.Since(tEv).Nanoseconds())
-			out[wi].edges = b.edges
-			out[wi].ties = search.TieWarnings() - baseTies
-		}(wi)
-	}
-	wg.Wait()
+			return partial{b.edges, search.TieWarnings() - baseTies}, nil
+		})
 	// Cancellation wins over whatever else the workers hit: the build is
 	// cancelled, not failed, and no partial structure is published.
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	tU := time.Now()
-	for wi := range out {
-		if out[wi].err != nil {
-			return nil, out[wi].err
+	st := &core.Structure{G: g, Sources: []int{s}, Faults: f, Edges: parts[0].edges}
+	for i := range parts {
+		if i > 0 {
+			st.Edges.Union(parts[i].edges)
 		}
-		st.Edges.Union(out[wi].edges)
-		st.Stats.TieWarnings += out[wi].ties
+		st.Stats.TieWarnings += parts[i].ties
 	}
 	st.Stats.Dijkstras = int(searches.Load())
 	prog.AddPhaseNS(core.PhaseUnion, time.Since(tU).Nanoseconds())

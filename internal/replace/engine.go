@@ -182,10 +182,6 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// DisableRepair makes every search run from scratch (the NoRepair build
-// option); results are identical either way.
-func (e *Engine) DisableRepair() { e.search.DisableRepair() }
-
 // TreeDist returns the fault-free distance from s to v (-1 if unreachable).
 func (e *Engine) TreeDist(v int) int32 { return e.treeDist[v] }
 

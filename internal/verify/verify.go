@@ -13,6 +13,7 @@
 package verify
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/cancel"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // Violation is one counterexample: a source, fault set and target whose
@@ -42,10 +44,15 @@ func (v Violation) String() string {
 // Report is the outcome of a verification pass.
 type Report struct {
 	OK bool
-	// Violations holds up to MaxViolations counterexamples.
+	// Violations holds up to MaxViolations counterexamples: the first ones
+	// in enumeration order (sources as given, then fault sets in
+	// lexicographic order, then targets ascending), whatever the
+	// Parallelism.
 	Violations []Violation
 	// FaultSetsChecked counts the fault sets actually compared (after
-	// pruning, when enabled).
+	// pruning, when enabled). Like FaultSetsPruned it is exact only for a
+	// pass that runs to completion: a pass stopped by MaxViolations or
+	// Ctx counts what its workers reached, which depends on scheduling.
 	FaultSetsChecked int
 	// FaultSetsPruned counts fault sets skipped by the disjointness
 	// lemma.
@@ -65,8 +72,7 @@ type Options struct {
 	// stops early when reached.
 	MaxViolations int
 	// Parallelism > 1 splits the fault-set enumeration of FTBFS across
-	// that many goroutines. Violations are reported in deterministic
-	// order; the early-exit cap becomes per-worker.
+	// that many goroutines. The report's violations do not depend on it.
 	Parallelism int
 	// Ctx cancels the pass cooperatively (SIGINT / -timeout in
 	// ftbfsverify): the enumeration polls it at an amortized cadence and
@@ -213,119 +219,138 @@ func (p *pairChecker) check(s int, faults []int, emit func(v int, dh, dg int32))
 	return ok
 }
 
-// MaxExhaustiveFaultSets caps the work of an exhaustive f = 3 pass; larger
-// instances must use Sampled.
+// MaxExhaustiveFaultSets caps the work of an exhaustive f = 3 pass: the
+// number of fault sets |F| ≤ 3 it would enumerate. Larger instances must
+// use Sampled.
 const MaxExhaustiveFaultSets = 5_000_000
 
 // FTBFS exhaustively verifies that the subgraph of g formed by removing
 // offH (the edge IDs NOT in H) is an f-failure FT-MBFS structure for the
-// given sources. f must be 0, 1, 2 or 3 (f = 3 only below
+// given sources. f must be 0, 1, 2 or 3 (f = 3 only up to
 // MaxExhaustiveFaultSets fault sets).
+//
+// Per source, the fault-free pass runs first: it verifies F = ∅, licenses
+// the pruning lemma, and seeds every worker's changed-set fast path. The
+// nonempty fault sets then fan out over sched.Run, grouped by smallest
+// edge ID. Each worker stops once it holds the room left under
+// MaxViolations; since a worker's claims ascend, the first counterexamples
+// in enumeration order are among those collected, and sorting and
+// truncating yields them at any worker count.
 func FTBFS(g *graph.Graph, offH []int, sources []int, f int, opts *Options) Report {
 	rep := Report{OK: true}
-	if f < 0 || f > 3 {
+	m := g.M()
+	if f < 0 || f > 3 || (f == 3 && sched.NumFaultSets(m, 3) > MaxExhaustiveFaultSets) {
 		rep.OK = false
 		rep.Violations = append(rep.Violations, Violation{Source: -1, V: -1})
 		return rep
 	}
-	if f == 3 {
-		m := g.M()
-		if total := m * (m - 1) * (m - 2) / 6; total > MaxExhaustiveFaultSets {
-			rep.OK = false
-			rep.Violations = append(rep.Violations, Violation{Source: -1, V: -1})
-			return rep
-		}
-	}
-	if opts.workers() > 1 {
-		return ftbfsParallel(g, offH, sources, f, opts)
-	}
-	inH := make([]bool, g.M())
+	inH := make([]bool, m)
 	for i := range inH {
 		inH[i] = true
 	}
 	for _, id := range offH {
 		inH[id] = false
 	}
-	pc := newPairChecker(g, newHView(g, offH))
+	hv := newHView(g, offH)
 	maxV := opts.maxViol()
-	poll := cancel.New(opts.ctx(), cancel.PollEvery)
-	interrupted := func() bool {
-		if poll.Poll() != nil {
-			rep.Interrupted = true
-			rep.OK = false
-			return true
-		}
-		return false
+	units := m // smallest fault edge IDs; f = 0 has only the empty set
+	if f == 0 {
+		units = 0
 	}
-
-	check := func(s int, faults []int) bool {
-		// H \ F realized inside the materialized H subgraph; both sides
-		// repaired incrementally off their fault-free trees.
+	// One pair checker per worker slot, kept across sources; worker 0's
+	// also runs every fault-free pass.
+	pcs := make([]*pairChecker, opts.workers())
+	pcs[0] = newPairChecker(g, hv)
+	type partial struct {
+		violations      []Violation
+		checked, pruned int
+	}
+	for _, s := range sources {
 		rep.FaultSetsChecked++
-		return pc.check(s, faults, func(v int, dh, dg int32) {
+		baseEq := pcs[0].check(s, nil, func(v int, dh, dg int32) {
 			rep.OK = false
 			if len(rep.Violations) < maxV {
-				rep.Violations = append(rep.Violations, Violation{
-					Source: s,
-					Faults: append([]int(nil), faults...),
-					V:      v,
-					GotH:   dh,
-					WantG:  dg,
-				})
+				rep.Violations = append(rep.Violations, Violation{Source: s, V: v, GotH: dh, WantG: dg})
 			}
 		})
-	}
-
-	for _, s := range sources {
-		// Fault-free pass first: it both verifies F = ∅ and licenses the
-		// pruning lemma.
-		baseOK := check(s, nil)
-		prune := !opts.noPrune() && baseOK
-		m := g.M()
-		if f >= 1 {
-			for a := 0; a < m; a++ {
-				if interrupted() {
-					return rep
+		room := maxV - len(rep.Violations)
+		if room == 0 {
+			return rep
+		}
+		prune := !opts.noPrune() && baseEq
+		parts, err := sched.Run(opts.ctx(), len(pcs), units,
+			func(wi int, next func() (int, int, bool)) (partial, error) {
+				if pcs[wi] == nil {
+					pcs[wi] = newPairChecker(g, hv)
 				}
-				if prune && !inH[a] {
-					rep.FaultSetsPruned++
-				} else {
-					check(s, []int{a})
-				}
-				if len(rep.Violations) >= maxV {
-					return rep
-				}
-				if f >= 2 {
-					for b := a + 1; b < m; b++ {
-						if interrupted() {
-							return rep
-						}
-						if prune && !inH[a] && !inH[b] {
-							rep.FaultSetsPruned++
-						} else {
-							check(s, []int{a, b})
-							if len(rep.Violations) >= maxV {
-								return rep
+				pc := pcs[wi]
+				// Table equality is a property of (g, H, s), so the
+				// fault-free verdict licenses every worker's fast path.
+				pc.baseEq = baseEq
+				poll := cancel.New(opts.ctx(), cancel.PollEvery)
+				var part partial
+				var err error
+				visit := func(faults []int) bool {
+					if err = poll.Poll(); err != nil {
+						return false
+					}
+					if prune {
+						off := true
+						for _, id := range faults {
+							if inH[id] {
+								off = false
+								break
 							}
 						}
-						if f >= 3 {
-							for c := b + 1; c < m; c++ {
-								if interrupted() {
-									return rep
-								}
-								if prune && !inH[a] && !inH[b] && !inH[c] {
-									rep.FaultSetsPruned++
-									continue
-								}
-								check(s, []int{a, b, c})
-								if len(rep.Violations) >= maxV {
-									return rep
-								}
-							}
+						if off {
+							part.pruned++
+							return true
 						}
 					}
+					part.checked++
+					pc.check(s, faults, func(v int, dh, dg int32) {
+						if len(part.violations) < room {
+							part.violations = append(part.violations, Violation{
+								Source: s,
+								Faults: slices.Clone(faults),
+								V:      v,
+								GotH:   dh,
+								WantG:  dg,
+							})
+						}
+					})
+					return len(part.violations) < room
 				}
+				for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+					if !sched.FaultSets(lo, hi, m, f, visit) {
+						break
+					}
+				}
+				return part, err
+			})
+		var found []Violation
+		for _, part := range parts {
+			rep.FaultSetsChecked += part.checked
+			rep.FaultSetsPruned += part.pruned
+			found = append(found, part.violations...)
+		}
+		slices.SortFunc(found, func(a, b Violation) int {
+			if c := slices.Compare(a.Faults, b.Faults); c != 0 {
+				return c
 			}
+			return cmp.Compare(a.V, b.V)
+		})
+		rep.Violations = append(rep.Violations, found[:min(len(found), room)]...)
+		if len(found) > 0 {
+			rep.OK = false
+		}
+		if err != nil {
+			rep.Interrupted = true
+			rep.OK = false
+			return rep
+		}
+		if len(rep.Violations) == maxV {
+			return rep
 		}
 	}
 	return rep

@@ -2,7 +2,8 @@ package verify
 
 import (
 	"context"
-
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -199,6 +200,28 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: coverage %d+%d vs %d+%d", workers,
 				par.FaultSetsChecked, par.FaultSetsPruned,
 				seq.FaultSetsChecked, seq.FaultSetsPruned)
+		}
+	}
+
+	// A capped broken pass reports the first MaxViolations counterexamples
+	// in enumeration order — sources as given, then fault sets, then
+	// targets — whatever the worker count.
+	g = gen.Cycle(10)
+	closing, _ := g.EdgeID(9, 0)
+	want := []string{
+		"source 7, faults [], target 0: dist_H=7 dist_G=3",
+		"source 7, faults [], target 1: dist_H=6 dist_G=4",
+		"source 7, faults [0], target 0: dist_H=-1 dist_G=3",
+	}
+	for _, workers := range []int{1, 2, 4} {
+		rep := FTBFS(g, []int{closing}, []int{7, 0}, 1, &Options{Parallelism: workers, MaxViolations: 3})
+		var got []string
+		for _, v := range rep.Violations {
+			got = append(got, v.String())
+		}
+		if rep.OK || !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: OK=%v violations\n%s\nwant\n%s", workers, rep.OK,
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/cancel"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // VertexFTBFS exhaustively verifies the vertex-failure model: for every
@@ -63,36 +64,21 @@ func VertexFTBFS(g *graph.Graph, offH []int, sources []int, f int, opts *Options
 	for _, s := range sources {
 		isSource[s] = true
 	}
-	n := g.N()
 	for _, s := range sources {
 		check(s, nil)
-		if f >= 1 {
-			for a := 0; a < n; a++ {
-				if isSource[a] {
-					continue
-				}
-				if interrupted() {
-					return rep
-				}
-				check(s, []int{a})
-				if len(rep.Violations) >= maxV {
-					return rep
-				}
-				if f >= 2 {
-					for b := a + 1; b < n; b++ {
-						if isSource[b] {
-							continue
-						}
-						if interrupted() {
-							return rep
-						}
-						check(s, []int{a, b})
-						if len(rep.Violations) >= maxV {
-							return rep
-						}
-					}
+		if !sched.FaultSets(0, g.N(), g.N(), f, func(faults []int) bool {
+			for _, x := range faults {
+				if isSource[x] {
+					return true
 				}
 			}
+			if interrupted() {
+				return false
+			}
+			check(s, faults)
+			return len(rep.Violations) < maxV
+		}) {
+			return rep
 		}
 	}
 	return rep

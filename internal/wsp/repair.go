@@ -29,12 +29,11 @@ type RepairSearch struct {
 	src int32
 
 	// scratch executes the base run at construction and absorbs every
-	// query repair cannot serve: a different source, a detached region
-	// past volLimit, or repair disabled. When full is true the last Run
-	// lives in scratch and every accessor delegates to it.
+	// query repair cannot serve: a different source or a detached region
+	// past volLimit. When full is true the last Run lives in scratch and
+	// every accessor delegates to it.
 	scratch *Search
 	full    bool
-	disable bool
 
 	// Frozen base tree (never mutated after construction). bHops is -1
 	// for vertices unreachable from src in the fault-free graph.
@@ -141,10 +140,6 @@ func NewRepairSearch(g *graph.Graph, w *Assignment, src int) *RepairSearch {
 // Graph returns the graph the search is bound to.
 func (r *RepairSearch) Graph() *graph.Graph { return r.g }
 
-// DisableRepair makes every subsequent Run delegate to the from-scratch
-// Search (the NoRepair build option; results are identical either way).
-func (r *RepairSearch) DisableRepair() { r.disable = true }
-
 // TieWarnings returns the residual equal-weight-path count accumulated
 // across the base run, all repairs, and all fallback runs — the same
 // evidence Search.TieWarnings carries that the assignment failed to
@@ -181,7 +176,7 @@ func (r *RepairSearch) undo() {
 // for which accessors are valid after a Target run).
 func (r *RepairSearch) Run(src int, opt Options) {
 	r.undo()
-	if r.disable || int32(src) != r.src {
+	if int32(src) != r.src {
 		r.full = true
 		r.scratch.Run(src, opt)
 		return

@@ -176,23 +176,3 @@ func TestRepairSearchVolumeFallback(t *testing.T) {
 	ref.Run(0, opt)
 	checkRepairMatchesScratch(t, rep, ref, -1, "recovered")
 }
-
-// TestRepairSearchDisable pins the NoRepair escape hatch: a disabled
-// repair engine must behave exactly like a Search.
-func TestRepairSearchDisable(t *testing.T) {
-	g := gen.SparseGNP(120, 5, 2)
-	w := NewAssignment(g.M(), 9)
-	rep := NewRepairSearch(g, w, 0)
-	rep.DisableRepair()
-	ref := NewSearch(g, w)
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 15; trial++ {
-		opt := Options{Target: -1, DisabledEdges: []int{rng.Intn(g.M())}}
-		rep.Run(0, opt)
-		ref.Run(0, opt)
-		checkRepairMatchesScratch(t, rep, ref, -1, "disabled")
-		if _, ok := rep.Changed(); ok {
-			t.Fatal("disabled repair reported an incremental run")
-		}
-	}
-}
