@@ -14,10 +14,18 @@ import (
 // for vertices in the subtrees hanging below faulted tree edges (plus the
 // subtrees of disabled vertices). Everything outside that detached region R
 // keeps its exact base (hops, tie, parent, parentE); vertices inside R are
-// re-settled by a Dijkstra restricted to R, seeded from the surviving
-// boundary arcs. Because the optimum is unique per vertex, the repaired
-// values are bit-identical to a from-scratch run — the repair changes the
-// settle schedule, never the result.
+// re-settled one hop level at a time, seeded from the surviving boundary
+// arcs. Weights are hop-major, so a level's tie weights are final once the
+// level below it is settled: the sweep needs per-level buckets and an
+// in-place tie minimum, not a priority queue. Because the optimum is unique
+// per vertex, the repaired values are bit-identical to a from-scratch run —
+// the repair changes the settle schedule, never the result.
+//
+// Ties: on an exact residual tie (two distinct parents reaching a vertex at
+// the same (hops, tie)) the kept parent is the first candidate the sweep
+// meets — boundary arcs before inside arcs, then bucket order — so parents
+// may then differ from Search's. Every equal arrival is counted in
+// TieWarnings, so a tied final minimum is always reported.
 //
 // Contract: after a Run with a Target, accessors are valid for the target,
 // every vertex on the target's path, and every vertex outside R (exactly
@@ -62,7 +70,10 @@ type RepairSearch struct {
 	vOff   []uint32
 	eOff   []uint32
 	region []int32 // R as a list; doubles as the undo list
-	heap   heapSlice
+	// levels[h] buckets the region vertices that reached hop level h in
+	// the current repair (as seeds or by relaxation). Buckets keep their
+	// capacity across runs; a repair empties the levels it touched.
+	levels [][]int32
 
 	// volLimit caps the arc volume (sum of degrees) of R: past it a
 	// from-scratch run is cheaper than repairing, so Run falls back.
@@ -113,6 +124,13 @@ func NewRepairSearch(g *graph.Graph, w *Assignment, src int) *RepairSearch {
 			r.bHops[v], r.bParent[v], r.bParentE[v] = -1, -1, -1
 		}
 	}
+	// A seed's level is at most one past the deepest base level, so only
+	// the sweep's relaxations can ever need a deeper bucket.
+	depth := int32(0)
+	for _, h := range r.bHops {
+		depth = max(depth, h)
+	}
+	r.levels = make([][]int32, depth+2)
 	copy(r.hops, r.bHops)
 	copy(r.tie, r.bTie)
 	copy(r.parent, r.bParent)
@@ -261,24 +279,31 @@ func (r *RepairSearch) detach() bool {
 	return true
 }
 
-// repair re-settles the detached region: every vertex x in R is seeded
-// with the best crossing arc from the (exact, surviving) outside, then a
-// Dijkstra restricted to R finishes the job. By the last-crossing argument
-// the canonical path of every x in R decomposes into an exact outside
-// prefix, one crossing arc, and a suffix inside R, so the restricted
-// search reproduces the unique optimum — and therefore the exact parent
-// and parent edge — for every vertex it settles. R vertices left
-// unsettled are exactly the ones unreachable under the fault set.
+// repair re-settles the detached region one hop level at a time. Every
+// vertex x in R is seeded with its best crossing arc from the (exact,
+// surviving) outside and dropped into the bucket of that hop level; levels
+// are then settled in increasing order. By the last-crossing argument the
+// canonical path of every x in R decomposes into an exact outside prefix,
+// one crossing arc, and a suffix inside R, and because weights are
+// hop-major every tie weight at level h is final once level h−1 is
+// settled. A relaxation from level h therefore appends its endpoint to
+// level h+1 only when the endpoint first reaches that level and otherwise
+// lowers its tie weight in place, so the sweep reproduces the unique
+// optimum — and therefore the exact parent and parent edge — for every
+// vertex it settles. R vertices left unsettled are exactly the ones
+// unreachable under the fault set. A Target run stops when the target
+// comes up in its level.
 //
 //ftbfs:hotpath
 func (r *RepairSearch) repair(target int) {
 	ep := r.ep
-	hops, tie := r.hops, r.tie
+	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
 	seen, done := r.seen, r.done
 	inR, vOff, eOff := r.inR, r.vOff, r.eOff
 	bHops, bTie := r.bHops, r.bTie
 	wTie := r.scratch.w.tie
-	r.heap = r.heap[:0]
+	levels := r.levels
+	lo, hi := len(levels), -1
 	for _, x := range r.region {
 		if vOff[x] == ep {
 			continue
@@ -290,57 +315,66 @@ func (r *RepairSearch) repair(target int) {
 			}
 			nh := bHops[u] + 1
 			nt := bTie[u] + wTie[eid]
-			if seen[x] != ep {
+			if seen[x] != ep || nh < hops[x] || (nh == hops[x] && nt < tie[x]) {
 				seen[x] = ep
 				hops[x], tie[x] = nh, nt
-				r.parent[x], r.parentE[x] = u, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: x})
-				continue
-			}
-			if nh < hops[x] || (nh == hops[x] && nt < tie[x]) {
-				hops[x], tie[x] = nh, nt
-				r.parent[x], r.parentE[x] = u, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: x})
-			} else if nh == hops[x] && nt == tie[x] && r.parent[x] != u {
+				parent[x], parentE[x] = u, eid
+			} else if nh == hops[x] && nt == tie[x] && parent[x] != u {
 				r.ties++
 			}
+		}
+		if seen[x] == ep {
+			h := int(hops[x])
+			levels[h] = append(levels[h], x)
+			lo, hi = min(lo, h), max(hi, h)
 		}
 	}
-	for len(r.heap) > 0 {
-		it := r.heap.pop()
-		v := int(it.v)
-		if done[v] == ep {
-			continue
+	found := false
+	for h := lo; h <= hi && !found; h++ {
+		if h+1 == len(levels) {
+			r.levels = append(r.levels, nil)
+			levels = r.levels
 		}
-		if it.hops != hops[v] || it.tie != tie[v] {
-			continue // stale entry
-		}
-		done[v] = ep
-		if target >= 0 && v == target {
-			return
-		}
-		for _, a := range r.g.Arcs(v) {
-			u, eid := a.To, a.ID
-			if inR[u] != ep || vOff[u] == ep || eOff[eid] == ep || done[u] == ep {
-				continue
+		nh := int32(h + 1)
+		next := levels[h+1]
+		for _, v := range levels[h] {
+			if done[v] == ep {
+				continue // stale: relaxed to a lower level and settled there
 			}
-			nh := it.hops + 1
-			nt := it.tie + wTie[eid]
-			if seen[u] != ep {
-				seen[u] = ep
-				hops[u], tie[u] = nh, nt
-				r.parent[u], r.parentE[u] = it.v, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: u})
-				continue
+			done[v] = ep
+			if int(v) == target {
+				found = true
+				break
 			}
-			if nh < hops[u] || (nh == hops[u] && nt < tie[u]) {
-				hops[u], tie[u] = nh, nt
-				r.parent[u], r.parentE[u] = it.v, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: u})
-			} else if nh == hops[u] && nt == tie[u] && r.parent[u] != it.v {
-				r.ties++
+			tv := tie[v]
+			for _, a := range r.g.Arcs(int(v)) {
+				u, eid := a.To, a.ID
+				if inR[u] != ep || vOff[u] == ep || eOff[eid] == ep || done[u] == ep {
+					continue
+				}
+				nt := tv + wTie[eid]
+				if seen[u] != ep || nh < hops[u] {
+					seen[u] = ep
+					hops[u], tie[u] = nh, nt
+					parent[u], parentE[u] = v, eid
+					next = append(next, u)
+				} else if nh == hops[u] {
+					if nt < tie[u] {
+						tie[u] = nt
+						parent[u], parentE[u] = v, eid
+					} else if nt == tie[u] && parent[u] != v {
+						r.ties++
+					}
+				}
 			}
 		}
+		levels[h+1] = next
+		if len(next) > 0 {
+			hi = max(hi, h+1)
+		}
+	}
+	for h := lo; h <= hi; h++ {
+		levels[h] = levels[h][:0]
 	}
 }
 
