@@ -11,21 +11,16 @@
 // lock-order facts are serialized to each package's vetx output and read
 // back from dependencies' vetx files, so cross-package acquisition edges
 // survive the per-package invocation model (and the go command's vet
-// cache). Invoked any other way (e.g. `ftbfslint ./...`), the binary
-// re-executes `go vet -vettool=<itself>` with the given arguments, so both
-// spellings work.
+// cache). Findings print on stderr as `file:line:col: [analyzer] msg`.
 //
-// Flags (forwarded by the go command when given to `go vet`):
+// Run directly, the binary has one mode of its own:
 //
-//	-json          emit findings as NDJSON on stdout (one object per line)
-//	-timing        print per-analyzer wall time to stderr
-//	-update-locks  regenerate snapschema.lock/apisurface.lock and exit
+//	ftbfslint -update-locks   regenerate snapschema.lock/apisurface.lock
 //
 // Exit status: 0 no findings, 1 tool error, 2 findings (matching vet).
 package main
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -42,7 +37,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/lint"
 )
@@ -50,8 +44,6 @@ import (
 var (
 	flagV           = flag.String("V", "", "print version and exit (the go command's vettool handshake)")
 	flagFlags       = flag.Bool("flags", false, "print the tool's flag set as JSON and exit")
-	flagJSON        = flag.Bool("json", false, "emit findings as NDJSON on stdout")
-	flagTiming      = flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	flagUpdateLocks = flag.Bool("update-locks", false, "regenerate snapschema.lock/apisurface.lock instead of checking them")
 )
 
@@ -69,12 +61,12 @@ func main() {
 	case *flagUpdateLocks:
 		regenerateLocks()
 	default:
-		standalone()
+		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ftbfslint [-json] [-timing] [packages]  (or as go vet -vettool=ftbfslint)\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=/abs/path/to/ftbfslint [packages]\n")
 	fmt.Fprintf(os.Stderr, "       ftbfslint -update-locks\n\nanalyzers:\n")
 	for _, a := range lint.Suite() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -115,8 +107,6 @@ func printFlags() {
 		Usage string
 	}
 	out := []toolFlag{
-		{"json", true, "emit findings as NDJSON on stdout"},
-		{"timing", true, "print per-analyzer wall time to stderr"},
 		{"update-locks", true, "regenerate snapschema.lock/apisurface.lock instead of checking them"},
 	}
 	data, err := json.Marshal(out)
@@ -124,60 +114,6 @@ func printFlags() {
 		fatal(err)
 	}
 	fmt.Println(string(data))
-	os.Exit(0)
-}
-
-// standalone re-invokes the suite through `go vet -vettool=<self>` so that
-// the go command handles package loading, export data and caching. All
-// original arguments are forwarded verbatim: the go command accepts the
-// flags this tool declared in its -flags answer. With -json, NDJSON lines
-// (which the go command relays on its stderr) are routed back to stdout,
-// so `ftbfslint -json ./... > findings.ndjson` does the expected thing.
-func standalone() {
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, os.Args[1:]...)...)
-	cmd.Stdout = os.Stdout
-	if *flagJSON {
-		pr, pw, err := os.Pipe()
-		if err != nil {
-			fatal(err)
-		}
-		cmd.Stderr = pw
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			sc := bufio.NewScanner(pr)
-			sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-			for sc.Scan() {
-				line := sc.Text()
-				if strings.HasPrefix(line, "{") {
-					fmt.Fprintln(os.Stdout, line)
-				} else {
-					fmt.Fprintln(os.Stderr, line)
-				}
-			}
-		}()
-		err = cmd.Run()
-		pw.Close()
-		<-done
-		if err != nil {
-			if ee, ok := err.(*exec.ExitError); ok {
-				os.Exit(ee.ExitCode())
-			}
-			fatal(err)
-		}
-		os.Exit(0)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
-		}
-		fatal(err)
-	}
 	os.Exit(0)
 }
 
@@ -247,9 +183,6 @@ func unitCheck(cfgFile string) int {
 		UpdateLocks: *flagUpdateLocks,
 		Deps:        deps,
 	}
-	if *flagTiming {
-		lcfg.Timings = make(map[string]time.Duration)
-	}
 	diags, err := lint.RunAnalyzers(fset, files, pkg, info, lint.Suite(), lcfg)
 	if err != nil {
 		fatal(err)
@@ -260,32 +193,12 @@ func unitCheck(cfgFile string) int {
 	}
 	writeFacts(cfg.VetxOutput, facts)
 
-	if *flagTiming {
-		for _, name := range sortedTimingKeys(lcfg.Timings) {
-			fmt.Fprintf(os.Stderr, "ftbfslint: timing %s %s %s\n", cfg.ImportPath, name, lcfg.Timings[name].Round(time.Microsecond))
-		}
-	}
 	if len(diags) == 0 {
 		return 0
 	}
-	// One rendering per mode: the human format on stderr is what the CI
-	// problem matcher parses; -json replaces it with NDJSON. The go
-	// command merges a vettool's stdout into its own stderr stream, so
-	// NDJSON is emitted there too — the standalone wrapper demultiplexes
-	// it back onto stdout.
-	enc := json.NewEncoder(os.Stderr)
+	// This line format is what the CI problem matcher parses.
 	for _, d := range diags {
-		if *flagJSON {
-			enc.Encode(map[string]any{
-				"file":     d.Pos.Filename,
-				"line":     d.Pos.Line,
-				"col":      d.Pos.Column,
-				"analyzer": d.Analyzer,
-				"message":  d.Message,
-			})
-		} else {
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
-		}
+		fmt.Fprintln(os.Stderr, d)
 	}
 	return 2
 }
@@ -407,16 +320,7 @@ func findLockDir(dir string) string {
 	}
 }
 
-func sortedTimingKeys(m map[string]time.Duration) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ---- standalone lock regeneration ----
+// ---- lock regeneration ----
 
 // listedPkg is the slice of `go list -json` output regenerateLocks needs.
 type listedPkg struct {

@@ -6,8 +6,6 @@
 // u_j (Eq. 16: dist(s, u_j, G\F) = dist(s, v_i, G\F) − 1).
 package approx
 
-//ftbfs:builders
-
 import (
 	"fmt"
 

@@ -5,8 +5,6 @@
 // cf. Obs. 1.6), a full-path-union ablation, and multi-source composition.
 package core
 
-//ftbfs:builders
-
 import (
 	"context"
 	"fmt"
@@ -451,14 +449,12 @@ func unionTrees(st *Structure, opts *Options, f, skip int) error {
 					// Only the repaired region's tree edges can differ
 					// from the base tree (already in via worker 0's
 					// faults == nil call below).
-					//lint:ignore ctxpoll ParentEdgeOf is an O(1) accessor over the finished search, and addTree already polls once per tree above
 					for _, v := range changed {
 						if id := search.ParentEdgeOf(int(v)); id >= 0 {
 							part.edges.Add(id)
 						}
 					}
 				} else {
-					//lint:ignore ctxpoll ParentEdgeOf is an O(1) accessor over the finished search, and addTree already polls once per tree above
 					for v := 0; v < g.N(); v++ {
 						if id := search.ParentEdgeOf(v); id >= 0 {
 							part.edges.Add(id)

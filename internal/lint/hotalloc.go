@@ -157,3 +157,8 @@ func isStringByteConv(to, from types.Type) bool {
 	}
 	return (isStringType(to) && isBytes(from)) || (isBytes(to) && isStringType(from))
 }
+
+// typeShort renders a type without its full import path.
+func typeShort(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
+}

@@ -1,26 +1,20 @@
-// Package lint is ftbfslint: a repo-specific static-analysis suite that
-// machine-checks the engineering invariants this module's hot paths are
-// built on — invariants that previously held only by reviewer discipline.
-// It is organized like golang.org/x/tools/go/analysis (an Analyzer with a
-// Run func over a Pass), but implemented on the standard library alone so
-// the module stays dependency-free; cmd/ftbfslint drives the suite either
-// standalone or as a `go vet -vettool` backend.
+// Package lint is ftbfslint: a repo-specific static-analysis suite for
+// the invariants no compiler check or test can hold on its own — hot
+// paths that must not allocate, a mutex acquisition order with no cycles
+// across packages, and the snapshot wire schema and public facade held
+// against committed lock files. It is organized like
+// golang.org/x/tools/go/analysis (an Analyzer with a Run func over a
+// Pass), but implemented on the standard library alone so the module
+// stays dependency-free; cmd/ftbfslint runs the suite as a
+// `go vet -vettool` backend.
 //
-// The analyzers key on a small normalized annotation grammar:
+// Two function annotations drive the analyzers:
 //
-//	// guarded by mu            (struct field) field may only be touched with
-//	//                          the sibling mutex `mu` held
-//	// guarded by Server.mu     (struct field) guarded by the mutex field `mu`
-//	//                          of the package-local type Server
-//	//ftbfs:holds mu            (func) callers are documented to hold `mu`;
-//	//                          the function body is checked as if locked
-//	//ftbfs:atomic              (struct field) plain integer field that must
-//	//                          only be touched through sync/atomic
 //	//ftbfs:hotpath             (func) must not contain per-call allocation
 //	//                          constructs
-//	//ftbfs:builders            (package comment, any file) marks a builder
-//	//                          package whose exported Build*/Search* entry
-//	//                          points must be cancellable
+//	//ftbfs:holds mu            (func) callers are documented to hold `mu`
+//	//ftbfs:holds Server.mu     (or another package-local type's mutex);
+//	//                          the lock-order walk starts with it held
 //
 // Findings are suppressed staticcheck-style with
 //
@@ -39,7 +33,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer describes one invariant checker. The shape mirrors
@@ -55,9 +48,8 @@ type Analyzer struct {
 // call: the lock-order facts of the package's dependencies (read from the
 // vetx side channel under `go vet`, or computed in-process by the
 // Loader), the location of the committed lock files, and the regenerate
-// switch. The zero value is valid: the intraprocedural analyzers ignore
-// it entirely, and the whole-program ones degrade to single-package
-// scope.
+// switch. The zero value is valid: hotalloc ignores it entirely, and the
+// whole-program analyzers degrade to single-package scope.
 type Config struct {
 	// ModulePath is the import path of the module root package. The
 	// apisurface analyzer anchors on it; "" disables that analyzer.
@@ -75,8 +67,6 @@ type Config struct {
 	// (set by the lockorder analyzer; pass-through of Deps when the
 	// package is out of lock scope).
 	Facts *PackageFacts
-	// Timings, when non-nil, receives per-analyzer wall time.
-	Timings map[string]time.Duration
 }
 
 // A Pass hands one type-checked package to an analyzer.
@@ -111,17 +101,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Suite returns the ftbfslint analyzers in stable order: the five
-// intraprocedural checkers first, then the whole-program tier.
+// Suite returns the ftbfslint analyzers in stable order: the
+// intraprocedural hotalloc first, then the whole-program tier.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		LockGuard,
-		AtomicField,
-		CtxPoll,
-		FrozenAlias,
 		HotAlloc,
 		LockOrder,
-		LeakCheck,
 		SnapSchema,
 		APISurface,
 	}
@@ -148,12 +133,8 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Cfg:      cfg,
 			diags:    &diags,
 		}
-		start := time.Now()
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		if cfg.Timings != nil {
-			cfg.Timings[a.Name] += time.Since(start)
 		}
 	}
 	diags = applyIgnores(fset, files, diags)
@@ -255,65 +236,19 @@ func applyIgnores(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []
 
 // ---- shared annotation scanning ----
 
-// guardedRe is the normalized guarded-field grammar: "guarded by mu" or
-// "guarded by Type.mu" anywhere in the field's doc or trailing comment.
-var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
-
-// guardSpec names the mutex a field is guarded by: either a sibling field
-// (typeName == "") or a mutex field of another package-local type.
-type guardSpec struct {
-	typeName string // "" for a sibling mutex
-	mutex    string
-}
-
-// fieldComments joins a field's doc and line comments.
-func fieldComments(f *ast.Field) string {
-	var b strings.Builder
-	if f.Doc != nil {
-		b.WriteString(f.Doc.Text())
-	}
-	if f.Comment != nil {
-		b.WriteString(" ")
-		b.WriteString(f.Comment.Text())
-	}
-	return b.String()
-}
-
-// parseGuard extracts a guard annotation from a field's comments.
-func parseGuard(f *ast.Field) (guardSpec, bool) {
-	m := guardedRe.FindStringSubmatch(fieldComments(f))
-	if m == nil {
-		return guardSpec{}, false
-	}
-	if m[2] != "" {
-		return guardSpec{typeName: m[1], mutex: m[2]}, true
-	}
-	return guardSpec{mutex: m[1]}, true
-}
-
 // hasDirective reports whether a comment group contains the given
 // //ftbfs: directive (exact word match on the directive name).
 func hasDirective(doc *ast.CommentGroup, name string) bool {
-	_, ok := directiveArg(doc, name)
-	return ok
-}
-
-// directiveArg returns the argument text of an //ftbfs:<name> directive in
-// the comment group ("" when the directive is bare).
-func directiveArg(doc *ast.CommentGroup, name string) (string, bool) {
 	if doc == nil {
-		return "", false
+		return false
 	}
 	prefix := "//ftbfs:" + name
 	for _, c := range doc.List {
-		if c.Text == prefix {
-			return "", true
-		}
-		if rest, ok := strings.CutPrefix(c.Text, prefix+" "); ok {
-			return strings.TrimSpace(rest), true
+		if c.Text == prefix || strings.HasPrefix(c.Text, prefix+" ") {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // packageHasDirective reports whether any comment in the package carries
@@ -390,29 +325,16 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// isPkgFuncCall reports whether call invokes a package-level function of a
-// package whose import path matches pkgPath (suffix match) with one of the
-// given names (any name when names is empty).
-func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...string) bool {
-	obj := calleeObj(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !isPkgPathSuffix(fn.Pkg(), pkgPath) {
-		return false
-	}
-	if len(names) == 0 {
-		return true
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
+// isPkgFuncCall reports whether call invokes a function of a package
+// whose import path matches pkgPath (suffix match).
+func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
+	fn, ok := calleeObj(info, call).(*types.Func)
+	return ok && fn.Pkg() != nil && isPkgPathSuffix(fn.Pkg(), pkgPath)
 }
 
 // nonTestFiles drops _test.go files: the whole-program analyzers check
-// long-lived production invariants (lock lifetimes, goroutine tracking,
-// wire schemas), and test processes are bounded by definition.
+// long-lived production invariants (lock order, wire schemas), and test
+// processes are bounded by definition.
 func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 	out := make([]*ast.File, 0, len(files))
 	for _, f := range files {

@@ -23,26 +23,6 @@ func fixtureLoader() *lint.Loader {
 	return loader
 }
 
-func TestLockGuard(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.LockGuard, "lockguardtest")
-}
-
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.AtomicField, "atomicfieldtest")
-}
-
-func TestCtxPoll(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.CtxPoll, "ctxpolltest")
-}
-
-func TestCtxPollWithoutMarker(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.CtxPoll, "ctxpollquiet")
-}
-
-func TestFrozenAlias(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.FrozenAlias, "frozenaliastest")
-}
-
 func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, fixtureLoader(), lint.HotAlloc, "hotalloctest")
 }
@@ -61,10 +41,6 @@ func TestLockOrderCrossPackage(t *testing.T) {
 // the cycle and must not report.
 func TestLockOrderHalfCycleSilent(t *testing.T) {
 	linttest.Run(t, fixtureLoader(), lint.LockOrder, "lockorderx/liba")
-}
-
-func TestLeakCheck(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.LeakCheck, "leakchecktest")
 }
 
 func TestSnapSchema(t *testing.T) {

@@ -652,3 +652,65 @@ func sortedMapKeys[V any](m map[string]V) []string {
 	sort.Strings(out)
 	return out
 }
+
+// ---- //ftbfs:holds and mutex helpers ----
+
+// guardSpec names a mutex a function's callers hold: either a field of
+// the receiver's type (typeName == "") or a mutex field of another
+// package-local type.
+type guardSpec struct {
+	typeName string // "" for the receiver's own mutex
+	mutex    string
+}
+
+// holdsAnnotations parses every //ftbfs:holds directive of the function
+// (one mutex per directive line; both `mu` and `Type.mu` forms).
+func holdsAnnotations(fd *ast.FuncDecl) []guardSpec {
+	if fd.Doc == nil {
+		return nil
+	}
+	var out []guardSpec
+	for _, c := range fd.Doc.List {
+		rest, ok := strings.CutPrefix(c.Text, "//ftbfs:holds ")
+		if !ok {
+			continue
+		}
+		for _, tok := range strings.Fields(rest) {
+			if t, m, ok := strings.Cut(tok, "."); ok {
+				out = append(out, guardSpec{typeName: t, mutex: m})
+			} else {
+				out = append(out, guardSpec{mutex: tok})
+			}
+		}
+	}
+	return out
+}
+
+func isMutexType(t types.Type) bool {
+	return typeFromPath(t, "sync", "Mutex") || typeFromPath(t, "sync", "RWMutex")
+}
+
+// exprPath canonicalizes a selector/index chain to a comparable string:
+// s.graphs[k] -> "s.graphs[]". Unrenderable roots become "?".
+func exprPath(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprPath(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprPath(x.X) + "[]"
+	case *ast.StarExpr:
+		return exprPath(x.X)
+	default:
+		return "?"
+	}
+}
+
+func funcTitle(fd *ast.FuncDecl) string {
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		t := fd.Recv.List[0].Type
+		return fmt.Sprintf("method (%s).%s", exprPath(t), fd.Name.Name)
+	}
+	return "function " + fd.Name.Name
+}

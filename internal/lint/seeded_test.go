@@ -9,11 +9,12 @@ import (
 	"repro/internal/lint"
 )
 
-// TestSeededViolations plants one violation per analyzer into the clean
-// seedbed fixture and asserts the suite reports exactly that violation:
-// the right analyzer, the right line, and nothing else. This is the
-// end-to-end proof that each analyzer catches the regression class it was
-// built for, not just the shapes its own fixture happens to pin.
+// TestSeededViolations plants one violation per intraprocedural analyzer
+// into the clean seedbed fixture and asserts the full suite reports
+// exactly that violation: the right analyzer, the right line, and nothing
+// else. This is the end-to-end proof that the analyzer catches the
+// regression class it was built for, not just the shapes its own fixture
+// happens to pin.
 func TestSeededViolations(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "src", "seedbed", "seedbed.go"))
 	if err != nil {
@@ -22,38 +23,10 @@ func TestSeededViolations(t *testing.T) {
 	clean := string(src)
 
 	cases := []struct {
-		name       string // also the analyzer expected to fire
-		old, new   string // exact one-occurrence source mutation
-		wantMsg    string // substring of the single expected finding
-		lineOffset int    // expected finding line relative to the mutation
+		name     string // also the analyzer expected to fire
+		old, new string // exact one-occurrence source mutation
+		wantMsg  string // substring of the single expected finding
 	}{
-		{
-			name:    "lockguard",
-			old:     "\ts.mu.Lock()\n\ts.n++\n\ts.mu.Unlock()\n",
-			new:     "\ts.n++\n",
-			wantMsg: "guarded by mu",
-		},
-		{
-			name:    "atomicfield",
-			old:     "\tatomic.AddInt64(&s.ticks, 1)\n",
-			new:     "\ts.ticks++\n",
-			wantMsg: "//ftbfs:atomic",
-		},
-		{
-			name: "ctxpoll",
-			old:  "\t\tif err := poll.Poll(); err != nil {\n\t\t\treturn 0, err\n\t\t}\n",
-			new:  "\t\t_ = poll\n",
-			// The finding anchors on the `for` statement, one line above
-			// the no-longer-polling loop body.
-			wantMsg:    "neither polls",
-			lineOffset: -1,
-		},
-		{
-			name:    "frozenalias",
-			old:     "\t\tacc += arcs[i].To\n",
-			new:     "\t\tarcs[i] = graph.Arc{}\n",
-			wantMsg: "element write",
-		},
 		{
 			name:    "hotalloc",
 			old:     "\treturn acc\n}",
@@ -80,7 +53,7 @@ func TestSeededViolations(t *testing.T) {
 			if !strings.Contains(d.Message, tc.wantMsg) {
 				t.Errorf("finding %q does not mention %q", d.Message, tc.wantMsg)
 			}
-			if wantLine := mutationLine(mutated, tc.new) + tc.lineOffset; d.Pos.Line != wantLine {
+			if wantLine := mutationLine(mutated, tc.new); d.Pos.Line != wantLine {
 				t.Errorf("finding at line %d, mutation at line %d: %s", d.Pos.Line, wantLine, d)
 			}
 		})

@@ -11,8 +11,8 @@ import (
 
 // TestSeededWholeProgramViolations is the seeded-bug harness for the
 // whole-program analyzers: each case plants exactly one violation into a
-// clean fixture (an inverted lock pair, a dropped cancel, a reordered
-// snapshot field, a deleted facade export) and asserts the suite reports
+// clean fixture (an inverted lock pair, a reordered snapshot field, a
+// deleted facade export) and asserts the suite reports
 // it — the right analyzer, the exact planted line, and nothing else.
 func TestSeededWholeProgramViolations(t *testing.T) {
 	cases := []struct {
@@ -37,15 +37,6 @@ func TestSeededWholeProgramViolations(t *testing.T) {
 			new:        "\tr.mu.Lock()\n\ts.mu.Lock()\n\ts.mu.Unlock()\n\tr.mu.Unlock()\n",
 			wantMsg:    "lock-order cycle (potential deadlock): wpseed.R.mu -> wpseed.S.mu -> wpseed.R.mu",
 			lineOffset: 1,
-		},
-		{
-			name:    "leakcheck",
-			fixture: "wpseed",
-			pkg:     "wpseed",
-			// Drop the error-path cancel: the return leaks the context.
-			old:     "\t\tcancel()\n\t\treturn err\n",
-			new:     "\t\treturn err\n",
-			wantMsg: "context.CancelFunc cancel (from context.WithTimeout) is not called on this return path",
 		},
 		{
 			name:    "snapschema",

@@ -1,5 +1,5 @@
-// Package graph is a fixture stub of repro/internal/graph exposing the
-// frozen-CSR accessors the frozenalias analyzer keys on.
+// Package graph is a fixture stub of repro/internal/graph: hotalloctest
+// builds composite literals of its Arc type, so the stub only needs Arc.
 package graph
 
 // Arc is one directed half-edge of the CSR.
@@ -7,35 +7,3 @@ type Arc struct {
 	To int32
 	ID int32
 }
-
-// Edge is one undirected edge.
-type Edge struct {
-	U, V int
-}
-
-// Graph is the frozen CSR stub.
-type Graph struct {
-	arcOff []int32
-	arcs   []Arc
-	edges  []Edge
-	sorted []Arc
-}
-
-// N returns the vertex count.
-func (g *Graph) N() int { return len(g.arcOff) - 1 }
-
-// ArcData returns the raw CSR arrays (read-only aliases).
-func (g *Graph) ArcData() (off []int32, arcs []Arc) { return g.arcOff, g.arcs }
-
-// CSRData returns read-only views of the frozen representation.
-func (g *Graph) CSRData() (edges []Edge, arcOff []int32, arcs, sorted []Arc) {
-	return g.edges, g.arcOff, g.arcs, g.sorted
-}
-
-// EdgeSet is the kept-edge bitset stub.
-type EdgeSet struct {
-	words []uint64
-}
-
-// Words returns a read-only view of the bitset's backing words.
-func (s *EdgeSet) Words() []uint64 { return s.words }

@@ -1,55 +1,7 @@
 // Package seedbed is deliberately clean under every ftbfslint analyzer;
-// the seeded-bug test mutates one anchor line at a time and asserts the
-// matching analyzer reports exactly that mutation and nothing else.
+// the seeded-bug test mutates its hot-path anchor and asserts hotalloc
+// reports exactly that mutation and nothing else.
 package seedbed
-
-//ftbfs:builders
-
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/bfs"
-	"repro/internal/cancel"
-	"repro/internal/graph"
-)
-
-type state struct {
-	mu sync.Mutex
-	n  int // guarded by mu
-	//ftbfs:atomic
-	ticks int64
-}
-
-func bump(s *state) {
-	s.mu.Lock()
-	s.n++
-	s.mu.Unlock()
-	atomic.AddInt64(&s.ticks, 1)
-}
-
-func ticks(s *state) int64 { return atomic.LoadInt64(&s.ticks) }
-
-// BuildSweep runs one BFS per source, polling between searches.
-func BuildSweep(ctx context.Context, g *graph.Graph, srcs []int) (int32, error) {
-	poll := cancel.New(ctx, cancel.PollEvery)
-	var acc int32
-	_, arcs := g.ArcData()
-	for _, src := range srcs {
-		if err := poll.Poll(); err != nil {
-			return 0, err
-		}
-		d := bfs.Distances(g, src, nil)
-		if len(d) > 0 {
-			acc += d[0]
-		}
-	}
-	for i := range arcs {
-		acc += arcs[i].To
-	}
-	return acc, nil
-}
 
 // hotSum is the seedbed hot path.
 //
@@ -62,8 +14,4 @@ func hotSum(xs []int32) int32 {
 	return acc
 }
 
-var (
-	_ = bump
-	_ = ticks
-	_ = hotSum
-)
+var _ = hotSum

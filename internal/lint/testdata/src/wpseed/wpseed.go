@@ -1,17 +1,11 @@
 // Package wpseed is the clean baseline for the whole-program seeded-bug
-// tests: consistent lock order, disciplined cancel handling, tracked
-// goroutines. Each seeded test plants exactly one violation here and
-// asserts the analyzer reports it at the planted line.
+// test of lockorder: one consistent lock order. The test inverts one
+// acquisition pair and asserts the cycle is reported at the planted line.
 //
 //ftbfs:lockorder
-//ftbfs:builders
 package wpseed
 
-import (
-	"context"
-	"sync"
-	"time"
-)
+import "sync"
 
 type R struct{ mu sync.Mutex }
 
@@ -30,28 +24,4 @@ func sweep(r *R, s *S) {
 	r.mu.Lock()
 	r.mu.Unlock()
 	s.mu.Unlock()
-}
-
-func use(ctx context.Context) error {
-	<-ctx.Done()
-	return ctx.Err()
-}
-
-// run cancels on every path.
-func run(d time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	if err := use(ctx); err != nil {
-		cancel()
-		return err
-	}
-	cancel()
-	return nil
-}
-
-// launch tracks its goroutine with the WaitGroup.
-func launch(wg *sync.WaitGroup) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-	}()
 }

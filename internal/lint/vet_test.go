@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -146,68 +147,75 @@ func TestFixtureLocksRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJSONFindings plants one finding in a scratch module and checks the
-// machine interfaces end to end: NDJSON on stdout, the problem-matcher
-// line format on stderr, and a failing exit status.
-func TestJSONFindings(t *testing.T) {
+// TestProblemMatcherContract plants one hotalloc finding in a scratch
+// module and checks what CI needs from the tool under `go vet -vettool`:
+// a failing exit status, and the stderr line format the problem matcher
+// (.github/ftbfslint-matcher.json) parses, file:line:col: [analyzer] msg.
+func TestProblemMatcherContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet on a scratch module")
 	}
-	tool, _ := buildLintTool(t)
+	tool, root := buildLintTool(t)
+	line := matcherRegexp(t, root)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module scratch\n\ngo 1.24\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	src := `package scratch
 
-import "context"
-
-func Leak() context.Context {
-	ctx, _ := context.WithCancel(context.Background())
-	return ctx
+// Sum is a hot path that allocates.
+//
+//ftbfs:hotpath
+func Sum(n int32) int32 {
+	xs := []int32{n, n}
+	return xs[0] + xs[1]
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(tool, "-json", "./...")
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil {
+	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet.Dir = dir
+	var stderr bytes.Buffer
+	vet.Stderr = &stderr
+	if err := vet.Run(); err == nil {
 		t.Fatalf("expected a failing exit status for a module with findings\nstderr:\n%s", stderr.String())
 	}
+	matched := 0
+	for _, l := range strings.Split(stderr.String(), "\n") {
+		if m := line.FindStringSubmatch(l); m != nil {
+			matched++
+			if !strings.HasSuffix(m[1], "scratch.go") || m[2] != "7" || m[3] != "8" || m[4] != "hotalloc" {
+				t.Errorf("finding not at scratch.go:7:8 [hotalloc]: %q", l)
+			}
+		}
+	}
+	if matched != 1 {
+		t.Errorf("want exactly one problem-matcher line on stderr, got %d:\n%s", matched, stderr.String())
+	}
+}
 
-	var finding struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
+// matcherRegexp compiles the line pattern of the committed CI problem
+// matcher, so the test pins the tool to the file CI actually loads.
+func matcherRegexp(t *testing.T, root string) *regexp.Regexp {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, ".github", "ftbfslint-matcher.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	line := strings.TrimSpace(stdout.String())
-	if line == "" || strings.ContainsRune(line, '\n') {
-		t.Fatalf("want exactly one NDJSON line on stdout, got:\n%q", stdout.String())
+	var m struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp string `json:"regexp"`
+			} `json:"pattern"`
+		} `json:"problemMatcher"`
 	}
-	if err := json.Unmarshal([]byte(line), &finding); err != nil {
-		t.Fatalf("parsing NDJSON %q: %v", line, err)
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("parsing problem matcher: %v", err)
 	}
-	if finding.Analyzer != "leakcheck" || finding.Line != 6 || !strings.HasSuffix(finding.File, "scratch.go") || finding.Col == 0 {
-		t.Errorf("unexpected finding: %+v", finding)
+	if len(m.ProblemMatcher) != 1 || len(m.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("problem matcher: want one matcher with one pattern, got %+v", m)
 	}
-
-	// Without -json, the stderr rendering is what the CI problem matcher
-	// (.github/ftbfslint-matcher.json) parses: file:line:col: [analyzer].
-	human := exec.Command(tool, "./...")
-	human.Dir = dir
-	var humanErr bytes.Buffer
-	human.Stderr = &humanErr
-	if err := human.Run(); err == nil {
-		t.Fatal("expected a failing exit status for a module with findings")
-	}
-	if !strings.Contains(humanErr.String(), "scratch.go:6:12: [leakcheck]") {
-		t.Errorf("stderr not in problem-matcher format:\n%s", humanErr.String())
-	}
+	return regexp.MustCompile(m.ProblemMatcher[0].Pattern[0].Regexp)
 }

@@ -11,8 +11,6 @@
 // right — the property Lemma 4.3(4) needs. The asymptotics are unchanged.
 package lowerbound
 
-//ftbfs:builders
-
 import (
 	"fmt"
 
@@ -177,8 +175,6 @@ func buildTower(b *builder, f, d int) Tower {
 
 // BuildTower materializes G_f(d) as a standalone graph (root is the source
 // for Lemma 4.3 experiments).
-//
-//lint:ignore ctxpoll tower construction is pure in-memory assembly with no search loops; it finishes in milliseconds at the paper's parameter range
 func BuildTower(f, d int) (*graph.Graph, Tower, error) {
 	if f < 1 || d < 2 {
 		return nil, Tower{}, fmt.Errorf("lowerbound: need f ≥ 1, d ≥ 2; got f=%d d=%d", f, d)

@@ -21,8 +21,6 @@
 // f ≥ 2 on sparse graphs: O(Σ_v depth(v)^f) searches instead of O(m^f).
 package multifail
 
-//ftbfs:builders
-
 import (
 	"fmt"
 	"sort"

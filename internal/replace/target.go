@@ -36,8 +36,36 @@ type TargetResult struct {
 // for analysis and tests). It returns nil when v is the source or v is
 // unreachable from the source.
 func (e *Engine) BuildTarget(v int, collect bool) *TargetResult {
-	if v == e.s || e.treeDist[v] < 0 {
+	tr, inH := e.startTarget(v)
+	if tr == nil {
 		return nil
+	}
+	e.step1(tr, inH, collect)
+	e.step2(tr, inH, collect)
+	e.step3(tr, inH, collect)
+	e.finishTarget(tr, inH)
+	return tr
+}
+
+// BuildTargetSingle runs only Step 1 for target v, producing the
+// single-failure structure of [10] (baseline in the experiments). It returns
+// nil when v is the source or unreachable.
+func (e *Engine) BuildTargetSingle(v int, collect bool) *TargetResult {
+	tr, inH := e.startTarget(v)
+	if tr == nil {
+		return nil
+	}
+	e.step1(tr, inH, collect)
+	e.finishTarget(tr, inH)
+	return tr
+}
+
+// startTarget computes π(s,v) with its edge IDs, stamps π for piPos, and
+// returns H(v) seeded with E(v, T0). It returns a nil result when v is the
+// source or unreachable.
+func (e *Engine) startTarget(v int) (*TargetResult, map[int]bool) {
+	if v == e.s || e.treeDist[v] < 0 {
+		return nil, nil
 	}
 	tr := &TargetResult{V: v, Pi: e.PiTo(v)}
 	l := tr.Pi.Len()
@@ -45,7 +73,7 @@ func (e *Engine) BuildTarget(v int, collect bool) *TargetResult {
 	for i := 0; i < l; i++ {
 		id, ok := e.g.EdgeID(tr.Pi[i], tr.Pi[i+1])
 		if !ok {
-			return nil // cannot happen: π edges exist
+			return nil, nil // cannot happen: π edges exist
 		}
 		tr.PiEdgeIDs[i] = id
 	}
@@ -56,58 +84,19 @@ func (e *Engine) BuildTarget(v int, collect bool) *TargetResult {
 	for _, id := range e.TreeEdgesAt(v) {
 		inH[id] = true
 	}
-
-	e.step1(tr, inH, collect)
-	e.step2(tr, inH, collect)
-	e.step3(tr, inH, collect)
-
-	tr.HEdges = make([]int, 0, len(inH))
-	for id := range inH {
-		tr.HEdges = append(tr.HEdges, id)
-	}
-	sort.Ints(tr.HEdges)
-	tree := make(map[int]bool)
-	for _, id := range e.TreeEdgesAt(v) {
-		tree[id] = true
-	}
-	for _, id := range tr.HEdges {
-		if !tree[id] {
-			tr.NewEdges = append(tr.NewEdges, id)
-		}
-	}
-	return tr
+	return tr, inH
 }
 
-// BuildTargetSingle runs only Step 1 for target v, producing the
-// single-failure structure of [10] (baseline in the experiments). It returns
-// nil when v is the source or unreachable.
-func (e *Engine) BuildTargetSingle(v int, collect bool) *TargetResult {
-	if v == e.s || e.treeDist[v] < 0 {
-		return nil
-	}
-	tr := &TargetResult{V: v, Pi: e.PiTo(v)}
-	l := tr.Pi.Len()
-	tr.PiEdgeIDs = make([]int, l)
-	for i := 0; i < l; i++ {
-		id, ok := e.g.EdgeID(tr.Pi[i], tr.Pi[i+1])
-		if !ok {
-			return nil
-		}
-		tr.PiEdgeIDs[i] = id
-	}
-	e.stampPi(tr)
-	inH := make(map[int]bool)
-	for _, id := range e.TreeEdgesAt(v) {
-		inH[id] = true
-	}
-	e.step1(tr, inH, collect)
+// finishTarget records H(v) as sorted HEdges and its non-tree part as
+// NewEdges.
+func (e *Engine) finishTarget(tr *TargetResult, inH map[int]bool) {
 	tr.HEdges = make([]int, 0, len(inH))
 	for id := range inH {
 		tr.HEdges = append(tr.HEdges, id)
 	}
 	sort.Ints(tr.HEdges)
 	tree := make(map[int]bool)
-	for _, id := range e.TreeEdgesAt(v) {
+	for _, id := range e.TreeEdgesAt(tr.V) {
 		tree[id] = true
 	}
 	for _, id := range tr.HEdges {
@@ -115,7 +104,6 @@ func (e *Engine) BuildTargetSingle(v int, collect bool) *TargetResult {
 			tr.NewEdges = append(tr.NewEdges, id)
 		}
 	}
-	return tr
 }
 
 // stampPi refreshes the vertex→π-position index for this target.
@@ -154,17 +142,10 @@ func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 			}
 		}
 		if collect {
-			if !collectPaths {
-				rec.Path = nil
-			}
 			tr.Records = append(tr.Records, rec)
 		}
 	}
 }
-
-// collectPaths controls whether Records keep full paths; always true today,
-// named for readability at the call sites above.
-const collectPaths = true
 
 // singleFault computes P(s,v,{e_i}) with the earliest-divergence rule.
 func (e *Engine) singleFault(tr *TargetResult, i int) Record {
