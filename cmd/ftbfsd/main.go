@@ -58,11 +58,9 @@ func run(args []string) error {
 		addr       = fs.String("addr", ":8080", "listen address")
 		builds     = fs.Int("builds", 0, "max concurrent structure builds (0 = GOMAXPROCS)")
 		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed, pinned per-source base trees (~16 B × n each) sit outside it (0 = default 256 MiB, <0 = no memo)")
-		shards     = fs.Int("cache-shards", 0, "memo shards per build (0 = auto: ~GOMAXPROCS, power of two)")
 		maxBatch   = fs.Int("max-batch", 0, "max queries per batch request (0 = default 65536)")
 		ordered    = fs.Bool("ordered", false, "renumber registered graphs into BFS vertex order (wire IDs unchanged; per-graph \"ordered\" field overrides)")
 		snapDir    = fs.String("snapshot-dir", "", "persist completed builds under this directory and warm-start from it")
-		prewarm    = fs.Bool("prewarm", false, "after a warm start, seed each restored build's query memo with its fault-free distance tables")
 		demo       = fs.Bool("demo", false, "register a demo graph (gnp n=200 p=0.05 seed=7) at startup")
 		rtimeout   = fs.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
 		wtimeout   = fs.Duration("write-timeout", 60*time.Second, "HTTP write timeout")
@@ -74,10 +72,8 @@ func run(args []string) error {
 	cfg := &server.Config{
 		MaxConcurrentBuilds: *builds,
 		CacheBytes:          *cacheBytes,
-		CacheShards:         *shards,
 		MaxBatchQueries:     *maxBatch,
 		OrderVertices:       *ordered,
-		PrewarmRestored:     *prewarm,
 		// One structured line per terminal build so operators can audit
 		// the build plane (completions AND cancellations) without polling.
 		BuildLog: func(e server.BuildEvent) {

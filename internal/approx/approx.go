@@ -181,15 +181,3 @@ func enumerateFaultSets(m, f int) [][]int {
 	}
 	return out
 }
-
-// NumFaultSets returns the number of fault sets |F| ≤ f over m edges.
-func NumFaultSets(m, f int) int {
-	n := 1
-	if f >= 1 {
-		n += m
-	}
-	if f >= 2 {
-		n += m * (m - 1) / 2
-	}
-	return n
-}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 	"repro/internal/verify"
 )
 
@@ -28,12 +29,10 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestNumFaultSets(t *testing.T) {
-	if NumFaultSets(10, 0) != 1 || NumFaultSets(10, 1) != 11 || NumFaultSets(10, 2) != 56 {
-		t.Fatalf("NumFaultSets wrong: %d %d %d",
-			NumFaultSets(10, 0), NumFaultSets(10, 1), NumFaultSets(10, 2))
-	}
-	if got := len(enumerateFaultSets(10, 2)); got != 56 {
-		t.Fatalf("enumerateFaultSets = %d", got)
+	for f := 0; f <= 2; f++ {
+		if got, want := len(enumerateFaultSets(10, f)), sched.NumFaultSets(10, f); int64(got) != want {
+			t.Fatalf("enumerateFaultSets(10, %d) = %d sets, sched.NumFaultSets = %d", f, got, want)
+		}
 	}
 }
 
@@ -121,7 +120,7 @@ func TestApproxWithinLogFactorOfExact(t *testing.T) {
 	// The exact structure is feasible, so OPT ≤ |ex|; greedy is within
 	// ln(U)+1 of OPT per vertex, hence globally within that of 2·OPT
 	// (each edge counted from both endpoints).
-	u := float64(NumFaultSets(g.M(), 2))
+	u := float64(sched.NumFaultSets(g.M(), 2))
 	bound := (math.Log(u) + 1) * 2 * float64(ex.NumEdges())
 	if float64(ap.NumEdges()) > bound {
 		t.Fatalf("approx %d exceeds theoretical bound %.1f", ap.NumEdges(), bound)

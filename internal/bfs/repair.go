@@ -7,19 +7,17 @@ import (
 )
 
 // Tree is a frozen fault-free BFS tree of one source: its distance table,
-// the parent of every reached vertex, and each vertex's children in CSR
-// form — the base a Repairer patches faults against. A Tree is immutable
-// once built, so any number of repairers, on any goroutines, may repair
-// against one shared tree (RunFrom); the oracle pins one per structure
-// source.
+// the parent of every reached vertex, and each vertex's children — the base
+// a Repairer patches faults against. A Tree is immutable once built, so any
+// number of repairers, on any goroutines, may repair against one shared
+// tree (RunFrom); the oracle pins one per structure source and the
+// verifier builds one per source and side.
 type Tree struct {
 	g      *graph.Graph
 	src    int
 	dist   []int32
 	parent []int32 // -1 at the source and at unreached vertices
-	// Children of v are kids[kidOff[v]:kidOff[v+1]].
-	kidOff []int32
-	kids   []int32
+	kids   Subtrees
 }
 
 // NewTree runs the fault-free BFS from src over g and freezes it.
@@ -38,28 +36,14 @@ func (t *Tree) build(r *Runner, src int) {
 	t.dist = resize(t.dist, n)
 	copy(t.dist, r.dist)
 	t.parent = resize(t.parent, n)
-	t.kidOff = resize(t.kidOff, n+1)
-	clear(t.kidOff)
 	for v := 0; v < n; v++ {
 		p := int32(-1)
 		if t.dist[v] > 0 {
 			p = r.parent[v]
-			t.kidOff[p+1]++
 		}
 		t.parent[v] = p
 	}
-	for i := 0; i < n; i++ {
-		t.kidOff[i+1] += t.kidOff[i]
-	}
-	t.kids = resize(t.kids, int(t.kidOff[n]))
-	fill := r.queue[:n] // the finished run's queue is free scratch
-	copy(fill, t.kidOff[:n])
-	for v := 0; v < n; v++ {
-		if p := t.parent[v]; p >= 0 {
-			t.kids[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
+	t.kids.Build(t.parent)
 }
 
 // resize returns s with length n, reallocating only when it is too short.
@@ -76,7 +60,76 @@ func (t *Tree) Dists() []int32 { return t.dist }
 // Bytes returns the memory held by the tree's tables: distances, parents
 // and the child CSR — about 16 bytes per vertex.
 func (t *Tree) Bytes() int64 {
-	return 4 * int64(len(t.dist)+len(t.parent)+len(t.kidOff)+len(t.kids))
+	return 4 * int64(len(t.dist)+len(t.parent)+len(t.kids.off)+len(t.kids.kids))
+}
+
+// Subtrees is a frozen tree's child lists in CSR form — the children of v
+// are kids[off[v]:off[v+1]], in vertex order — and the subtree walk both
+// repair kernels detach faults with: Repairer over a Tree, and
+// wsp.RepairSearch over a wsp.Tree.
+type Subtrees struct {
+	off  []int32
+	kids []int32
+}
+
+// Build fills s from a parent table (parent[v] < 0 marks the root and
+// unreached vertices), reusing s's buffers when they are large enough.
+func (s *Subtrees) Build(parent []int32) {
+	n := len(parent)
+	s.off = resize(s.off, n+1)
+	clear(s.off)
+	for _, p := range parent {
+		if p >= 0 {
+			s.off[p+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.off[i+1] += s.off[i]
+	}
+	s.kids = resize(s.kids, int(s.off[n]))
+	// off[p] serves as p's fill cursor and ends at p's end, which is where
+	// p+1 starts; shifting the table one slot restores the starts.
+	for v, p := range parent {
+		if p >= 0 {
+			s.kids[s.off[p]] = int32(v)
+			s.off[p]++
+		}
+	}
+	copy(s.off[1:], s.off[:n])
+	s.off[0] = 0
+}
+
+// Of returns v's children. Callers must not mutate the slice.
+func (s *Subtrees) Of(v int) []int32 { return s.kids[s.off[v]:s.off[v+1]] }
+
+// DetachCap is the arc-volume cap of a detached region of g, max(256, m):
+// past it a from-scratch run is cheaper than a repair, so both repair
+// kernels fall back.
+func DetachCap(g *graph.Graph) int { return max(256, g.M()) }
+
+// Detach grows region — the roots of the detached subtrees, each already
+// stamped ep in inR — by every descendant, stamping each, and returns the
+// grown region, with false as soon as the region's arc volume in g passes
+// limit.
+//
+//ftbfs:hotpath
+func (s *Subtrees) Detach(g *graph.Graph, region []int32, inR []uint32, ep uint32, limit int) ([]int32, bool) {
+	off, kids := s.off, s.kids
+	vol := 0
+	for i := 0; i < len(region); i++ {
+		v := region[i]
+		vol += g.Degree(int(v))
+		if vol > limit {
+			return region, false
+		}
+		for _, c := range kids[off[v]:off[v+1]] {
+			if inR[c] != ep {
+				inR[c] = ep
+				region = append(region, c)
+			}
+		}
+	}
+	return region, true
 }
 
 // Repairer computes fault-restricted BFS distance tables by incrementally
@@ -95,11 +148,13 @@ func (t *Tree) Bytes() int64 {
 //
 // There is one kernel and two ways to name its base. RunFrom repairs
 // against a caller-held Tree, typically one shared by many repairers —
-// switching trees costs one n-entry table copy, not a BFS. Run names a
-// source instead and repairs against a repairer-owned tree, rebuilt in
-// place (one full BFS) whenever the source moves. Distances are the only
-// output, bit-identical to a from-scratch run by construction; paths are
-// walked back over a distance table (the oracle's Route does so).
+// switching trees costs one n-entry table copy, not a BFS. The oracle and
+// the verifier both work this way. Run names a source instead and repairs
+// against a repairer-owned tree, rebuilt in place (one full BFS) whenever
+// the source moves; only the traced replay in bench/trace.go still calls
+// it. Distances are the only output, bit-identical to a from-scratch run
+// by construction; paths are walked back over a distance table (the
+// oracle's Route does so).
 //
 // A Repairer is not safe for concurrent use; create one per goroutine and
 // keep it. The trees it repairs against may be shared freely.
@@ -131,7 +186,7 @@ type Repairer struct {
 // own until Run first needs one.
 func NewRepairer(g *graph.Graph) *Repairer {
 	n := g.N()
-	r := &Repairer{
+	return &Repairer{
 		g:        g,
 		r:        NewRunner(g),
 		out:      make([]int32, n),
@@ -141,12 +196,8 @@ func NewRepairer(g *graph.Graph) *Repairer {
 		seeds:    make([]int64, 0, 64),
 		cur:      make([]int32, 0, n),
 		next:     make([]int32, 0, n),
-		volLimit: g.M(),
+		volLimit: DetachCap(g),
 	}
-	if r.volLimit < 256 {
-		r.volLimit = 256
-	}
-	return r
 }
 
 // undo restores the live table to the tree's distances for every vertex
@@ -229,37 +280,14 @@ func (r *Repairer) RunFrom(t *Tree, disabledEdges []int) {
 	if len(r.region) == 0 {
 		return // every fault is a non-tree edge: exact no-op
 	}
-	if !r.detach() {
+	var ok bool
+	if r.region, ok = t.kids.Detach(r.g, r.region, r.inR, ep, r.volLimit); !ok {
 		r.full = true
 		r.region = r.region[:0]
 		r.r.Run(t.src, disabledEdges, nil)
 		return
 	}
 	r.repair()
-}
-
-// detach expands region to the full descendant set of its roots under the
-// base tree, or reports false when the arc volume passes volLimit.
-//
-//ftbfs:hotpath
-func (r *Repairer) detach() bool {
-	ep := r.ep
-	kidOff, kids := r.t.kidOff, r.t.kids
-	vol := 0
-	for i := 0; i < len(r.region); i++ {
-		v := r.region[i]
-		vol += r.g.Degree(int(v))
-		if vol > r.volLimit {
-			return false
-		}
-		for _, c := range kids[kidOff[v]:kidOff[v+1]] {
-			if r.inR[c] != ep {
-				r.inR[c] = ep
-				r.region = append(r.region, c)
-			}
-		}
-	}
-	return true
 }
 
 // repair re-settles the detached region level-synchronously. Each x in R

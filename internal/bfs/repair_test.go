@@ -1,8 +1,10 @@
 package bfs
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -271,35 +273,6 @@ func FuzzRepairEquivalence(f *testing.F) {
 	})
 }
 
-// TestScratchPool pins the arena ownership contract: arenas recycle, the
-// repairer is built lazily, and a recycled arena still answers correctly.
-func TestScratchPool(t *testing.T) {
-	g := gen.SparseGNP(100, 5, 1)
-	pool := NewScratchPool(g)
-	s := pool.Acquire()
-	if s.rep != nil {
-		t.Fatal("repairer built eagerly")
-	}
-	s.Runner().Run(0, nil, nil)
-	want := append([]int32(nil), s.Runner().Dists()...)
-	s.Repairer().Run(0, []int{1})
-	pool.Release(s)
-	s2 := pool.Acquire()
-	defer pool.Release(s2)
-	s2.Runner().Run(0, nil, nil)
-	for v, d := range s2.Runner().Dists() {
-		if d != want[v] {
-			t.Fatalf("recycled arena: dist[%d] = %d, want %d", v, d, want[v])
-		}
-	}
-	s2.Repairer().Run(0, nil)
-	for v, d := range s2.Repairer().Dists() {
-		if d != want[v] {
-			t.Fatalf("recycled repairer: dist[%d] = %d, want %d", v, d, want[v])
-		}
-	}
-}
-
 func BenchmarkRepairVsScratch(b *testing.B) {
 	g := gen.SparseGNP(1600, 6, 2015)
 	faultSets := make([][]int, 64)
@@ -322,4 +295,49 @@ func BenchmarkRepairVsScratch(b *testing.B) {
 			r.Run(0, faultSets[i%len(faultSets)])
 		}
 	})
+}
+
+// treeHash digests every table of a frozen tree: distances, parents and
+// the child CSR.
+func treeHash(t *Tree) [sha256.Size]byte {
+	h := sha256.New()
+	fmt.Fprint(h, t.src, t.dist, t.parent, t.kids.off, t.kids.kids)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestSharedTreeStaysFrozen has several goroutines repair random fault
+// sets against one shared Tree through RunFrom — no-ops, subtree repairs
+// and volume fallbacks — and requires every table of the tree
+// bit-identical afterwards. Under -race it also shows the repairs only
+// read the tree.
+func TestSharedTreeStaysFrozen(t *testing.T) {
+	g := gen.SparseGNP(300, 5, 17)
+	tr := NewTree(g, 0)
+	want := treeHash(tr)
+	var wg sync.WaitGroup
+	for worker := 0; worker < 4; worker++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rep := NewRepairer(g)
+			if seed == 1 {
+				rep.volLimit = 40 // mix volume fallbacks into one worker's runs
+			}
+			rng := rand.New(rand.NewSource(seed))
+			faults := make([]int, 0, 3)
+			for trial := 0; trial < 300; trial++ {
+				faults = faults[:0]
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					faults = append(faults, rng.Intn(g.M()))
+				}
+				rep.RunFrom(tr, faults)
+			}
+		}(int64(worker + 1))
+	}
+	wg.Wait()
+	if treeHash(tr) != want {
+		t.Fatal("repairs changed the shared tree")
+	}
 }

@@ -98,8 +98,9 @@ type Options struct {
 	// that many goroutines — per-target replacement-path computations for
 	// BuildDual/BuildSingle and multifail.Build, per-fault-set canonical
 	// trees for BuildExhaustive/BuildVertexExhaustive — each goroutine
-	// with its own search engine over the SAME weight assignment, so the
-	// result is identical to the sequential build.
+	// with its own search engine over one shared canonical tree under the
+	// SAME weight assignment, so the result is identical to the sequential
+	// build.
 	Parallelism int
 	// Ctx cancels the build: every builder polls it cooperatively at an
 	// amortized cadence inside its enumeration loops (internal/cancel) and,
@@ -196,41 +197,30 @@ func BuildSingle(g *graph.Graph, s int, opts *Options) (*Structure, error) {
 
 func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	build func(*replace.Engine, int, bool) *replace.TargetResult) (*Structure, error) {
-	prog := opts.ProgressSink()
-	w := wsp.NewAssignment(g.M(), opts.seed())
-	t0 := time.Now()
-	eng, err := replace.NewEngine(g, w, s)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if s < 0 || s >= g.N() {
+		return nil, fmt.Errorf("core: source %d out of range [0,%d)", s, g.N())
 	}
+	prog := opts.ProgressSink()
+	t0 := time.Now()
+	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), opts.seed()), s)
 	prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
-	// Credit the engine's base search immediately: a build cancelled
-	// before its first target still reports the work it actually did.
+	// Credit the base search immediately: a build cancelled before its
+	// first target still reports the work it actually did.
 	prog.AddDijkstras(1)
 	opts.AnnounceTotal(int64(g.N()))
 	st := &Structure{G: g, Sources: []int{s}, Faults: faults}
+	// T0's search and its ties are counted once, here where it is built.
+	st.Stats.Dijkstras, st.Stats.TieWarnings = 1, tree.Ties()
 	collect := opts.collect()
 	if collect {
 		st.Targets = make([]*replace.TargetResult, g.N())
 	}
 	// Targets are independent: each worker folds the targets it claims
-	// into a private partial seeded with T0. Worker 0 reuses the engine
-	// that built T0; every other worker builds its own over the same W
-	// and subtracts that engine's construction counters, so the merged
-	// stats match a one-worker build exactly.
+	// into a private partial seeded with T0, through its own engine over
+	// the one shared tree.
 	parts, err := sched.Run(opts.Context(), opts.Workers(), g.N(),
 		func(wi int, next func() (int, int, bool)) (partial, error) {
-			e := eng
-			var base replace.Stats
-			if wi > 0 {
-				t0 := time.Now()
-				var err error
-				if e, err = replace.NewEngine(g, w, s); err != nil {
-					return partial{}, fmt.Errorf("core: %w", err)
-				}
-				base = e.Stats()
-				prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
-			}
+			e := replace.NewEngine(tree)
 			part := partial{edges: graph.NewEdgeSet(g.M())}
 			for _, id := range e.TreeEdges() {
 				part.edges.Add(id)
@@ -239,7 +229,7 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 				prog.AddEdges(int64(part.edges.Len()))
 			}
 			poll := cancel.New(opts.Context(), 1) // each target pays several searches; check per target
-			prevD := e.Stats().Dijkstras
+			prevD := 0
 			tEv := time.Now()
 			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 				for v := lo; v < hi; v++ {
@@ -259,9 +249,9 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 			}
 			prog.AddPhaseNS(PhaseEvents, time.Since(tEv).Nanoseconds())
 			es := e.Stats()
-			part.stats.Dijkstras = es.Dijkstras - base.Dijkstras
-			part.stats.Fallbacks = es.Fallbacks - base.Fallbacks
-			part.stats.TieWarnings = es.TieWarnings - base.TieWarnings
+			part.stats.Dijkstras = es.Dijkstras
+			part.stats.Fallbacks = es.Fallbacks
+			part.stats.TieWarnings = es.TieWarnings
 			return part, nil
 		})
 	if err != nil {
@@ -390,19 +380,19 @@ func BuildExhaustive(g *graph.Graph, s int, f int, opts *Options) (*Structure, e
 // rather than wait out a slow stripe. Any claim partition yields the same
 // union: every tree is deterministic under W.
 //
-// Each worker has a PRIVATE repair search over the shared weight
-// assignment and a private edge accumulator. The search is an incremental
-// repairer pinned bit-identical to a from-scratch run
+// The canonical tree T0 is built once and shared: each worker repairs
+// against it through a private search and folds into a private edge
+// accumulator. The search is pinned bit-identical to a from-scratch run
 // (wsp.RepairSearch); when a run reports an incremental changed set, only
-// those vertices' tree edges can differ from the base tree, so extraction
-// walks the changed set instead of all of V. The base tree itself enters
-// through worker 0's faults == nil tree, which (like any fallback run)
-// extracts over all vertices.
+// those vertices' tree edges can differ from T0, so extraction walks the
+// changed set instead of all of V. T0 itself enters through worker 0's
+// faults == nil tree, which (like any fallback run) extracts over all
+// vertices.
 //
-// TieWarnings bookkeeping: each worker's base run observes the SAME ties
-// a sequential from-scratch enumeration would observe once, so per-worker
-// counts are baselined after construction — the sum matches the
-// sequential build exactly.
+// Counters: every fault set, the empty one included, is one Dijkstra, and
+// TieWarnings counts what the workers' repairs and fallback runs observe.
+// T0's own search is not counted: the empty set's run is a no-op repair
+// of it.
 //
 // Cancellation: every worker polls opts.Ctx every cancel.PollEvery trees.
 // A cancelled enumeration makes unionTrees return ctx.Err() WITHOUT
@@ -411,7 +401,6 @@ func BuildExhaustive(g *graph.Graph, s int, f int, opts *Options) (*Structure, e
 func unionTrees(st *Structure, opts *Options, f, skip int) error {
 	prog := opts.ProgressSink()
 	g, s := st.G, st.Sources[0]
-	w := wsp.NewAssignment(g.M(), opts.seed())
 	n := g.M()
 	if st.VertexFaults {
 		n = g.N()
@@ -420,13 +409,13 @@ func unionTrees(st *Structure, opts *Options, f, skip int) error {
 	if f == 0 {
 		units = 0
 	}
+	t0 := time.Now()
+	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), opts.seed()), s)
+	prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
 	parts, err := sched.Run(opts.Context(), opts.Workers(), units,
 		func(wi int, next func() (int, int, bool)) (partial, error) {
-			t0 := time.Now()
-			search := wsp.NewRepairSearch(g, w, s)
-			baseTies := search.TieWarnings()
+			search := wsp.NewRepairSearch(tree)
 			part := partial{edges: graph.NewEdgeSet(g.M())}
-			prog.AddPhaseNS(PhaseBase, time.Since(t0).Nanoseconds())
 			poll := cancel.New(opts.Context(), cancel.PollEvery)
 			var err error
 			addTree := func(faults []int) bool {
@@ -476,7 +465,7 @@ func unionTrees(st *Structure, opts *Options, f, skip int) error {
 				}
 			}
 			prog.AddPhaseNS(PhaseEvents, time.Since(tEv).Nanoseconds())
-			part.stats.TieWarnings = search.TieWarnings() - baseTies
+			part.stats.TieWarnings = search.TieWarnings()
 			return part, nil
 		})
 	if err != nil {

@@ -136,6 +136,20 @@ func TestBuildExhaustiveRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestBuildDualRejectsBadSource covers the per-target builders' source
+// check, which runs before T0 is built.
+func TestBuildDualRejectsBadSource(t *testing.T) {
+	g := gen.PathGraph(4)
+	for _, s := range []int{-1, 4} {
+		if _, err := BuildDual(g, s, nil); err == nil {
+			t.Fatalf("BuildDual accepted source %d", s)
+		}
+		if _, err := BuildSingle(g, s, nil); err == nil {
+			t.Fatalf("BuildSingle accepted source %d", s)
+		}
+	}
+}
+
 func TestBuildFullPathsSupersetOfDual(t *testing.T) {
 	g := gen.GNP(20, 0.25, 12)
 	dual, err := BuildDual(g, 0, &Options{Seed: 5})

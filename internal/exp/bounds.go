@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lowerbound"
+	"repro/internal/sched"
 	"repro/internal/verify"
 )
 
@@ -165,7 +166,7 @@ func E3Approx(cfg Config) (*Table, error) {
 		if rep := verify.Structure(g, ap, sources, c.f, cfg.verifyOpts()); !rep.OK {
 			return nil, fmt.Errorf("E3 %s: approx failed verification: %v", c.name, rep.Violations[0])
 		}
-		u := float64(approx.NumFaultSets(g.M(), c.f) * len(sources))
+		u := float64(sched.NumFaultSets(g.M(), c.f) * int64(len(sources)))
 		t.AddRow(c.name, itoa(c.f), itoa(len(sources)), itoa(g.N()), itoa(g.M()),
 			itoa(ap.NumEdges()), itoa(exact.NumEdges()), itoa(g.N()-1),
 			f3(float64(ap.NumEdges())/float64(exact.NumEdges())), f2(math.Log(u)))

@@ -41,8 +41,8 @@ const MaxSearches = 4_000_000
 // Build constructs an f-failure FT-BFS structure (any f ≥ 0) for source s
 // by relevant-fault-tree enumeration. Options carry the tie-breaking seed
 // and Parallelism: targets are independent, so their relevant trees are
-// expanded by that many goroutines with private search engines over the
-// shared weight assignment (the search budget stays global), and the
+// expanded by that many goroutines with private search engines over one
+// shared canonical tree (the search budget stays global), and the
 // resulting structure is identical to the sequential build. Options.Ctx
 // cancels the enumeration cooperatively (Build then returns ctx.Err() and
 // no structure) and Options.Progress receives live counters — one work
@@ -59,7 +59,11 @@ func Build(g *graph.Graph, s int, f int, opts *core.Options) (*core.Structure, e
 		seed = opts.Seed + 1
 	}
 	prog := opts.ProgressSink()
-	w := wsp.NewAssignment(g.M(), seed)
+	// One canonical tree serves every worker's repairs; its own search is
+	// not a relevant fault set, so it is not counted.
+	t0 := time.Now()
+	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), seed), s)
+	prog.AddPhaseNS(core.PhaseBase, time.Since(t0).Nanoseconds())
 	// Work units are targets; the per-target relevant-tree size is not
 	// known up front, so Dijkstras is the finer-grained live counter.
 	opts.AnnounceTotal(int64(max(0, g.N()-1)))
@@ -73,14 +77,10 @@ func Build(g *graph.Graph, s int, f int, opts *core.Options) (*core.Structure, e
 	}
 	parts, err := sched.Run(opts.Context(), opts.Workers(), g.N(),
 		func(_ int, next func() (int, int, bool)) (partial, error) {
-			t0 := time.Now()
-			// The repair search reuses the base tree across the fault
+			// The repair search reuses the shared tree across the fault
 			// sets of every target; runs are bit-identical to
-			// from-scratch searches, and its base-run tie count is
-			// baselined away so the parallel sum matches sequential.
-			search := wsp.NewRepairSearch(g, w, s)
-			baseTies := search.TieWarnings()
-			prog.AddPhaseNS(core.PhaseBase, time.Since(t0).Nanoseconds())
+			// from-scratch searches.
+			search := wsp.NewRepairSearch(tree)
 			b := &builder{
 				g:        g,
 				s:        s,
@@ -105,7 +105,7 @@ func Build(g *graph.Graph, s int, f int, opts *core.Options) (*core.Structure, e
 				}
 			}
 			prog.AddPhaseNS(core.PhaseEvents, time.Since(tEv).Nanoseconds())
-			return partial{b.edges, search.TieWarnings() - baseTies}, nil
+			return partial{b.edges, search.TieWarnings()}, nil
 		})
 	// Cancellation wins over whatever else the workers hit: the build is
 	// cancelled, not failed, and no partial structure is published.

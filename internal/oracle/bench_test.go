@@ -315,7 +315,7 @@ func BenchmarkOracleMiss(b *testing.B) {
 }
 
 // BenchmarkOracleSetBuild measures NewSet itself: materializing H as its
-// own graph plus the G→H edge map.
+// own graph plus the G→H edge map, and pinning the source's tree.
 func BenchmarkOracleSetBuild(b *testing.B) {
 	g := gen.SparseGNP(400, 8, 1)
 	st, err := core.BuildSingle(g, 0, nil)

@@ -89,20 +89,47 @@ const deltaDenom = 8
 const entryOverheadBytes = 128
 
 // CacheStats is a snapshot of the shared memo's counters, aggregated
-// across every shard plus the set's pinned tier-0 bases.
+// across every shard plus the set's pinned tier-0 trees. It is also the
+// wire form of the memo counters: ftbfsd serves it as the "cache" object of
+// build info and GET /v1/stats.
 type CacheStats struct {
-	Len       int   // tier-1 entries currently cached
-	Capacity  int   // configured entry cap (0 = no entry bound)
-	Shards    int   // independently-locked sub-caches
-	Hits      int64 // lookups answered from the memo (either tier)
-	Misses    int64 // lookups that ran a BFS or repair
-	Evictions int64 // tier-1 entries dropped to stay within the bounds
+	Len       int   `json:"len"`       // tier-1 entries currently cached
+	Capacity  int   `json:"capacity"`  // configured entry cap (0 = no entry bound)
+	Shards    int   `json:"shards"`    // independently-locked sub-caches
+	Hits      int64 `json:"hits"`      // lookups answered from the memo (either tier)
+	Misses    int64 `json:"misses"`    // lookups that ran a repair
+	Evictions int64 `json:"evictions"` // tier-1 entries dropped to stay within the bounds
 
-	BytesUsed     int64 // tier-1 bytes currently accounted against the budget
-	BytesCapacity int64 // configured byte budget (0 = no byte bound)
-	DeltaEntries  int   // tier-1 entries stored as deltas vs a pinned base
-	FullEntries   int   // tier-1 entries stored as full tables
-	PinnedBytes   int64 // tier-0 pinned base trees (distances, parents, child CSR), outside the LRU budget
+	BytesUsed     int64 `json:"bytesUsed"`     // tier-1 bytes currently accounted against the budget
+	BytesCapacity int64 `json:"bytesCapacity"` // configured byte budget (0 = no byte bound)
+	DeltaEntries  int   `json:"deltaEntries"`  // tier-1 entries stored as deltas vs a pinned base
+	FullEntries   int   `json:"fullEntries"`   // tier-1 entries stored as full tables
+	PinnedBytes   int64 `json:"pinnedBytes"`   // tier-0 pinned trees (distances, parents, child CSR), outside the LRU budget
+}
+
+// add sums o into s, field by field.
+func (s *CacheStats) add(o CacheStats) {
+	s.Len += o.Len
+	s.Capacity += o.Capacity
+	s.Shards += o.Shards
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.BytesUsed += o.BytesUsed
+	s.BytesCapacity += o.BytesCapacity
+	s.DeltaEntries += o.DeltaEntries
+	s.FullEntries += o.FullEntries
+	s.PinnedBytes += o.PinnedBytes
+}
+
+// TotalCacheStats sums the counters of several sets, Shards included, so
+// the total reads as "shards serving queries".
+func TotalCacheStats(sets []*OracleSet) CacheStats {
+	var out CacheStats
+	for _, s := range sets {
+		out.add(s.CacheStats())
+	}
+	return out
 }
 
 // DistView is a read-only view of one failure event's distance table.
@@ -392,14 +419,11 @@ const minShardBytes = 64 << 10
 // shardedCache splits the memo into power-of-two many lruCache shards
 // selected by the low bits of the key hash. Shards are independently
 // locked, so lookups of distinct failure events proceed without
-// contention; within one shard the LRU semantics are unchanged. The
-// configured bounds are immutable, so budget reads never take a lock.
+// contention; within one shard the LRU semantics are unchanged.
 type shardedCache struct {
 	shards  []*lruCache
 	mask    uint64
-	enabled bool  // immutable: memoization on at all
-	entries int   // immutable: configured total entry cap (0 = none)
-	bytes   int64 // immutable: configured total byte budget (0 = none)
+	enabled bool // immutable: memoization on at all
 }
 
 // defaultShardCount rounds GOMAXPROCS up to a power of two, then halves
@@ -453,8 +477,6 @@ func newShardedCache(entries int, bytes int64, shards int) *shardedCache {
 		shards:  make([]*lruCache, shards),
 		mask:    uint64(shards - 1),
 		enabled: enabled,
-		entries: max(entries, 0),
-		bytes:   max(bytes, 0),
 	}
 	eBase, eRem := 0, 0
 	if entries > 0 {
@@ -497,16 +519,7 @@ func (c *shardedCache) add(e *cacheEntry) DistView {
 func (c *shardedCache) stats() CacheStats {
 	out := CacheStats{Shards: len(c.shards)}
 	for _, sh := range c.shards {
-		s := sh.stats()
-		out.Len += s.Len
-		out.Capacity += s.Capacity
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-		out.BytesUsed += s.BytesUsed
-		out.BytesCapacity += s.BytesCapacity
-		out.DeltaEntries += s.DeltaEntries
-		out.FullEntries += s.FullEntries
+		out.add(sh.stats())
 	}
 	return out
 }

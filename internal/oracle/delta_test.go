@@ -185,8 +185,9 @@ func TestDeltaCapacityGain(t *testing.T) {
 	}
 }
 
-// TestCacheBudgetAccessor pins the lock-free budget accessor across the
-// constructor lattice.
+// TestCacheBudgetAccessor pins the configured bounds across the
+// constructor lattice, as CacheStats reports them: the shards' entry caps
+// and byte budgets sum to exactly what the constructor was given.
 func TestCacheBudgetAccessor(t *testing.T) {
 	g := gen.PathGraph(6)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -211,77 +212,77 @@ func TestCacheBudgetAccessor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, bytes := set.CacheBudget()
-		if entries != tc.wantEntries || bytes != tc.wantBytes {
-			t.Errorf("%s: CacheBudget() = (%d, %d), want (%d, %d)",
-				tc.name, entries, bytes, tc.wantEntries, tc.wantBytes)
+		if cs := set.CacheStats(); cs.Capacity != tc.wantEntries || cs.BytesCapacity != tc.wantBytes {
+			t.Errorf("%s: CacheStats bounds (%d, %d), want (%d, %d)",
+				tc.name, cs.Capacity, cs.BytesCapacity, tc.wantEntries, tc.wantBytes)
 		}
 	}
 }
 
-// TestPrewarmPinsBases checks Prewarm's tier-0 contract: it pins every
-// source's base tree exactly once, counts only fresh pins, touches no
-// tier-1 state or hit/miss counters, and stays off when memoization is
-// disabled. PinnedBytes counts each whole tree: distances and parents (n
-// words each), child offsets (n+1) and one child slot per reached vertex
-// other than the source.
-func TestPrewarmPinsBases(t *testing.T) {
+// TestConstructorPinsTrees checks the tier-0 contract: the constructor
+// pins every source's base tree — memo on or off — before any query,
+// without touching tier-1 state or the hit/miss counters, and a fault-free
+// query is then a pure tier-0 hit (counted only when the memo is on).
+// PinnedBytes counts each whole tree: distances and parents (n words
+// each), child offsets (n+1) and one child slot per reached vertex other
+// than the source.
+func TestConstructorPinsTrees(t *testing.T) {
 	g := gen.GNP(20, 0.3, 4)
 	st, err := core.BuildMultiSource(g, []int{0, 9, 17}, nil, core.BuildSingle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetBytes(st, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := set.Prewarm(); n != 3 {
-		t.Fatalf("Prewarm pinned %d bases, want 3", n)
-	}
-	cs := set.CacheStats()
-	if cs.Len != 0 || cs.Hits != 0 || cs.Misses != 0 {
-		t.Fatalf("Prewarm leaked into tier-1 state: %+v", cs)
-	}
-	var want int64
-	for _, src := range st.Sources {
-		reached := 0
-		for _, d := range bfs.Distances(set.sub, src, nil) {
-			if d != bfs.Unreachable {
-				reached++
-			}
+	for _, tc := range []struct {
+		name string
+		mk   func() (*OracleSet, error)
+		memo bool
+	}{
+		{"bytes", func() (*OracleSet, error) { return NewSetBytes(st, 1<<16) }, true},
+		{"off", func() (*OracleSet, error) { return NewSetCapacity(st, 0) }, false},
+	} {
+		set, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
 		}
-		n := set.sub.N()
-		want += 4 * int64(n+n+(n+1)+(reached-1))
-	}
-	if cs.PinnedBytes != want {
-		t.Fatalf("PinnedBytes = %d, want %d", cs.PinnedBytes, want)
-	}
-	if n := set.Prewarm(); n != 0 {
-		t.Fatalf("second Prewarm re-pinned %d bases", n)
-	}
-	// A fault-free query after Prewarm is a pure tier-0 hit.
-	o := set.Handle()
-	if _, err := o.Dists(9, nil); err != nil {
-		t.Fatal(err)
-	}
-	if cs := set.CacheStats(); cs.Hits != 1 || cs.Misses != 0 {
-		t.Fatalf("fault-free query after Prewarm not a hit: %+v", cs)
-	}
-
-	disabled, err := NewSetCapacity(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := disabled.Prewarm(); n != 0 {
-		t.Fatalf("disabled set prewarmed %d", n)
+		var want int64
+		for i, src := range st.Sources {
+			if set.trees[i] == nil {
+				t.Fatalf("%s: source %d has no pinned tree", tc.name, src)
+			}
+			reached := 0
+			for _, d := range bfs.Distances(set.sub, src, nil) {
+				if d != bfs.Unreachable {
+					reached++
+				}
+			}
+			n := set.sub.N()
+			want += 4 * int64(n+n+(n+1)+(reached-1))
+		}
+		cs := set.CacheStats()
+		if cs.Len != 0 || cs.Hits != 0 || cs.Misses != 0 {
+			t.Fatalf("%s: the constructor leaked into tier-1 state: %+v", tc.name, cs)
+		}
+		if cs.PinnedBytes != want {
+			t.Fatalf("%s: PinnedBytes = %d, want %d", tc.name, cs.PinnedBytes, want)
+		}
+		if _, err := set.Handle().Dists(9, nil); err != nil {
+			t.Fatal(err)
+		}
+		wantHits := int64(0)
+		if tc.memo {
+			wantHits = 1
+		}
+		if cs := set.CacheStats(); cs.Hits != wantHits || cs.Misses != 0 || cs.PinnedBytes != want {
+			t.Fatalf("%s: fault-free query not a pure tier-0 hit: %+v", tc.name, cs)
+		}
 	}
 }
 
 // TestConcurrentTierMix runs concurrent clients mixing tier-0 (fault-free),
 // tier-1 (cached events), and uncached queries — with concurrent
 // CacheStats readers — under a small byte budget that keeps eviction hot.
-// Run with -race this exercises the pinned-base double-check, the shard
-// locks and the set-level atomics together; every answer is checked
+// Run with -race this exercises the shared pinned trees, the shard locks
+// and the set-level atomics together; every answer is checked
 // against precomputed ground truth.
 func TestConcurrentTierMix(t *testing.T) {
 	g := gen.SparseGNP(80, 4, 13)

@@ -12,13 +12,13 @@
 // Acquire/Release), so one failure event's BFS is computed once and shared
 // across every concurrent client — by distance lookups and routes alike.
 //
-// The memo's two tiers (see cache.go): tier 0 pins each source's
-// fault-free BFS tree outside the LRU — the base every handle's repairer
-// patches faults against, and whose distance table every delta decodes
-// against — and tier 1 stores failure events as deltas against that base
-// whenever the incremental repairer proves the event only touched a small
-// region, so a byte budget holds orders of magnitude more events than full
-// 4n-byte tables would.
+// The memo's two tiers (see cache.go): tier 0 is each source's fault-free
+// BFS tree, pinned by the constructor outside the LRU — the base every
+// handle's repairer patches faults against, and whose distance table every
+// delta decodes against — and tier 1 stores failure events as deltas
+// against that base whenever the incremental repairer proves the event
+// only touched a small region, so a byte budget holds orders of magnitude
+// more events than full 4n-byte tables would.
 package oracle
 
 import (
@@ -79,23 +79,14 @@ type OracleSet struct {
 	cache  *shardedCache
 	pool   sync.Pool
 
-	// Tier 0: one pinned fault-free BFS tree per structure source (indexed
-	// like st.Sources), built once on first need — memo on or off — and
-	// never evicted. Every miss repairs against its source's tree, and
-	// every delta entry in the memo decodes against the tree's distances,
-	// so the tree must outlive all of them.
-	trees       []pinnedTree
-	pinnedBytes atomic.Int64
-	baseHits    atomic.Int64 // empty-fault-set queries served from a pinned tree
-	baseMisses  atomic.Int64 // empty-fault-set queries that built the tree
-}
-
-// pinnedTree holds one source's fault-free BFS tree. It is nil until the
-// first query needs it; the mutex only serializes the one-time build
-// (reads are a lock-free atomic load).
-type pinnedTree struct {
-	mu sync.Mutex
-	t  atomic.Pointer[bfs.Tree]
+	// Tier 0: one fault-free BFS tree per structure source (indexed like
+	// st.Sources), built by the constructor — memo on or off — and never
+	// evicted or written. Every miss repairs against its source's tree,
+	// and every delta entry in the memo decodes against the tree's
+	// distances, so the tree must outlive all of them.
+	trees       []*bfs.Tree
+	pinnedBytes int64
+	baseHits    atomic.Int64 // empty-fault-set queries served from a tree
 }
 
 // NewSet builds the shared query state for st with the default cache bound.
@@ -151,11 +142,15 @@ func newSet(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) 
 	s := &OracleSet{
 		st:    st,
 		cache: newShardedCache(cacheEntries, cacheBytes, shards),
-		trees: make([]pinnedTree, len(st.Sources)),
+		trees: make([]*bfs.Tree, len(st.Sources)),
 	}
 	// Materialize H directly in CSR form; sub edge IDs are assigned in
 	// increasing G-edge-ID order, no per-edge hashing involved.
 	s.sub, s.gToSub = st.G.SubgraphMapped(st.Edges)
+	for i, src := range st.Sources {
+		s.trees[i] = bfs.NewTree(s.sub, src)
+		s.pinnedBytes += s.trees[i].Bytes()
+	}
 	s.pool.New = func() any { return s.Handle() }
 	return s, nil
 }
@@ -170,59 +165,12 @@ func (s *OracleSet) Faults() int { return s.st.Faults }
 func (s *OracleSet) Sources() []int { return append([]int(nil), s.st.Sources...) }
 
 // CacheStats returns a snapshot of the shared memo's counters: the tier-1
-// shard sums plus the tier-0 pinned-tree hits, misses and bytes.
+// shard sums plus the tier-0 tree hits and bytes.
 func (s *OracleSet) CacheStats() CacheStats {
 	cs := s.cache.stats()
 	cs.Hits += s.baseHits.Load()
-	cs.Misses += s.baseMisses.Load()
-	cs.PinnedBytes = s.pinnedBytes.Load()
+	cs.PinnedBytes = s.pinnedBytes
 	return cs
-}
-
-// CacheBudget returns the memo's configured bounds — the tier-1 entry cap
-// and byte budget, 0 meaning unbounded on that axis, both 0 meaning
-// memoization is disabled. The bounds are immutable, so unlike CacheStats
-// this takes no shard lock.
-func (s *OracleSet) CacheBudget() (entries int, bytes int64) {
-	return s.cache.entries, s.cache.bytes
-}
-
-// Prewarm pins the fault-free (tier-0) base tree for every source, so the
-// first real queries after a snapshot restore repair and decode against a
-// ready tree instead of paying a BFS. Returns the number of trees built —
-// 0 when memoization is disabled or every tree is already pinned. The
-// check is a lock-free read of the immutable budget: Prewarm runs on the
-// restore path, concurrent with live traffic, and must not sweep the shard
-// locks just to discover the memo is off.
-func (s *OracleSet) Prewarm() int {
-	if !s.cache.enabled {
-		return 0
-	}
-	n := 0
-	for i := range s.st.Sources {
-		if _, fresh := s.tree(i); fresh {
-			n++
-		}
-	}
-	return n
-}
-
-// tree returns source index idx's pinned fault-free BFS tree, building and
-// pinning it on first need. fresh reports whether this call built it.
-func (s *OracleSet) tree(idx int) (t *bfs.Tree, fresh bool) {
-	p := &s.trees[idx]
-	if t := p.t.Load(); t != nil {
-		return t, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t := p.t.Load(); t != nil {
-		return t, false
-	}
-	t = bfs.NewTree(s.sub, s.st.Sources[idx])
-	p.t.Store(t)
-	s.pinnedBytes.Add(t.Bytes())
-	return t, true
 }
 
 // Handle returns a fresh per-goroutine query handle over the shared state.
@@ -348,8 +296,8 @@ func (o *Oracle) translate(canon []int32) []int {
 //
 // The tiers: an empty fault set is the source's fault-free table, read
 // from its pinned tier-0 tree. A faulted event is looked up in the tier-1
-// memo; only on a miss is the tree fetched and the incremental repairer
-// run against it, and the result is stored as a delta against the tree's
+// memo; only on a miss is the incremental repairer run against the tree,
+// and the result is stored as a delta against the tree's
 // table when the repairer proved the changed region is at most
 // n/deltaDenom vertices (the repairer tracked the region anyway, so
 // encoding is one sort + gather), as a full table otherwise.
@@ -360,14 +308,10 @@ func (o *Oracle) translate(canon []int32) []int {
 // must never mutate them.
 func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 	set := o.set
+	t := set.trees[srcIdx]
 	if len(canon) == 0 {
-		t, fresh := set.tree(srcIdx)
 		if set.cache.enabled {
-			if fresh {
-				set.baseMisses.Add(1)
-			} else {
-				set.baseHits.Add(1)
-			}
+			set.baseHits.Add(1)
 		}
 		return DistView{Full: t.Dists()}
 	}
@@ -375,7 +319,6 @@ func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 	if v, ok := set.cache.get(h, int32(s), canon); ok {
 		return v
 	}
-	t, _ := set.tree(srcIdx)
 	o.ensureRep()
 	o.rep.RunFrom(t, o.translate(canon))
 	out := o.rep.Dists()

@@ -106,19 +106,14 @@ type Stats struct {
 }
 
 // Engine computes replacement paths for a fixed graph, weight assignment and
-// source. It is not safe for concurrent use; create one per goroutine.
+// source, repairing against their shared canonical tree T0. It is not safe
+// for concurrent use; create one per goroutine over one shared wsp.Tree.
 type Engine struct {
 	g *graph.Graph
-	w *wsp.Assignment
+	t *wsp.Tree // T0(s), shared and only read
 	s int
 
 	search *wsp.RepairSearch
-
-	// Canonical BFS/SP tree T0 rooted at s.
-	treeParent  []int32
-	treeParentE []int32
-	treeDist    []int32
-	childEdges  [][]int32 // edges to children in T0, per vertex
 
 	stats Stats
 
@@ -130,42 +125,19 @@ type Engine struct {
 	curPiStamp int
 }
 
-// NewEngine builds the canonical tree T0(s) and returns an engine. The
-// assignment must cover g's edges.
-func NewEngine(g *graph.Graph, w *wsp.Assignment, s int) (*Engine, error) {
-	if s < 0 || s >= g.N() {
-		return nil, fmt.Errorf("replace: source %d out of range [0,%d)", s, g.N())
+// NewEngine returns an engine over the canonical tree t = T0(s). Its
+// counters start at zero: the base search is t's, counted where t was
+// built.
+func NewEngine(t *wsp.Tree) *Engine {
+	g := t.Graph()
+	return &Engine{
+		g:       g,
+		t:       t,
+		s:       t.Source(),
+		search:  wsp.NewRepairSearch(t),
+		onPi:    make([]int32, g.N()),
+		piStamp: make([]int, g.N()),
 	}
-	if w.M() != g.M() {
-		return nil, fmt.Errorf("replace: assignment covers %d edges, graph has %d", w.M(), g.M())
-	}
-	e := &Engine{
-		g:           g,
-		w:           w,
-		s:           s,
-		treeParent:  make([]int32, g.N()),
-		treeParentE: make([]int32, g.N()),
-		treeDist:    make([]int32, g.N()),
-		childEdges:  make([][]int32, g.N()),
-		onPi:        make([]int32, g.N()),
-		piStamp:     make([]int, g.N()),
-	}
-	// The repair search runs the base Dijkstra at construction; it is the
-	// same canonical tree a from-scratch run would produce, so it counts
-	// as the engine's first search exactly as before.
-	e.search = wsp.NewRepairSearch(g, w, s)
-	e.stats.Dijkstras++
-	for v := 0; v < g.N(); v++ {
-		e.treeParent[v] = int32(e.search.ParentOf(v))
-		e.treeParentE[v] = int32(e.search.ParentEdgeOf(v))
-		e.treeDist[v] = e.search.HopDist(v)
-	}
-	for v := 0; v < g.N(); v++ {
-		if p := e.treeParent[v]; p >= 0 {
-			e.childEdges[p] = append(e.childEdges[p], e.treeParentE[v])
-		}
-	}
-	return e, nil
 }
 
 // Source returns the engine's source vertex.
@@ -183,14 +155,14 @@ func (e *Engine) Stats() Stats {
 }
 
 // TreeDist returns the fault-free distance from s to v (-1 if unreachable).
-func (e *Engine) TreeDist(v int) int32 { return e.treeDist[v] }
+func (e *Engine) TreeDist(v int) int32 { return e.t.HopDist(v) }
 
 // TreeEdges returns the edge IDs of the canonical tree T0(s).
 func (e *Engine) TreeEdges() []int {
 	out := make([]int, 0, e.g.N())
 	for v := 0; v < e.g.N(); v++ {
-		if e.treeParentE[v] >= 0 {
-			out = append(out, int(e.treeParentE[v]))
+		if id := e.t.ParentEdgeOf(v); id >= 0 {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -198,30 +170,20 @@ func (e *Engine) TreeEdges() []int {
 
 // TreeEdgesAt returns E(v, T0): the IDs of tree edges incident to v.
 func (e *Engine) TreeEdgesAt(v int) []int {
-	out := make([]int, 0, len(e.childEdges[v])+1)
-	if e.treeParentE[v] >= 0 {
-		out = append(out, int(e.treeParentE[v]))
+	kids := e.t.Children(v)
+	out := make([]int, 0, len(kids)+1)
+	if id := e.t.ParentEdgeOf(v); id >= 0 {
+		out = append(out, id)
 	}
-	for _, id := range e.childEdges[v] {
-		out = append(out, int(id))
+	for _, c := range kids {
+		out = append(out, e.t.ParentEdgeOf(int(c)))
 	}
 	return out
 }
 
 // PiTo returns the canonical shortest path π(s,v), or nil when v is
 // unreachable from s.
-func (e *Engine) PiTo(v int) path.Path {
-	if e.treeDist[v] < 0 {
-		return nil
-	}
-	p := make(path.Path, e.treeDist[v]+1)
-	i := len(p) - 1
-	for u := v; u != -1; u = int(e.treeParent[u]) {
-		p[i] = u
-		i--
-	}
-	return p
-}
+func (e *Engine) PiTo(v int) path.Path { return e.t.PathTo(v) }
 
 // run wraps the underlying search, counting effort.
 func (e *Engine) run(src int, opt wsp.Options) {

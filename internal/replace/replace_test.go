@@ -13,25 +13,7 @@ import (
 
 func newEngine(t *testing.T, g *graph.Graph, s int, seed int64) *Engine {
 	t.Helper()
-	eng, err := NewEngine(g, wsp.NewAssignment(g.M(), seed), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-func TestNewEngineErrors(t *testing.T) {
-	g := gen.PathGraph(4)
-	w := wsp.NewAssignment(g.M(), 1)
-	if _, err := NewEngine(g, w, -1); err == nil {
-		t.Fatal("negative source accepted")
-	}
-	if _, err := NewEngine(g, w, 4); err == nil {
-		t.Fatal("out-of-range source accepted")
-	}
-	if _, err := NewEngine(g, wsp.NewAssignment(g.M()+1, 1), 0); err == nil {
-		t.Fatal("mismatched assignment accepted")
-	}
+	return NewEngine(wsp.NewTree(g, wsp.NewAssignment(g.M(), seed), s))
 }
 
 func TestTreeBasics(t *testing.T) {
@@ -290,10 +272,7 @@ func TestQuickReplacementOptimality(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(16)
 		g := gen.SparseGNP(n, 3, seed)
-		eng, err := NewEngine(g, wsp.NewAssignment(g.M(), seed+1), 0)
-		if err != nil {
-			return false
-		}
+		eng := NewEngine(wsp.NewTree(g, wsp.NewAssignment(g.M(), seed+1), 0))
 		r := bfs.NewRunner(g)
 		for v := 1; v < n; v++ {
 			tr := eng.BuildTarget(v, true)

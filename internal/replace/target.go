@@ -64,7 +64,7 @@ func (e *Engine) BuildTargetSingle(v int, collect bool) *TargetResult {
 // returns H(v) seeded with E(v, T0). It returns a nil result when v is the
 // source or unreachable.
 func (e *Engine) startTarget(v int) (*TargetResult, map[int]bool) {
-	if v == e.s || e.treeDist[v] < 0 {
+	if v == e.s || e.t.HopDist(v) < 0 {
 		return nil, nil
 	}
 	tr := &TargetResult{V: v, Pi: e.PiTo(v)}

@@ -43,7 +43,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfs"
@@ -74,10 +73,6 @@ type Config struct {
 	// about 16 bytes × n per source) sit outside it and are reported
 	// separately as pinnedBytes.
 	CacheBytes int64
-	// CacheShards overrides the memo shard count per build (0 = auto:
-	// ~GOMAXPROCS shards, rounded to a power of two). 1 restores the
-	// single global LRU.
-	CacheShards int
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
 	// MaxBatchQueries bounds the items of one batch query request
@@ -97,13 +92,6 @@ type Config struct {
 	// MaxSnapshotBytes bounds uploaded snapshot bodies on the PUT
 	// snapshot endpoint (default 1 GiB).
 	MaxSnapshotBytes int64
-	// PrewarmRestored makes WarmStart pin each restored build's
-	// fault-free (empty fault set) distance tables — the memo's tier-0
-	// bases — so the most common query after a restart, no faults, hits
-	// immediately and the first faulted queries delta-encode against a
-	// ready base. The count of warmed tables is reported by
-	// GET /v1/stats.
-	PrewarmRestored bool
 	// BuildLog, when set, receives one event per build reaching a
 	// terminal state — ready, failed or cancelled — so operators can
 	// audit the build plane without polling build resources. It is called
@@ -150,9 +138,6 @@ type Server struct {
 	stop    context.CancelFunc
 	builds  sync.WaitGroup
 	closed  bool // guarded by mu
-	// warmed counts oracle-memo entries seeded by warm-start prewarming
-	// (Config.PrewarmRestored), surfaced in GET /v1/stats.
-	warmed atomic.Int64
 }
 
 // New returns a Server with the given config (nil for defaults).
@@ -424,35 +409,6 @@ type buildStats struct {
 	NewEndingPiD int `json:"newEndingPiD"`
 }
 
-type cacheInfo struct {
-	Len       int   `json:"len"`
-	Capacity  int   `json:"capacity"`
-	Shards    int   `json:"shards"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	// Byte accounting of the two-tier memo: BytesUsed/BytesCapacity cover
-	// the evictable tier-1 entries (DeltaEntries of them delta-compressed,
-	// FullEntries stored as full tables); PinnedBytes counts the per-source
-	// fault-free base trees pinned outside the budget.
-	BytesUsed     int64 `json:"bytesUsed"`
-	BytesCapacity int64 `json:"bytesCapacity"`
-	DeltaEntries  int   `json:"deltaEntries"`
-	FullEntries   int   `json:"fullEntries"`
-	PinnedBytes   int64 `json:"pinnedBytes"`
-}
-
-// cacheInfoFrom converts oracle cache counters to their wire form.
-func cacheInfoFrom(cs oracle.CacheStats) cacheInfo {
-	return cacheInfo{
-		Len: cs.Len, Capacity: cs.Capacity, Shards: cs.Shards,
-		Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-		BytesUsed: cs.BytesUsed, BytesCapacity: cs.BytesCapacity,
-		DeltaEntries: cs.DeltaEntries, FullEntries: cs.FullEntries,
-		PinnedBytes: cs.PinnedBytes,
-	}
-}
-
 type buildInfo struct {
 	ID      string `json:"id"`
 	Graph   string `json:"graph"`
@@ -465,13 +421,13 @@ type buildInfo struct {
 	// is pure build time from slot acquisition (0 while queued, live
 	// while building, final once terminal — including "cancelled", where
 	// it measures slot acquisition to cancellation).
-	QueuedMS  float64     `json:"queuedMs,omitempty"`
-	ElapsedMS float64     `json:"elapsedMs,omitempty"`
-	Faults    int         `json:"faults,omitempty"`
-	Edges     int         `json:"edges,omitempty"`
-	GraphM    int         `json:"graphEdges,omitempty"`
-	Stats     *buildStats `json:"stats,omitempty"`
-	Cache     *cacheInfo  `json:"cache,omitempty"`
+	QueuedMS  float64            `json:"queuedMs,omitempty"`
+	ElapsedMS float64            `json:"elapsedMs,omitempty"`
+	Faults    int                `json:"faults,omitempty"`
+	Edges     int                `json:"edges,omitempty"`
+	GraphM    int                `json:"graphEdges,omitempty"`
+	Stats     *buildStats        `json:"stats,omitempty"`
+	Cache     *oracle.CacheStats `json:"cache,omitempty"`
 	// Progress reports the builder's live counters while the build runs
 	// (and, for cancelled builds, where the work stopped).
 	Progress *progressInfo `json:"progress,omitempty"`
@@ -718,11 +674,11 @@ func (s *Server) persistBuild(graphName string, be *buildEntry) {
 }
 
 // newOracleSet builds a build's shared query state with the configured
-// memo budget and shard count. The oracle treats a budget ≤ 0 with no
-// entry cap as "no memo", which is exactly CacheBytes < 0 (New has already
-// replaced 0 with the default).
+// memo budget and the automatic shard count. The oracle treats a budget
+// ≤ 0 with no entry cap as "no memo", which is exactly CacheBytes < 0 (New
+// has already replaced 0 with the default).
 func (s *Server) newOracleSet(st *core.Structure) (*oracle.OracleSet, error) {
-	return oracle.NewSetBudget(st, 0, s.cfg.CacheBytes, s.cfg.CacheShards)
+	return oracle.NewSetBudget(st, 0, s.cfg.CacheBytes, 0)
 }
 
 // progressInfo is the wire form of a build's live progress counters.
@@ -786,8 +742,8 @@ func (s *Server) buildInfoLocked(graphName string, be *buildEntry) buildInfo {
 			MaxE2:        be.st.Stats.MaxE2,
 			NewEndingPiD: be.st.Stats.NewEndingPiD,
 		}
-		ci := cacheInfoFrom(be.set.CacheStats())
-		info.Cache = &ci
+		cs := be.set.CacheStats()
+		info.Cache = &cs
 		info.Restored = be.restored
 		info.Snapshot = be.snapState
 		info.SnapshotError = be.snapErr

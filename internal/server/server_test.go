@@ -323,8 +323,9 @@ func TestServerErrors(t *testing.T) {
 }
 
 // TestCacheBudgetWiring checks that Config.CacheBytes reaches each
-// build's oracle set exactly as configured: the default budget, an
-// explicit one, and < 0 turning the memo off.
+// build's oracle set exactly as configured, as its CacheStats report the
+// bounds: the default budget, an explicit one, and < 0 turning the memo
+// off.
 func TestCacheBudgetWiring(t *testing.T) {
 	g := gen.GNP(12, 0.3, 1)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -346,10 +347,10 @@ func TestCacheBudgetWiring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries, bytes := set.CacheBudget()
-		if entries != tc.wantEntries || bytes != tc.wantBytes {
+		cs := set.CacheStats()
+		if cs.Capacity != tc.wantEntries || cs.BytesCapacity != tc.wantBytes {
 			t.Errorf("%s: budget (%d entries, %d bytes), want (%d, %d)",
-				tc.name, entries, bytes, tc.wantEntries, tc.wantBytes)
+				tc.name, cs.Capacity, cs.BytesCapacity, tc.wantEntries, tc.wantBytes)
 		}
 	}
 }

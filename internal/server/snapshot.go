@@ -36,40 +36,29 @@ func (s *Server) WarmStart() (int, error) {
 	restored := 0
 	var skips []error
 	for _, k := range keys {
-		be, err := s.restoreOne(k)
-		if err != nil {
+		if err := s.restoreOne(k); err != nil {
 			skips = append(skips, fmt.Errorf("%s/%s: %w", k.Graph, k.Build, err))
 			continue
 		}
 		restored++
-		if s.cfg.PrewarmRestored {
-			// Seed the build's memo with its fault-free tables so the
-			// first post-restart queries hit the cache. Purely an
-			// optimization: a cold memo answers identically. The set
-			// pointer is read under the registry lock; the prewarm BFS
-			// itself runs unlocked (OracleSet is internally synchronized).
-			s.mu.Lock()
-			set := be.set
-			s.mu.Unlock()
-			s.warmed.Add(int64(set.Prewarm()))
-		}
 	}
 	return restored, errors.Join(skips...)
 }
 
-func (s *Server) restoreOne(k StoreKey) (*buildEntry, error) {
+func (s *Server) restoreOne(k StoreKey) error {
 	rc, err := s.cfg.Store.Open(k.Graph, k.Build)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sn, err := snap.Decode(rc)
 	rc.Close()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The store key (not the snapshot metadata) names the entry: the
 	// directory layout is authoritative for what this instance serves.
-	return s.installSnapshot(k.Graph, k.Build, sn, SnapSaved)
+	_, err = s.installSnapshot(k.Graph, k.Build, sn, SnapSaved)
+	return err
 }
 
 // installSnapshot registers a decoded snapshot as a ready build under

@@ -1,6 +1,10 @@
 package server
 
-import "net/http"
+import (
+	"net/http"
+
+	"repro/internal/oracle"
+)
 
 // This file implements GET /v1/stats, the build plane's one-look
 // observability endpoint: semaphore occupancy, queued work, per-status
@@ -17,13 +21,10 @@ type statsResponse struct {
 	// by running builds, Capacity is MaxConcurrentBuilds, and Queued
 	// counts builds waiting for a slot.
 	BuildSlots buildSlotsInfo `json:"buildSlots"`
-	// Cache aggregates CacheStats over every ready build's oracle set
-	// (sums; Shards too, so it reads as "total shards serving queries").
-	// Omitted when no build is ready.
-	Cache *cacheInfo `json:"cache,omitempty"`
-	// WarmedEntries counts oracle-memo entries seeded by warm-start
-	// prewarming (Config.PrewarmRestored); omitted when zero.
-	WarmedEntries int64 `json:"warmedEntries,omitempty"`
+	// Cache sums CacheStats over every ready build's oracle set (Shards
+	// too, so it reads as "total shards serving queries"). Omitted when no
+	// build is ready.
+	Cache *oracle.CacheStats `json:"cache,omitempty"`
 }
 
 type buildSlotsInfo struct {
@@ -34,29 +35,15 @@ type buildSlotsInfo struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Builds: make(map[string]int)}
-	var agg cacheInfo
-	ready := 0
+	var ready []*oracle.OracleSet
 	s.mu.RLock()
 	resp.Graphs = len(s.graphs)
 	for _, g := range s.graphs {
 		for _, be := range g.builds {
 			resp.Builds[be.status]++
-			if be.status != StatusReady {
-				continue
+			if be.status == StatusReady {
+				ready = append(ready, be.set)
 			}
-			ready++
-			cs := be.set.CacheStats()
-			agg.Len += cs.Len
-			agg.Capacity += cs.Capacity
-			agg.Shards += cs.Shards
-			agg.Hits += cs.Hits
-			agg.Misses += cs.Misses
-			agg.Evictions += cs.Evictions
-			agg.BytesUsed += cs.BytesUsed
-			agg.BytesCapacity += cs.BytesCapacity
-			agg.DeltaEntries += cs.DeltaEntries
-			agg.FullEntries += cs.FullEntries
-			agg.PinnedBytes += cs.PinnedBytes
 		}
 	}
 	s.mu.RUnlock()
@@ -67,9 +54,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Capacity: cap(s.buildSem),
 		Queued:   resp.Builds[StatusQueued],
 	}
-	if ready > 0 {
-		resp.Cache = &agg
+	if len(ready) > 0 {
+		cs := oracle.TotalCacheStats(ready)
+		resp.Cache = &cs
 	}
-	resp.WarmedEntries = s.warmed.Load()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -156,65 +156,66 @@ func (h *hRunner) run(s int, faults []int) []int32 {
 }
 
 // pairChecker compares the distance tables of G \ F and H \ F through two
-// incremental BFS repairers, one per side. When both sides report an
-// incremental repair AND the fault-free tables were equal (baseEq), only
-// vertices in either changed set can differ — everything else still holds
-// its base distance on both sides — so the comparison scans the merged
-// changed sets instead of all of V. Candidates are sorted, so emitted
-// mismatches arrive in the same ascending-vertex order as a full scan.
+// incremental BFS repairers, one per side, each repairing against the
+// source's shared fault-free tree of its side. When both sides report an
+// incremental repair AND the fault-free tables were equal, only vertices
+// in either changed set can differ — everything else still holds its base
+// distance on both sides — so the comparison scans the merged changed sets
+// instead of all of V. Candidates are sorted, so emitted mismatches arrive
+// in the same ascending-vertex order as a full scan.
 type pairChecker struct {
-	g       *graph.Graph
 	view    *hView
 	rg, rh  *bfs.Repairer
 	scratch []int   // faults translated into H edge IDs
 	cand    []int32 // merged changed-vertex candidates
-	// baseEq records whether the current source's fault-free tables
-	// matched; it licenses the changed-set fast path. A base check
-	// (faults == nil) refreshes it, or seed it from an external base
-	// comparison for the same source.
-	baseEq bool
 }
 
 func newPairChecker(g *graph.Graph, hv *hView) *pairChecker {
-	return &pairChecker{g: g, view: hv, rg: bfs.NewRepairer(g), rh: bfs.NewRepairer(hv.sub)}
+	return &pairChecker{view: hv, rg: bfs.NewRepairer(g), rh: bfs.NewRepairer(hv.sub)}
 }
 
-// check runs both sides for one fault set (G edge IDs) and calls emit for
-// every vertex whose distances disagree, in ascending vertex order.
-// Returns true when the tables matched.
-func (p *pairChecker) check(s int, faults []int, emit func(v int, dh, dg int32)) bool {
+// check runs both sides for one nonempty fault set (G edge IDs) against
+// the source's trees tg (over G) and th (over H), and calls emit for every
+// vertex whose distances disagree, in ascending vertex order. baseEq
+// reports whether the trees' tables are equal, which licenses the
+// changed-set fast path. Returns true when the tables matched.
+func (p *pairChecker) check(tg, th *bfs.Tree, baseEq bool, faults []int, emit func(v int, dh, dg int32)) bool {
 	p.scratch = p.scratch[:0]
 	for _, id := range faults {
 		if sid := p.view.gToSub[id]; sid >= 0 {
 			p.scratch = append(p.scratch, int(sid))
 		}
 	}
-	p.rg.Run(s, faults)
-	p.rh.Run(s, p.scratch)
+	p.rg.RunFrom(tg, faults)
+	p.rh.RunFrom(th, p.scratch)
 	dg, dh := p.rg.Dists(), p.rh.Dists()
-	ok := true
-	if chG, incG := p.rg.Changed(); faults != nil && p.baseEq && incG {
-		if chH, incH := p.rh.Changed(); incH {
-			p.cand = append(append(p.cand[:0], chG...), chH...)
-			slices.Sort(p.cand)
-			p.cand = slices.Compact(p.cand)
-			for _, v32 := range p.cand {
-				if v := int(v32); dg[v] != dh[v] {
-					ok = false
-					emit(v, dh[v], dg[v])
-				}
+	chG, incG := p.rg.Changed()
+	chH, incH := p.rh.Changed()
+	if baseEq && incG && incH {
+		p.cand = append(append(p.cand[:0], chG...), chH...)
+		slices.Sort(p.cand)
+		p.cand = slices.Compact(p.cand)
+		ok := true
+		for _, v32 := range p.cand {
+			if v := int(v32); dg[v] != dh[v] {
+				ok = false
+				emit(v, dh[v], dg[v])
 			}
-			return ok
 		}
+		return ok
 	}
-	for v := 0; v < p.g.N(); v++ {
+	return compareTables(dg, dh, emit)
+}
+
+// compareTables calls emit for every vertex whose distances differ, in
+// ascending order, and reports whether none did.
+func compareTables(dg, dh []int32, emit func(v int, dh, dg int32)) bool {
+	ok := true
+	for v := range dg {
 		if dg[v] != dh[v] {
 			ok = false
 			emit(v, dh[v], dg[v])
 		}
-	}
-	if faults == nil {
-		p.baseEq = ok
 	}
 	return ok
 }
@@ -229,10 +230,12 @@ const MaxExhaustiveFaultSets = 5_000_000
 // given sources. f must be 0, 1, 2 or 3 (f = 3 only up to
 // MaxExhaustiveFaultSets fault sets).
 //
-// Per source, the fault-free pass runs first: it verifies F = ∅, licenses
-// the pruning lemma, and seeds every worker's changed-set fast path. The
-// nonempty fault sets then fan out over sched.Run, grouped by smallest
-// edge ID. Each worker stops once it holds the room left under
+// Per source, one fault-free BFS tree is built for G and one for H; every
+// worker's pair checker repairs against both. Comparing their tables is
+// the fault-free pass: it verifies F = ∅, licenses the pruning lemma, and
+// licenses every worker's changed-set fast path. The nonempty fault sets
+// then fan out over sched.Run, grouped by smallest edge ID. Each worker
+// stops once it holds the room left under
 // MaxViolations; since a worker's claims ascend, the first counterexamples
 // in enumeration order are among those collected, and sorting and
 // truncating yields them at any worker count.
@@ -257,17 +260,16 @@ func FTBFS(g *graph.Graph, offH []int, sources []int, f int, opts *Options) Repo
 	if f == 0 {
 		units = 0
 	}
-	// One pair checker per worker slot, kept across sources; worker 0's
-	// also runs every fault-free pass.
+	// One pair checker per worker slot, kept across sources.
 	pcs := make([]*pairChecker, opts.workers())
-	pcs[0] = newPairChecker(g, hv)
 	type partial struct {
 		violations      []Violation
 		checked, pruned int
 	}
 	for _, s := range sources {
+		tg, th := bfs.NewTree(g, s), bfs.NewTree(hv.sub, s)
 		rep.FaultSetsChecked++
-		baseEq := pcs[0].check(s, nil, func(v int, dh, dg int32) {
+		baseEq := compareTables(tg.Dists(), th.Dists(), func(v int, dh, dg int32) {
 			rep.OK = false
 			if len(rep.Violations) < maxV {
 				rep.Violations = append(rep.Violations, Violation{Source: s, V: v, GotH: dh, WantG: dg})
@@ -284,9 +286,6 @@ func FTBFS(g *graph.Graph, offH []int, sources []int, f int, opts *Options) Repo
 					pcs[wi] = newPairChecker(g, hv)
 				}
 				pc := pcs[wi]
-				// Table equality is a property of (g, H, s), so the
-				// fault-free verdict licenses every worker's fast path.
-				pc.baseEq = baseEq
 				poll := cancel.New(opts.ctx(), cancel.PollEvery)
 				var part partial
 				var err error
@@ -308,7 +307,7 @@ func FTBFS(g *graph.Graph, offH []int, sources []int, f int, opts *Options) Repo
 						}
 					}
 					part.checked++
-					pc.check(s, faults, func(v int, dh, dg int32) {
+					pc.check(tg, th, baseEq, faults, func(v int, dh, dg int32) {
 						if len(part.violations) < room {
 							part.violations = append(part.violations, Violation{
 								Source: s,

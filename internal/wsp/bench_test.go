@@ -94,7 +94,7 @@ func BenchmarkRepairSearch(b *testing.B) {
 	}
 	for _, mode := range []string{"target", "full"} {
 		b.Run(mode, func(b *testing.B) {
-			r := NewRepairSearch(g, w, 0)
+			r := NewRepairSearch(NewTree(g, w, 0))
 			opt := func(ev event) Options {
 				if mode == "full" {
 					return Options{Target: -1, DisabledEdges: ev.faults}

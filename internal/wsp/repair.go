@@ -1,6 +1,9 @@
 package wsp
 
 import (
+	"slices"
+
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/path"
 )
@@ -31,31 +34,21 @@ import (
 // every vertex on the target's path, and every vertex outside R (exactly
 // the set the replace/multifail consumers query). After a Run without a
 // Target, accessors are valid for all vertices. A RepairSearch is not safe
-// for concurrent use; create one per goroutine.
+// for concurrent use; create one per goroutine. The Tree it repairs
+// against is only read, so every goroutine's RepairSearch may share one.
 type RepairSearch struct {
-	g   *graph.Graph
-	src int32
+	g *graph.Graph
+	t *Tree // the shared frozen base; only ever read
 
-	// scratch executes the base run at construction and absorbs every
-	// query repair cannot serve: a different source or a detached region
-	// past volLimit. When full is true the last Run lives in scratch and
-	// every accessor delegates to it.
+	// scratch absorbs every query repair cannot serve: a different source
+	// or a detached region past volLimit. When full is true the last Run
+	// lives in scratch and every accessor delegates to it.
 	scratch *Search
 	full    bool
 
-	// Frozen base tree (never mutated after construction). bHops is -1
-	// for vertices unreachable from src in the fault-free graph.
-	bHops    []int32
-	bTie     []int64
-	bParent  []int32
-	bParentE []int32
-	// Children of the base tree in CSR form: kids[kidOff[v]:kidOff[v+1]].
-	kidOff []int32
-	kids   []int32
-
-	// Live view: base values patched by the current repair. Only vertices
-	// in region are ever patched; undo restores them from the b-arrays at
-	// the start of the next Run.
+	// Live view: the tree's values patched by the current repair. Only
+	// vertices in region are ever patched; undo restores them from the
+	// tree at the start of the next Run.
 	hops    []int32
 	tie     []int64
 	parent  []int32
@@ -80,88 +73,43 @@ type RepairSearch struct {
 	volLimit int
 
 	// ties counts residual equal-weight relaxations observed by repairs,
-	// mirroring Search.TieWarnings (which covers the base and fallback
-	// runs executed by scratch).
+	// mirroring Search.TieWarnings (which covers the fallback runs
+	// executed by scratch).
 	ties int
 }
 
-// NewRepairSearch builds the base canonical tree from src (one full
-// Dijkstra) and returns a repair engine bound to it. Accessors are
-// immediately valid and reflect the fault-free base run.
-func NewRepairSearch(g *graph.Graph, w *Assignment, src int) *RepairSearch {
+// NewRepairSearch returns a repair engine over the shared base tree t.
+// Accessors are immediately valid and reflect the fault-free tree.
+func NewRepairSearch(t *Tree) *RepairSearch {
+	g := t.g
 	n, m := g.N(), g.M()
-	r := &RepairSearch{
-		g:        g,
-		src:      int32(src),
-		scratch:  NewSearch(g, w),
-		bHops:    make([]int32, n),
-		bTie:     make([]int64, n),
-		bParent:  make([]int32, n),
-		bParentE: make([]int32, n),
-		kidOff:   make([]int32, n+1),
-		hops:     make([]int32, n),
-		tie:      make([]int64, n),
-		parent:   make([]int32, n),
-		parentE:  make([]int32, n),
-		inR:      make([]uint32, n),
-		seen:     make([]uint32, n),
-		done:     make([]uint32, n),
-		vOff:     make([]uint32, n),
-		eOff:     make([]uint32, m),
-		volLimit: m,
+	return &RepairSearch{
+		g:       g,
+		t:       t,
+		scratch: NewSearch(g, t.w),
+		hops:    slices.Clone(t.hops),
+		tie:     slices.Clone(t.tie),
+		parent:  slices.Clone(t.parent),
+		parentE: slices.Clone(t.parentE),
+		inR:     make([]uint32, n),
+		seen:    make([]uint32, n),
+		done:    make([]uint32, n),
+		vOff:    make([]uint32, n),
+		eOff:    make([]uint32, m),
+		// A seed's level is at most one past the deepest tree level, so
+		// only the sweep's relaxations can ever need a deeper bucket.
+		levels:   make([][]int32, t.depth+2),
+		volLimit: bfs.DetachCap(g),
 	}
-	if r.volLimit < 256 {
-		r.volLimit = 256
-	}
-	r.scratch.Run(src, Options{Target: -1})
-	for v := 0; v < n; v++ {
-		if r.scratch.Reachable(v) {
-			wt, _ := r.scratch.Dist(v)
-			r.bHops[v], r.bTie[v] = wt.Hops, wt.Tie
-			r.bParent[v] = int32(r.scratch.ParentOf(v))
-			r.bParentE[v] = int32(r.scratch.ParentEdgeOf(v))
-		} else {
-			r.bHops[v], r.bParent[v], r.bParentE[v] = -1, -1, -1
-		}
-	}
-	// A seed's level is at most one past the deepest base level, so only
-	// the sweep's relaxations can ever need a deeper bucket.
-	depth := int32(0)
-	for _, h := range r.bHops {
-		depth = max(depth, h)
-	}
-	r.levels = make([][]int32, depth+2)
-	copy(r.hops, r.bHops)
-	copy(r.tie, r.bTie)
-	copy(r.parent, r.bParent)
-	copy(r.parentE, r.bParentE)
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kidOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		r.kidOff[i+1] += r.kidOff[i]
-	}
-	r.kids = make([]int32, r.kidOff[n])
-	fill := make([]int32, n)
-	copy(fill, r.kidOff[:n])
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kids[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
-	return r
 }
 
 // Graph returns the graph the search is bound to.
 func (r *RepairSearch) Graph() *graph.Graph { return r.g }
 
 // TieWarnings returns the residual equal-weight-path count accumulated
-// across the base run, all repairs, and all fallback runs — the same
-// evidence Search.TieWarnings carries that the assignment failed to
-// isolate a unique shortest path.
+// across all repairs and all fallback runs — the same evidence
+// Search.TieWarnings carries that the assignment failed to isolate a
+// unique shortest path. The base search's share is the tree's (Tree.Ties).
 func (r *RepairSearch) TieWarnings() int { return r.ties + r.scratch.TieWarnings }
 
 // Changed returns the detached region of the last Run — the only vertices
@@ -179,11 +127,12 @@ func (r *RepairSearch) Changed() ([]int32, bool) {
 // undo restores the live arrays to the base tree for every vertex patched
 // (or merely detached) by the previous repair.
 func (r *RepairSearch) undo() {
+	t := r.t
 	for _, v := range r.region {
-		r.hops[v] = r.bHops[v]
-		r.tie[v] = r.bTie[v]
-		r.parent[v] = r.bParent[v]
-		r.parentE[v] = r.bParentE[v]
+		r.hops[v] = t.hops[v]
+		r.tie[v] = t.tie[v]
+		r.parent[v] = t.parent[v]
+		r.parentE[v] = t.parentE[v]
 	}
 	r.region = r.region[:0]
 }
@@ -194,7 +143,7 @@ func (r *RepairSearch) undo() {
 // for which accessors are valid after a Target run).
 func (r *RepairSearch) Run(src int, opt Options) {
 	r.undo()
-	if int32(src) != r.src {
+	if src != r.t.src {
 		r.full = true
 		r.scratch.Run(src, opt)
 		return
@@ -226,12 +175,13 @@ func (r *RepairSearch) Run(src int, opt Options) {
 			r.region = append(r.region, int32(v))
 		}
 	}
+	parentE := r.t.parentE
 	for _, id := range opt.DisabledEdges {
 		e := r.g.EdgeAt(id)
 		c := -1
-		if int(r.bParentE[e.V]) == id {
+		if int(parentE[e.V]) == id {
 			c = e.V
-		} else if int(r.bParentE[e.U]) == id {
+		} else if int(parentE[e.U]) == id {
 			c = e.U
 		}
 		if c >= 0 && r.inR[c] != ep {
@@ -239,7 +189,8 @@ func (r *RepairSearch) Run(src int, opt Options) {
 			r.region = append(r.region, int32(c))
 		}
 	}
-	if !r.detach() {
+	var ok bool
+	if r.region, ok = r.t.kids.Detach(r.g, r.region, r.inR, ep, r.volLimit); !ok {
 		r.full = true
 		r.scratch.Run(src, opt)
 		return
@@ -253,30 +204,6 @@ func (r *RepairSearch) Run(src int, opt Options) {
 		return
 	}
 	r.repair(opt.Target)
-}
-
-// detach expands region to the full set of base-tree descendants of its
-// roots, accumulating arc volume; it reports false when the volume passes
-// volLimit (a from-scratch run is cheaper than repairing that much).
-//
-//ftbfs:hotpath
-func (r *RepairSearch) detach() bool {
-	ep := r.ep
-	vol := 0
-	for i := 0; i < len(r.region); i++ {
-		v := r.region[i]
-		vol += r.g.Degree(int(v))
-		if vol > r.volLimit {
-			return false
-		}
-		for _, c := range r.kids[r.kidOff[v]:r.kidOff[v+1]] {
-			if r.inR[c] != ep {
-				r.inR[c] = ep
-				r.region = append(r.region, c)
-			}
-		}
-	}
-	return true
 }
 
 // repair re-settles the detached region one hop level at a time. Every
@@ -300,8 +227,8 @@ func (r *RepairSearch) repair(target int) {
 	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
 	seen, done := r.seen, r.done
 	inR, vOff, eOff := r.inR, r.vOff, r.eOff
-	bHops, bTie := r.bHops, r.bTie
-	wTie := r.scratch.w.tie
+	bHops, bTie := r.t.hops, r.t.tie
+	wTie := r.t.w.tie
 	levels := r.levels
 	lo, hi := len(levels), -1
 	for _, x := range r.region {

@@ -87,7 +87,7 @@ func TestRepairSearchEquivalence(t *testing.T) {
 		g := gen.SparseGNP(220, 5, seed)
 		w := NewAssignment(g.M(), seed*101)
 		src := int(seed) % g.N()
-		rep := NewRepairSearch(g, w, src)
+		rep := NewRepairSearch(NewTree(g, w, src))
 		ref := NewSearch(g, w)
 		// Construction state must equal a fault-free run.
 		ref.Run(src, Options{Target: -1})
@@ -122,7 +122,7 @@ func TestRepairSearchFaultClasses(t *testing.T) {
 	g := gen.TreePlusChords(150, 40, 9)
 	w := NewAssignment(g.M(), 77)
 	src := 0
-	rep := NewRepairSearch(g, w, src)
+	rep := NewRepairSearch(NewTree(g, w, src))
 	ref := NewSearch(g, w)
 
 	var treeEdges, nonTree []int
@@ -169,7 +169,7 @@ func TestRepairSearchFaultClasses(t *testing.T) {
 func TestRepairSearchVolumeFallback(t *testing.T) {
 	g := gen.SparseGNP(200, 5, 3)
 	w := NewAssignment(g.M(), 5)
-	rep := NewRepairSearch(g, w, 0)
+	rep := NewRepairSearch(NewTree(g, w, 0))
 	ref := NewSearch(g, w)
 	rep.volLimit = 1 // every non-empty detach falls back
 	rng := rand.New(rand.NewSource(11))
@@ -208,10 +208,13 @@ func TestRepairSearchResidualTie(t *testing.T) {
 		ones[i] = 1
 	}
 	w := &Assignment{tie: ones}
-	rep := NewRepairSearch(g, w, 0)
+	tr := NewTree(g, w, 0)
+	if tr.Ties() == 0 {
+		t.Fatal("the base search of an all-ties grid counted no ties")
+	}
+	rep := NewRepairSearch(tr)
 	ref := NewSearch(g, w)
 	opt := Options{Target: -1, DisabledEdges: []int{rep.ParentEdgeOf(1)}}
-	before := rep.TieWarnings()
 	rep.Run(0, opt)
 	ref.Run(0, opt)
 	if region, ok := rep.Changed(); !ok || len(region) == 0 {
@@ -234,8 +237,8 @@ func TestRepairSearchResidualTie(t *testing.T) {
 			t.Fatalf("vertex %d: parent %d over edge %d is not an optimal surviving parent", v, p, eid)
 		}
 	}
-	if rep.TieWarnings() <= before {
-		t.Fatalf("TieWarnings stayed at %d across a repair of tied vertices", before)
+	if rep.TieWarnings() == 0 {
+		t.Fatal("TieWarnings stayed at 0 across a repair of tied vertices")
 	}
 }
 
@@ -270,7 +273,7 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 		}
 		w := NewAssignment(g.M(), seed+1)
 		src := int(data[2]) % g.N()
-		rep := NewRepairSearch(g, w, src)
+		rep := NewRepairSearch(NewTree(g, w, src))
 		ref := NewSearch(g, w)
 		base := NewSearch(g, w)
 		base.Run(src, Options{Target: -1})

@@ -60,6 +60,3 @@ func NewAssignment(m int, seed int64) *Assignment {
 func (a *Assignment) EdgeWeight(edgeID int) Weight {
 	return Weight{Hops: 1, Tie: a.tie[edgeID]}
 }
-
-// M returns the number of edges covered by the assignment.
-func (a *Assignment) M() int { return len(a.tie) }
