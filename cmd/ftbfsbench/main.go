@@ -115,35 +115,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			wanted[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
 	}
-	all := []struct {
-		id string
-		fn func(exp.Config) (*exp.Table, error)
-	}{
-		{"E1", exp.E1DualSize},
-		{"E2", exp.E2LowerBound},
-		{"E3", exp.E3Approx},
-		{"E4", exp.E4FTDiameter},
-		{"E5", exp.E5PerVertex},
-		{"E6", exp.E6SingleVsDual},
-		{"E7", exp.E7Classes},
-		{"E8", exp.E8Detours},
-		{"E9", exp.E9Verify},
-		{"E10", exp.E10Kernel},
-		{"E11", exp.E11Ablation},
-		{"E12", exp.E12Beyond},
-		{"E13", exp.E13Selection},
-	}
-	for _, e := range all {
-		if len(wanted) > 0 && !wanted[e.id] {
+	for _, e := range exp.Experiments {
+		if len(wanted) > 0 && !wanted[e.ID] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("stopped before %s: %w", e.id, err)
+			return fmt.Errorf("stopped before %s: %w", e.ID, err)
 		}
 		start := time.Now()
-		tbl, err := e.fn(cfg)
+		tbl, err := e.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprint(stdout, tbl.String())
 		fmt.Fprintf(stdout, "   (%.1fs)\n\n", time.Since(start).Seconds())

@@ -10,8 +10,8 @@
 //	ftbfssnap pack -graph g.txt -structure h.txt -sources 0,5 -f 2 -o s.ftbfs
 //
 // pack converts the text formats the other CLIs speak into a snapshot:
-// the structure file must be an edge-subset of the graph file (the same
-// containment rule ftbfsverify enforces). The produced snapshot can be
+// the structure file must be an edge-subset of the graph file, read by
+// edgelist.ReadSubset as in ftbfsverify. The produced snapshot can be
 // served directly (PUT …/snapshot), verified (ftbfsverify -snapshot) or
 // benchmarked (ftbfsbench -snapshot).
 package main
@@ -173,20 +173,14 @@ func runPack(args []string, stdout io.Writer) (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	h, err := readEdgeList(*structPath)
+	fh, err := os.Open(*structPath)
 	if err != nil {
 		return 1, err
 	}
-	if h.N() != g.N() {
-		return 1, fmt.Errorf("vertex counts differ: graph %d, structure %d", g.N(), h.N())
-	}
-	kept := graph.NewEdgeSet(g.M())
-	for _, e := range h.Edges() {
-		id, ok := g.EdgeID(e.U, e.V)
-		if !ok {
-			return 1, fmt.Errorf("structure edge %v not in graph", e)
-		}
-		kept.Add(id)
+	kept, err := edgelist.ReadSubset(fh, g)
+	fh.Close()
+	if err != nil {
+		return 1, err
 	}
 	var sources []int
 	for _, s := range strings.Split(*sourcesArg, ",") {

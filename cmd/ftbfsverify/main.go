@@ -70,8 +70,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 	var (
 		g            *graph.Graph
-		off, sources []int
-		keptEdges    int
+		h            *graph.EdgeSet
+		sources      []int
 		vertexFaults bool
 	)
 	switch {
@@ -84,9 +84,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 			return 1, err
 		}
 		st := sn.Structure
-		g = st.G
-		keptEdges = st.NumEdges()
-		off = st.DisabledEdges()
+		g, h = st.G, st.Edges
 		vertexFaults = st.VertexFaults
 		if !explicit["sources"] {
 			sources = st.Sources
@@ -95,32 +93,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 			*f = st.Faults
 		}
 	case *graphPath != "" && *structPath != "":
-		g2, err := readFile(*graphPath)
-		if err != nil {
+		var err error
+		if g, h, err = readEdgeLists(*graphPath, *structPath); err != nil {
 			return 1, err
 		}
-		g = g2
-		h, err := readFile(*structPath)
-		if err != nil {
-			return 1, err
-		}
-		if h.N() != g.N() {
-			return 1, fmt.Errorf("vertex counts differ: graph %d, structure %d", g.N(), h.N())
-		}
-		// Structure must be a subgraph; translate to "edges of g missing
-		// in h".
-		for id := 0; id < g.M(); id++ {
-			e := g.EdgeAt(id)
-			if !h.HasEdge(e.U, e.V) {
-				off = append(off, id)
-			}
-		}
-		for _, e := range h.Edges() {
-			if !g.HasEdge(e.U, e.V) {
-				return 1, fmt.Errorf("structure edge %v not in graph", e)
-			}
-		}
-		keptEdges = h.M()
 	default:
 		return 1, fmt.Errorf("need -graph and -structure, or -snapshot")
 	}
@@ -140,11 +116,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 		if *sampled > 0 {
 			return 1, fmt.Errorf("-sampled is not supported for vertex-failure structures (verification is exhaustive)")
 		}
-		rep = verify.VertexFTBFS(g, off, sources, *f, vopts)
+		rep = verify.VertexFTBFS(g, h, sources, *f, vopts)
 	case *sampled > 0:
-		rep = verify.Sampled(g, off, sources, *f, *sampled, *seed, vopts)
+		rep = verify.Sampled(g, h, sources, *f, *sampled, *seed, vopts)
 	default:
-		rep = verify.FTBFS(g, off, sources, *f, vopts)
+		rep = verify.FTBFS(g, h, sources, *f, vopts)
 	}
 	// A recorded violation is definitive (the structure is invalid no
 	// matter what the unchecked fault sets would say), so an interrupted
@@ -155,7 +131,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 	}
 	if rep.OK {
 		fmt.Fprintf(stdout, "OK: %d fault sets checked (%d pruned), structure %d/%d edges\n",
-			rep.FaultSetsChecked, rep.FaultSetsPruned, keptEdges, g.M())
+			rep.FaultSetsChecked, rep.FaultSetsPruned, h.Len(), g.M())
 		return 0, nil
 	}
 	suffix := ""
@@ -169,11 +145,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) (int, error) {
 	return 2, nil
 }
 
-func readFile(path string) (*graph.Graph, error) {
-	fh, err := os.Open(path)
+// readEdgeLists reads the graph file and the structure file, whose edges
+// must be edges of the graph.
+func readEdgeLists(graphPath, structPath string) (*graph.Graph, *graph.EdgeSet, error) {
+	gf, err := os.Open(graphPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer fh.Close()
-	return edgelist.Read(fh)
+	defer gf.Close()
+	g, err := edgelist.Read(gf)
+	if err != nil {
+		return nil, nil, err
+	}
+	hf, err := os.Open(structPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer hf.Close()
+	h, err := edgelist.ReadSubset(hf, g)
+	return g, h, err
 }

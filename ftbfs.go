@@ -124,7 +124,7 @@ func BuildVertexFTBFS(g *Graph, source, f int, opts *Options) (*Structure, error
 
 // VerifyVertex exhaustively checks the vertex-failure model (f ≤ 2).
 func VerifyVertex(g *Graph, st *Structure, sources []int, f int) Report {
-	return verify.VertexFTBFS(g, st.DisabledEdges(), sources, f, nil)
+	return verify.VertexFTBFS(g, st.Edges, sources, f, nil)
 }
 
 // BuildRecursiveFTBFS constructs an f-failure FT-BFS structure for ANY
@@ -153,18 +153,18 @@ func BuildMultiSourceDualFTBFS(g *Graph, sources []int, opts *Options) (*Structu
 // for the given sources (f ≤ 2). The zero-value options prune fault sets
 // disjoint from the structure once fault-free distances hold.
 func Verify(g *Graph, st *Structure, sources []int, f int) Report {
-	return verify.Structure(g, st, sources, f, nil)
+	return verify.FTBFS(g, st.Edges, sources, f, nil)
 }
 
 // VerifyWithOptions is Verify with explicit options.
 func VerifyWithOptions(g *Graph, st *Structure, sources []int, f int, opts *VerifyOptions) Report {
-	return verify.Structure(g, st, sources, f, opts)
+	return verify.FTBFS(g, st.Edges, sources, f, opts)
 }
 
 // VerifySampled draws random fault sets of size ≤ f (any f) and compares
 // distances; for instances too large for the exhaustive pass.
 func VerifySampled(g *Graph, st *Structure, sources []int, f, trials int, seed int64) Report {
-	return verify.Sampled(g, st.DisabledEdges(), sources, f, trials, seed, nil)
+	return verify.Sampled(g, st.Edges, sources, f, trials, seed, nil)
 }
 
 // Oracle answers fault-tolerant distance and routing queries on a built

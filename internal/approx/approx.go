@@ -8,11 +8,13 @@ package approx
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bfs"
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/sched"
 	"repro/internal/setcover"
 )
 
@@ -40,11 +42,17 @@ func Build(g *graph.Graph, sources []int, f int, opts *core.Options) (*core.Stru
 	if f < 0 || f > 2 {
 		return nil, fmt.Errorf("approx: supported fault budgets are 0..2, got %d", f)
 	}
-	faultSets := enumerateFaultSets(g.M(), f)
-	if len(faultSets)*len(sources) > MaxUniverse {
+	// Refuse an oversized universe before materializing any of it.
+	sets := sched.NumFaultSets(g.M(), f)
+	if sets > MaxUniverse/int64(len(sources)) {
 		return nil, fmt.Errorf("approx: universe %d×%d exceeds cap %d",
-			len(faultSets), len(sources), MaxUniverse)
+			sets, len(sources), MaxUniverse)
 	}
+	faultSets := make([][]int, 1, sets) // ∅ first, then sched.FaultSets's order
+	sched.FaultSets(0, g.M(), g.M(), f, func(fs []int) bool {
+		faultSets = append(faultSets, slices.Clone(fs))
+		return true
+	})
 	ctx := opts.Context()
 	prog := opts.ProgressSink()
 	// Every work unit here is a whole BFS (table row) or a greedy cover
@@ -162,22 +170,4 @@ func containsID(fs []int, id int) bool {
 		}
 	}
 	return false
-}
-
-// enumerateFaultSets lists all F ⊆ {0..m-1} with |F| ≤ f, starting with ∅.
-func enumerateFaultSets(m, f int) [][]int {
-	out := [][]int{nil}
-	if f >= 1 {
-		for a := 0; a < m; a++ {
-			out = append(out, []int{a})
-		}
-	}
-	if f >= 2 {
-		for a := 0; a < m; a++ {
-			for b := a + 1; b < m; b++ {
-				out = append(out, []int{a, b})
-			}
-		}
-	}
-	return out
 }

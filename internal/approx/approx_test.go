@@ -28,14 +28,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestNumFaultSets(t *testing.T) {
-	for f := 0; f <= 2; f++ {
-		if got, want := len(enumerateFaultSets(10, f)), sched.NumFaultSets(10, f); int64(got) != want {
-			t.Fatalf("enumerateFaultSets(10, %d) = %d sets, sched.NumFaultSets = %d", f, got, want)
-		}
-	}
-}
-
 func TestApproxVerifiesAcrossFamilies(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -55,7 +47,7 @@ func TestApproxVerifiesAcrossFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := verify.Structure(g, st, c.sources, c.f, nil)
+			rep := verify.FTBFS(g, st.Edges, c.sources, c.f, nil)
 			if !rep.OK {
 				t.Fatalf("verify failed: %v", rep.Violations)
 			}
@@ -76,7 +68,7 @@ func TestApproxOnMoreFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep := verify.Structure(gr, st, []int{0}, f, nil)
+				rep := verify.FTBFS(gr, st.Edges, []int{0}, f, nil)
 				if !rep.OK {
 					t.Fatalf("verify: %v", rep.Violations)
 				}
@@ -131,6 +123,23 @@ func TestApproxUniverseCap(t *testing.T) {
 	g := gen.Complete(60) // m = 1770 → ~1.57M pairs for f=2, ×3 sources > cap
 	if _, err := Build(g, []int{0, 1, 2}, 2, nil); err == nil {
 		t.Fatal("universe cap not enforced")
+	}
+}
+
+// TestUniverseCapRefusedUpFront: an oversized universe is refused before
+// any of it is built, so the refusal allocates almost nothing.
+func TestUniverseCapRefusedUpFront(t *testing.T) {
+	g := gen.Complete(40) // m = 780 → 304,591 fault sets |F| ≤ 2, ×10 sources > cap
+	sources := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		_, err = Build(g, sources, 2, nil)
+	})
+	if err == nil {
+		t.Fatal("universe cap not enforced")
+	}
+	if allocs > 10 {
+		t.Fatalf("refusal made %.0f allocations", allocs)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cancel"
@@ -40,9 +39,6 @@ type Structure struct {
 	// (Options.CollectPaths); indexed by vertex, nil entries for the
 	// source and unreachable vertices.
 	Targets []*replace.TargetResult
-
-	disabledOnce sync.Once
-	disabled     []int // memoized DisabledEdges result
 }
 
 // NumEdges returns the number of edges in the structure.
@@ -52,23 +48,17 @@ func (s *Structure) NumEdges() int { return s.Edges.Len() }
 // renumbered).
 func (s *Structure) Subgraph() *graph.Graph { return s.G.Subgraph(s.Edges) }
 
-// DisabledEdges returns the IDs of G's edges NOT in the structure, which is
-// how verifiers and routers restrict searches to H. The slice is computed
-// once and shared by every subsequent call (it is O(M) and sits on the
-// verifier and router hot paths): callers must not mutate it, and must not
-// call it before the structure's edge set is final. The cached slice has no
-// spare capacity, so appending to it copies rather than clobbers.
+// DisabledEdges returns the IDs of G's edges NOT in the structure, in
+// increasing order: the mask that restricts a search over G to H. It is
+// O(M) per call.
 func (s *Structure) DisabledEdges() []int {
-	s.disabledOnce.Do(func() {
-		out := make([]int, 0, s.G.M()-s.Edges.Len())
-		for id := 0; id < s.G.M(); id++ {
-			if !s.Edges.Has(id) {
-				out = append(out, id)
-			}
+	out := make([]int, 0, s.G.M()-s.Edges.Len())
+	for id := 0; id < s.G.M(); id++ {
+		if !s.Edges.Has(id) {
+			out = append(out, id)
 		}
-		s.disabled = out
-	})
-	return s.disabled
+	}
+	return out
 }
 
 // BuildStats aggregates construction counters.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -19,7 +18,7 @@ func buildAndVerify(t *testing.T, name string, g *graph.Graph, s int,
 	if err != nil {
 		t.Fatalf("%s: build: %v", name, err)
 	}
-	rep := verify.Structure(g, st, []int{s}, st.Faults, nil)
+	rep := verify.FTBFS(g, st.Edges, []int{s}, st.Faults, nil)
 	if !rep.OK {
 		t.Fatalf("%s: verification failed (%d checked): first violations %v",
 			name, rep.FaultSetsChecked, rep.Violations)
@@ -100,7 +99,7 @@ func TestBuildExhaustiveMatchesDefinition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		rep := verify.Structure(g, st, []int{0}, f, nil)
+		rep := verify.FTBFS(g, st.Edges, []int{0}, f, nil)
 		if !rep.OK {
 			t.Fatalf("f=%d: %v", f, rep.Violations)
 		}
@@ -120,7 +119,7 @@ func TestBuildExhaustiveF3SmallGraph(t *testing.T) {
 	if st.NumEdges() != g.M() {
 		t.Fatalf("cycle f=3 structure has %d edges, want %d", st.NumEdges(), g.M())
 	}
-	rep := verify.Sampled(g, st.DisabledEdges(), []int{0}, 3, 200, 1, nil)
+	rep := verify.Sampled(g, st.Edges, []int{0}, 3, 200, 1, nil)
 	if !rep.OK {
 		t.Fatalf("sampled verify: %v", rep.Violations)
 	}
@@ -165,7 +164,7 @@ func TestBuildFullPathsSupersetOfDual(t *testing.T) {
 			t.Fatalf("edge %d in dual but not in full-paths structure", id)
 		}
 	})
-	rep := verify.Structure(g, full, []int{0}, 2, nil)
+	rep := verify.FTBFS(g, full.Edges, []int{0}, 2, nil)
 	if !rep.OK {
 		t.Fatalf("full-paths structure invalid: %v", rep.Violations)
 	}
@@ -180,7 +179,7 @@ func TestBuildMultiSource(t *testing.T) {
 	if len(st.Sources) != 3 {
 		t.Fatalf("sources deduped to %v", st.Sources)
 	}
-	rep := verify.Structure(g, st, []int{0, 5, 11}, 2, nil)
+	rep := verify.FTBFS(g, st.Edges, []int{0, 5, 11}, 2, nil)
 	if !rep.OK {
 		t.Fatalf("multi-source verify: %v", rep.Violations)
 	}
@@ -244,7 +243,7 @@ func TestDualOnDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Structure(g, st, []int{0}, 2, nil)
+	rep := verify.FTBFS(g, st.Edges, []int{0}, 2, nil)
 	if !rep.OK {
 		t.Fatalf("disconnected verify: %v", rep.Violations)
 	}
@@ -279,8 +278,9 @@ func TestSummaryContainsEnvelopes(t *testing.T) {
 }
 
 // TestParallelBuildMatchesSequential: the per-target builders produce the
-// same edge set AND the same BuildStats at every worker count — each
-// extra worker's engine construction is subtracted, not summed in.
+// same edge set AND the same BuildStats at every worker count — the
+// shared base tree's search is counted once, where the tree is built, and
+// each worker's engine counts only its own runs.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	g := gen.SparseGNP(60, 5, 21)
 	for name, build := range map[string]func(*graph.Graph, int, *Options) (*Structure, error){
@@ -313,7 +313,7 @@ func TestParallelBuildSingleAndCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Structure(g, par, []int{0}, 1, nil)
+	rep := verify.FTBFS(g, par.Edges, []int{0}, 1, nil)
 	if !rep.OK {
 		t.Fatalf("parallel single verify: %v", rep.Violations)
 	}
@@ -425,65 +425,27 @@ func TestMultiSourceStatsAggregation(t *testing.T) {
 	}
 }
 
-func TestDisabledEdgesMemoized(t *testing.T) {
+func TestDisabledEdgesComplement(t *testing.T) {
 	g := gen.GNP(30, 0.3, 5)
 	st, err := BuildDual(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := st.DisabledEdges()
-	second := st.DisabledEdges()
-	if len(first) == 0 {
+	disabled := st.DisabledEdges()
+	if len(disabled) == 0 {
 		t.Fatalf("expected a non-trivial structure (some disabled edges)")
 	}
-	if &first[0] != &second[0] || len(first) != len(second) {
-		t.Fatalf("DisabledEdges not memoized: distinct backing arrays")
-	}
-	// The view must be correct and exactly the complement of Edges.
+	// The list must be exactly the complement of Edges.
 	want := g.M() - st.Edges.Len()
-	if len(first) != want {
-		t.Fatalf("DisabledEdges len = %d, want %d", len(first), want)
+	if len(disabled) != want {
+		t.Fatalf("DisabledEdges len = %d, want %d", len(disabled), want)
 	}
-	for _, id := range first {
+	for i, id := range disabled {
 		if st.Edges.Has(id) {
 			t.Fatalf("DisabledEdges contains kept edge %d", id)
 		}
-	}
-	// Appending to the view must not clobber the shared cache: the cached
-	// slice is built with no spare capacity, so append reallocates.
-	if cap(first) != len(first) {
-		t.Fatalf("cached slice has spare capacity %d > len %d", cap(first), len(first))
-	}
-	grown := append(first, -1)
-	third := st.DisabledEdges()
-	if len(third) != want || third[len(third)-1] == -1 {
-		t.Fatalf("append to the view corrupted the cache")
-	}
-	_ = grown
-}
-
-func TestDisabledEdgesConcurrent(t *testing.T) {
-	g := gen.GNP(40, 0.25, 9)
-	st, err := BuildDual(g, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	out := make([][]int, 8)
-	for i := range out {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = st.DisabledEdges()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(out); i++ {
-		if len(out[i]) != len(out[0]) {
-			t.Fatalf("goroutine %d saw %d disabled edges, goroutine 0 saw %d", i, len(out[i]), len(out[0]))
-		}
-		if len(out[0]) > 0 && &out[i][0] != &out[0][0] {
-			t.Fatalf("goroutine %d got a different backing array", i)
+		if i > 0 && id <= disabled[i-1] {
+			t.Fatalf("DisabledEdges not increasing at %d: %v", i, disabled[i-1:i+1])
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestVertexExhaustiveVerifies(t *testing.T) {
 			if !st.VertexFaults {
 				t.Fatalf("%s: VertexFaults flag unset", name)
 			}
-			rep := verify.VertexFTBFS(g, st.DisabledEdges(), []int{0}, f, nil)
+			rep := verify.VertexFTBFS(g, st.Edges, []int{0}, f, nil)
 			if !rep.OK {
 				t.Fatalf("%s f=%d: %v", name, f, rep.Violations)
 			}
@@ -58,11 +58,23 @@ func TestVertexVerifierCatchesBreakage(t *testing.T) {
 	g := gen.Cycle(6)
 	// Remove one edge from H: a vertex failure on the far side makes some
 	// vertex unreachable in H\{x} but not in G\{x}.
-	rep := verify.VertexFTBFS(g, []int{0}, []int{0}, 1, nil)
+	rep := verify.VertexFTBFS(g, without(g, 0), []int{0}, 1, nil)
 	if rep.OK {
 		t.Fatal("broken vertex structure passed")
 	}
-	if rep2 := verify.VertexFTBFS(g, nil, []int{0}, 3, nil); rep2.OK {
+	if rep2 := verify.VertexFTBFS(g, without(g), []int{0}, 3, nil); rep2.OK {
 		t.Fatal("f=3 should be rejected")
 	}
+}
+
+// without returns the edge set of g minus the given edge IDs.
+func without(g *graph.Graph, ids ...int) *graph.EdgeSet {
+	h := graph.NewEdgeSet(g.M())
+	for id := range g.M() {
+		h.Add(id)
+	}
+	for _, id := range ids {
+		h.Remove(id)
+	}
+	return h
 }

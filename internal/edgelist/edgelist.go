@@ -128,6 +128,29 @@ func parse(r io.Reader, lenient bool) (*graph.Graph, LenientStats, error) {
 	return b.Freeze(), stats, nil
 }
 
+// ReadSubset parses a structure file: a graph in the package format on
+// g's vertex set, every edge of which is an edge of g. It returns the IDs
+// of g's edges the file lists.
+func ReadSubset(r io.Reader, g *graph.Graph) (*graph.EdgeSet, error) {
+	h, err := Read(r)
+	if err != nil {
+		return nil, err
+	}
+	if h.N() != g.N() {
+		return nil, fmt.Errorf("edgelist: vertex counts differ: graph %d, structure %d", g.N(), h.N())
+	}
+	keep := graph.NewEdgeSet(g.M())
+	for i := range h.M() {
+		e := h.EdgeAt(i)
+		id, ok := g.EdgeID(e.U, e.V)
+		if !ok {
+			return nil, fmt.Errorf("edgelist: structure edge %v not in graph", e)
+		}
+		keep.Add(id)
+	}
+	return keep, nil
+}
+
 // Write emits g in the package format (with the "n" header so isolated
 // vertices round-trip).
 func Write(w io.Writer, g *graph.Graph) error {

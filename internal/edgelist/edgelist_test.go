@@ -156,3 +156,27 @@ func TestReadLenientStillRejectsOutOfRange(t *testing.T) {
 		t.Fatalf("out-of-range not rejected with position: %v", err)
 	}
 }
+
+func TestReadSubset(t *testing.T) {
+	g, err := Read(strings.NewReader("n 4\n0 1\n1 2\n2 3\n0 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Orientation and line order do not matter; IDs are g's.
+	h, err := ReadSubset(strings.NewReader("n 4\n3 0\n2 1\n"), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.IDs(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("subset IDs = %v, want [1 3]", got)
+	}
+	for in, want := range map[string]string{
+		"n 4\n0 2\n":    "not in graph",
+		"n 5\n0 1\n":    "vertex counts differ",
+		"n 4\n0 1\n1 0": "duplicate edge",
+	} {
+		if _, err := ReadSubset(strings.NewReader(in), g); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ReadSubset(%q) error = %v, want %q", in, err, want)
+		}
+	}
+}

@@ -74,14 +74,14 @@ func E12Beyond(cfg Config) (*Table, error) {
 			}
 			status := "sampled-ok"
 			if f <= 2 || g.M() <= 120 {
-				rep := verify.Structure(g, st, []int{0}, f, cfg.verifyOpts())
+				rep := verify.FTBFS(g, st.Edges, []int{0}, f, cfg.verifyOpts())
 				if !rep.OK {
 					return t, fmt.Errorf("E12 %s f=%d: verification failed: %v",
 						fam.Name, f, rep.Violations[0])
 				}
 				status = "exhaustive-ok"
 			} else {
-				rep := verify.Sampled(g, st.DisabledEdges(), []int{0}, f, 400, 1, cfg.verifyOpts())
+				rep := verify.Sampled(g, st.Edges, []int{0}, f, 400, 1, cfg.verifyOpts())
 				if !rep.OK {
 					return t, fmt.Errorf("E12 %s f=%d: sampled verification failed: %v",
 						fam.Name, f, rep.Violations[0])

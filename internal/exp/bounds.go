@@ -163,7 +163,7 @@ func E3Approx(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E3 exact %s: %w", c.name, err)
 		}
 		// Both must verify.
-		if rep := verify.Structure(g, ap, sources, c.f, cfg.verifyOpts()); !rep.OK {
+		if rep := verify.FTBFS(g, ap.Edges, sources, c.f, cfg.verifyOpts()); !rep.OK {
 			return nil, fmt.Errorf("E3 %s: approx failed verification: %v", c.name, rep.Violations[0])
 		}
 		u := float64(sched.NumFaultSets(g.M(), c.f) * int64(len(sources)))
@@ -254,7 +254,7 @@ func E9Verify(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E9 %s: %w", fam.Name, err)
 		}
-		rep := verify.Structure(g, st, []int{src}, 2, cfg.verifyOpts())
+		rep := verify.FTBFS(g, st.Edges, []int{src}, 2, cfg.verifyOpts())
 		viol := len(rep.Violations)
 		t.AddRow(fam.Name, itoa(g.N()), itoa(g.M()), itoa(st.NumEdges()),
 			itoa(rep.FaultSetsChecked), itoa(rep.FaultSetsPruned), itoa(viol))

@@ -59,49 +59,21 @@ func TestConfigDefaults(t *testing.T) {
 // Each experiment must run clean at tiny scale and produce rows.
 func TestExperimentsRun(t *testing.T) {
 	cfg := tinyCfg()
-	runs := []struct {
-		name string
-		fn   func(Config) (*Table, error)
-	}{
-		{"E1", E1DualSize},
-		{"E2", E2LowerBound},
-		{"E3", E3Approx},
-		{"E4", E4FTDiameter},
-		{"E5", E5PerVertex},
-		{"E6", E6SingleVsDual},
-		{"E7", E7Classes},
-		{"E8", E8Detours},
-		{"E9", E9Verify},
-		{"E10", E10Kernel},
-		{"E11", E11Ablation},
-		{"E12", E12Beyond},
-		{"E13", E13Selection},
+	if len(Experiments) != 13 {
+		t.Fatalf("%d experiments registered, want 13", len(Experiments))
 	}
-	for _, r := range runs {
-		t.Run(r.name, func(t *testing.T) {
-			tbl, err := r.fn(cfg)
+	for _, r := range Experiments {
+		t.Run(r.ID, func(t *testing.T) {
+			tbl, err := r.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(tbl.Rows) == 0 {
 				t.Fatal("no rows")
 			}
-			if tbl.ID != r.name {
+			if tbl.ID != r.ID {
 				t.Fatalf("table ID %q", tbl.ID)
 			}
 		})
-	}
-}
-
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll repeats all experiments")
-	}
-	tables, err := RunAll(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables", len(tables))
 	}
 }

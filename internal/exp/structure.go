@@ -140,34 +140,3 @@ func E10Kernel(cfg Config) (*Table, error) {
 	}
 	return t, nil
 }
-
-// RunAll executes the full experiment suite in order.
-func RunAll(cfg Config) ([]*Table, error) {
-	runs := []struct {
-		name string
-		fn   func(Config) (*Table, error)
-	}{
-		{"E1", E1DualSize},
-		{"E2", E2LowerBound},
-		{"E3", E3Approx},
-		{"E4", E4FTDiameter},
-		{"E5", E5PerVertex},
-		{"E6", E6SingleVsDual},
-		{"E7", E7Classes},
-		{"E8", E8Detours},
-		{"E9", E9Verify},
-		{"E10", E10Kernel},
-		{"E11", E11Ablation},
-		{"E12", E12Beyond},
-		{"E13", E13Selection},
-	}
-	out := make([]*Table, 0, len(runs))
-	for _, r := range runs {
-		tbl, err := r.fn(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", r.name, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}

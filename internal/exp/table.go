@@ -10,6 +10,30 @@ import (
 	"strings"
 )
 
+// Experiment is one entry of the suite: its table ID and the function
+// that measures it.
+type Experiment struct {
+	ID  string
+	Run func(Config) (*Table, error)
+}
+
+// Experiments is the suite in order, E1–E13.
+var Experiments = []Experiment{
+	{"E1", E1DualSize},
+	{"E2", E2LowerBound},
+	{"E3", E3Approx},
+	{"E4", E4FTDiameter},
+	{"E5", E5PerVertex},
+	{"E6", E6SingleVsDual},
+	{"E7", E7Classes},
+	{"E8", E8Detours},
+	{"E9", E9Verify},
+	{"E10", E10Kernel},
+	{"E11", E11Ablation},
+	{"E12", E12Beyond},
+	{"E13", E13Selection},
+}
+
 // Table is a rendered experiment result.
 type Table struct {
 	ID     string

@@ -182,7 +182,7 @@ func TestDualStructureOnInstanceContainsBipartite(t *testing.T) {
 			t.Fatalf("dual structure dropped necessary bipartite edge %v", e)
 		}
 	}
-	rep := verify.Structure(inst.G, st, []int{inst.Source}, 2, nil)
+	rep := verify.FTBFS(inst.G, st.Edges, []int{inst.Source}, 2, nil)
 	if !rep.OK {
 		t.Fatalf("structure on G*_2 fails verification: %v", rep.Violations)
 	}

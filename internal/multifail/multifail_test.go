@@ -31,7 +31,7 @@ func TestBuildVerifiesAllF(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		rep := verify.Structure(g, st, []int{0}, f, nil)
+		rep := verify.FTBFS(g, st.Edges, []int{0}, f, nil)
 		if !rep.OK {
 			t.Fatalf("f=%d: %v", f, rep.Violations)
 		}
@@ -53,7 +53,7 @@ func TestBuildAcrossFamiliesF3(t *testing.T) {
 		if st.NumEdges() != g.M() {
 			t.Fatalf("cycle f=3 must keep all edges, got %d", st.NumEdges())
 		}
-		rep := verify.Structure(g, st, []int{0}, 3, nil)
+		rep := verify.FTBFS(g, st.Edges, []int{0}, 3, nil)
 		if !rep.OK {
 			t.Fatalf("verify: %v", rep.Violations)
 		}
@@ -64,7 +64,7 @@ func TestBuildAcrossFamiliesF3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := verify.Structure(g, st, []int{0}, 3, nil)
+		rep := verify.FTBFS(g, st.Edges, []int{0}, 3, nil)
 		if !rep.OK {
 			t.Fatalf("verify: %v", rep.Violations)
 		}
@@ -75,7 +75,7 @@ func TestBuildAcrossFamiliesF3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := verify.Structure(g, st, []int{0}, 3, nil)
+		rep := verify.FTBFS(g, st.Edges, []int{0}, 3, nil)
 		if !rep.OK {
 			t.Fatalf("verify: %v", rep.Violations)
 		}
@@ -118,7 +118,7 @@ func TestComparableToConsDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := verify.Structure(g, rel, []int{0}, 2, nil)
+	rep := verify.FTBFS(g, rel.Edges, []int{0}, 2, nil)
 	if !rep.OK {
 		t.Fatalf("verify: %v", rep.Violations)
 	}
@@ -141,14 +141,14 @@ func TestQuickRandomGraphs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !verify.Structure(g, st, []int{0}, 2, nil).OK {
+		if !verify.FTBFS(g, st.Edges, []int{0}, 2, nil).OK {
 			return false
 		}
 		st3, err := Build(g, 0, 3, &core.Options{Seed: seed})
 		if err != nil {
 			return false
 		}
-		return verify.Sampled(g, st3.DisabledEdges(), []int{0}, 3, 150, seed, nil).OK
+		return verify.Sampled(g, st3.Edges, []int{0}, 3, 150, seed, nil).OK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
