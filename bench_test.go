@@ -77,6 +77,27 @@ func BenchmarkBuildDual(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildServing times the build ftbfsd's benchmark serves from —
+// the two-source dual structure of SparseGNP(1000, 6, 1) — which is most
+// of bench/run.sh's setup_s, at one and two workers.
+func BenchmarkBuildServing(b *testing.B) {
+	g := ftbfs.SparseGNP(1000, 6, 1)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				st, err := ftbfs.BuildMultiSourceDualFTBFS(g, []int{0, 500}, &ftbfs.Options{Parallelism: p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges = st.NumEdges()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
 func BenchmarkBuildSingle(b *testing.B) {
 	for _, n := range []int{40, 80, 160} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -84,6 +84,9 @@ func run(args []string) error {
 			case server.StatusFailed:
 				log.Printf("build graph=%s build=%s mode=%s sources=%v status=%s queuedMs=%.1f elapsedMs=%.1f dijkstras=%d err=%q",
 					e.Graph, e.Build, e.Mode, e.Sources, e.Status, e.QueuedMS, e.ElapsedMS, e.Dijkstras, e.Error)
+				if e.Stack != "" {
+					log.Printf("build graph=%s build=%s panic stack:\n%s", e.Graph, e.Build, e.Stack)
+				}
 			default: // cancelled
 				log.Printf("build graph=%s build=%s mode=%s sources=%v status=%s queuedMs=%.1f elapsedMs=%.1f dijkstras=%d",
 					e.Graph, e.Build, e.Mode, e.Sources, e.Status, e.QueuedMS, e.ElapsedMS, e.Dijkstras)

@@ -18,8 +18,9 @@ import "sync/atomic"
 //     fraction.
 //   - UnitsDone counts completed work units (targets, fault sets, BFS
 //     passes — whatever the builder enumerates).
-//   - Dijkstras counts shortest-path computations, matching
-//     BuildStats.Dijkstras at completion.
+//   - Dijkstras counts logical searches — one per query a builder
+//     makes, whether a kernel ran it or it was answered from an earlier
+//     run — matching BuildStats.Dijkstras at completion.
 //   - EdgesKept counts kept-edge discoveries. It is exact for sequential
 //     builds; parallel workers count into their private accumulators, so
 //     while they run the value is an upper bound on the final |E_H|

@@ -63,6 +63,8 @@ func (s *Structure) DisabledEdges() []int {
 
 // BuildStats aggregates construction counters.
 type BuildStats struct {
+	// Dijkstras counts logical searches: one per query the builder makes,
+	// whether a kernel ran it or it was answered from an earlier run.
 	Dijkstras   int
 	Fallbacks   int
 	TieWarnings int
@@ -207,7 +209,10 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	}
 	// Targets are independent: each worker folds the targets it claims
 	// into a private partial seeded with T0, through its own engine over
-	// the one shared tree.
+	// the one shared tree. Indices are claimed in T0 preorder, so the
+	// targets below one π edge run back to back and share the engine's
+	// single-fault searches of that edge.
+	order := tree.Preorder()
 	parts, err := sched.Run(opts.Context(), opts.Workers(), g.N(),
 		func(wi int, next func() (int, int, bool)) (partial, error) {
 			e := replace.NewEngine(tree)
@@ -222,12 +227,12 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 			prevD := 0
 			tEv := time.Now()
 			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-				for v := lo; v < hi; v++ {
+				for _, v := range order[lo:hi] {
 					if err := poll.Poll(); err != nil {
 						return partial{}, err
 					}
 					n0 := part.edges.Len()
-					part.fold(build(e, v, collect), st.Targets)
+					part.fold(build(e, int(v), collect), st.Targets)
 					prog.AddUnits(1)
 					prog.AddEdges(int64(part.edges.Len() - n0))
 					if prog != nil {

@@ -100,14 +100,23 @@ type Record struct {
 
 // Stats aggregates engine effort and anomaly counters.
 type Stats struct {
-	Dijkstras   int // searches run
+	// Dijkstras counts logical searches: one per query the algorithm
+	// makes, whether it was run or answered without a run (a memoized
+	// single-fault search, a G_τ(v) check derived from the run before).
+	Dijkstras int
+	// KernelRuns counts the wsp.RepairSearch runs actually made.
+	KernelRuns  int
 	Fallbacks   int // selection-rule fallbacks
 	TieWarnings int // equal-weight path pairs observed (should stay 0)
 }
 
 // Engine computes replacement paths for a fixed graph, weight assignment and
-// source, repairing against their shared canonical tree T0. It is not safe
-// for concurrent use; create one per goroutine over one shared wsp.Tree.
+// source, repairing against their shared canonical tree T0. It keeps the
+// Step-1 searches of the current target's π edges for the targets after
+// it (sfMemo), which pays when targets come in T0 preorder
+// (wsp.Tree.Preorder); the results never depend on the order. It is not
+// safe for concurrent use; create one per goroutine over one shared
+// wsp.Tree.
 type Engine struct {
 	g *graph.Graph
 	t *wsp.Tree // T0(s), shared and only read
@@ -116,10 +125,16 @@ type Engine struct {
 	search *wsp.RepairSearch
 
 	stats Stats
+	// ties is the TieWarnings share not observed by search itself: each
+	// use of a memoized search is charged the ties of the run that filled
+	// it, so the count depends on neither target order nor Parallelism.
+	// memoTies is what those filling runs observed, taken back out of
+	// search's count.
+	ties, memoTies int
+	memo           sfMemo
 
 	// scratch
 	disabledV  []int
-	disabledE  []int
 	onPi       []int32 // position of each vertex on the current π
 	piStamp    []int   // target for which onPi entry is valid (target+1)
 	curPiStamp int
@@ -150,7 +165,7 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // underlying search's tie warnings.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	st.TieWarnings = e.search.TieWarnings()
+	st.TieWarnings = e.search.TieWarnings() - e.memoTies + e.ties
 	return st
 }
 
@@ -189,4 +204,5 @@ func (e *Engine) PiTo(v int) path.Path { return e.t.PathTo(v) }
 func (e *Engine) run(src int, opt wsp.Options) {
 	e.search.Run(src, opt)
 	e.stats.Dijkstras++
+	e.stats.KernelRuns++
 }

@@ -1,6 +1,7 @@
 package replace
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/path"
@@ -78,6 +79,7 @@ func (e *Engine) startTarget(v int) (*TargetResult, map[int]bool) {
 		tr.PiEdgeIDs[i] = id
 	}
 	e.stampPi(tr)
+	e.memo.enter(tr.PiEdgeIDs)
 
 	// H(v) starts from E(v, T0).
 	inH := make(map[int]bool)
@@ -132,7 +134,7 @@ func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 	l := tr.Pi.Len()
 	tr.Detours = make([]Detour, l)
 	for i := 0; i < l; i++ {
-		rec := e.singleFault(tr, i)
+		rec := e.singleFaultPath(tr, i)
 		if rec.Path != nil {
 			tr.Detours[i] = e.extractDetour(tr, rec.Path)
 			if !inH[rec.LastEdgeID] {
@@ -147,8 +149,9 @@ func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 	}
 }
 
-// singleFault computes P(s,v,{e_i}) with the earliest-divergence rule.
-func (e *Engine) singleFault(tr *TargetResult, i int) Record {
+// singleFaultPath computes P(s,v,{e_i}) with the earliest-divergence rule.
+// Every search it makes is a G(u_k, u_i)∖{e_i} of the single-fault memo.
+func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
 	rec := Record{
 		Kind:       KindSingle,
 		EIdx:       i,
@@ -159,9 +162,7 @@ func (e *Engine) singleFault(tr *TargetResult, i int) Record {
 		CPos:       -1,
 	}
 	v := tr.V
-	eid := tr.PiEdgeIDs[i]
-	e.run(e.s, wsp.Options{Target: v, DisabledEdges: []int{eid}})
-	d := e.search.HopDist(v)
+	d, _ := e.singleFault(tr, i, i).at(e.t, v)
 	if d < 0 {
 		rec.Unreachable = true
 		return rec
@@ -170,12 +171,8 @@ func (e *Engine) singleFault(tr *TargetResult, i int) Record {
 	// G(u_k, u_i) \ {e_i} still realizes distance d. The predicate is
 	// monotone because larger k disables fewer π vertices.
 	pred := func(k int) bool {
-		e.disabledV = e.disabledV[:0]
-		for j := k + 1; j <= i; j++ {
-			e.disabledV = append(e.disabledV, tr.Pi[j])
-		}
-		e.run(e.s, wsp.Options{Target: v, DisabledEdges: []int{eid}, DisabledVertices: e.disabledV})
-		return e.search.HopDist(v) == d
+		h, _ := e.singleFault(tr, i, k).at(e.t, v)
+		return h == d
 	}
 	lo, hi := 0, i // pred(i) is true: G(u_i,u_i) = G
 	for lo < hi {
@@ -187,13 +184,14 @@ func (e *Engine) singleFault(tr *TargetResult, i int) Record {
 		}
 	}
 	// Re-run at the chosen k to materialize the path.
-	if !pred(lo) {
+	en := e.singleFault(tr, i, lo)
+	if h, _ := en.at(e.t, v); h != d {
 		// Only possible under residual ties; fall back to the canonical path.
 		e.stats.Fallbacks++
 		rec.UsedFallback = true
-		e.run(e.s, wsp.Options{Target: v, DisabledEdges: []int{eid}})
+		en = e.singleFault(tr, i, i)
 	}
-	p := e.search.PathTo(v)
+	p := en.pathTo(e.t, v)
 	rec.Path = p
 	if le, ok := p.LastEdge(); ok {
 		if id, ok := e.g.EdgeID(le.U, le.V); ok {
@@ -383,19 +381,6 @@ func (e *Engine) step3(tr *TargetResult, inH map[int]bool, collect bool) {
 	}
 }
 
-// disabledNonHEdges fills e.disabledE with the edges incident to v that are
-// NOT in the current structure (realizing the graph G_τ(v)).
-func (e *Engine) disabledNonHEdges(v int, inH map[int]bool, extra []int) []int {
-	e.disabledE = e.disabledE[:0]
-	for _, a := range e.g.Arcs(v) {
-		if !inH[int(a.ID)] {
-			e.disabledE = append(e.disabledE, int(a.ID))
-		}
-	}
-	e.disabledE = append(e.disabledE, extra...)
-	return e.disabledE
-}
-
 // piDPair processes one (π,D) fault pair at its turn τ.
 func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record {
 	det := &tr.Detours[f.eIdx]
@@ -416,10 +401,8 @@ func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record 
 		return rec
 	}
 	// Satisfied by the current structure G_{τ-1}(v)?
-	masks := e.disabledNonHEdges(v, inH, rec.FaultIDs)
-	e.run(e.s, wsp.Options{Target: v, DisabledEdges: masks})
-	if e.search.HopDist(v) == d {
-		rec.Path = e.search.PathTo(v)
+	if p := e.gtauPath(v, d, rec.FaultIDs, inH); p != nil {
+		rec.Path = p
 		if le, ok := rec.Path.LastEdge(); ok {
 			if id, ok := e.g.EdgeID(le.U, le.V); ok {
 				rec.LastEdgeID = id
@@ -441,6 +424,48 @@ func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record 
 	rec.BPos = p.FirstDivergence(tr.Pi)
 	rec.CPos = e.detourDivergence(det, p)
 	return rec
+}
+
+// gtauPath answers the G_τ(v) check — is dist(s,v,G_τ(v)∖F) still d? —
+// from the unmasked G∖F run just made, which found d. G_τ(v) drops only
+// v's edges outside H(v). A shortest s–u path of length d−1 cannot pass
+// through v, so every vertex u at hop d−1 keeps its canonical G∖F path,
+// and the canonical G_τ(v)∖F path to v, if as short as d, is the least
+// (hops, tie) + w(u,v) over v's H(v) neighbours u at hop d−1 with (u,v)
+// ∉ F. The run settled all of them: when the last edge of v's own G∖F
+// path is not in H(v), v lies in the detached region (or the run fell
+// back), and then every vertex with fewer hops than v is valid. It
+// returns that path, or nil when G_τ(v)∖F is farther. The check counts
+// as one logical search; an exact tie between candidates keeps the first
+// in arc order and counts one tie warning.
+func (e *Engine) gtauPath(v int, d int32, faults []int, inH map[int]bool) path.Path {
+	e.stats.Dijkstras++
+	if inH[e.search.ParentEdgeOf(v)] {
+		return e.search.PathTo(v)
+	}
+	asg := e.t.Assignment()
+	best, tied := -1, false
+	var bestW wsp.Weight
+	for _, a := range e.g.Arcs(v) {
+		u, id := int(a.To), int(a.ID)
+		if !inH[id] || slices.Contains(faults, id) || e.search.HopDist(u) != d-1 {
+			continue
+		}
+		du, _ := e.search.Dist(u)
+		switch w := du.Add(asg.EdgeWeight(id)); {
+		case best < 0 || w.Less(bestW):
+			best, bestW, tied = u, w, false
+		case w == bestW:
+			tied = true
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	if tied {
+		e.ties++
+	}
+	return append(e.search.PathTo(best), v)
 }
 
 // newEndingPiD realizes the Step-3 selection: binary-search the topmost

@@ -18,8 +18,10 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -58,6 +60,25 @@ func (d *dispenser) next() (lo, hi int, ok bool) {
 	}
 }
 
+// PanicError is the error of a worker that panicked: the panic's value
+// and the stack of the panicking goroutine.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// Error implements error as "panic: <value>"; the stack is left out, so
+// the message is safe to show where a stack is not.
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Recover turns a panic into a *PanicError in *err. Call it deferred:
+// defer sched.Recover(&err).
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
+
 // Run fans the index space [0, units) out over clamp(workers, 1, units)
 // workers: worker 0 runs on the caller's goroutine, the rest on their
 // own. Each worker w calls work(w, next) once; next claims the next range
@@ -70,23 +91,29 @@ func (d *dispenser) next() (lo, hi int, ok bool) {
 // even on error, so an interrupted pass can still report what it reached.
 // The error is ctx.Err() when ctx was cancelled — a cancelled run is
 // cancelled, whatever else the workers hit — and otherwise the error of
-// the lowest-numbered worker that failed. Run does not poll ctx itself:
-// workers poll it at their own cadence.
+// the lowest-numbered worker that failed. A worker that panics fails
+// with a *PanicError (and the zero partial) while the others run to the
+// end, so a panic in a builder never takes the process down. Run does
+// not poll ctx itself: workers poll it at their own cadence.
 func Run[P any](ctx context.Context, workers, units int,
 	work func(w int, next func() (lo, hi int, ok bool)) (P, error)) ([]P, error) {
 	workers = max(1, min(workers, units))
 	d := newDispenser(units, workers)
 	parts := make([]P, workers)
 	errs := make([]error, workers)
+	do := func(w int) {
+		defer Recover(&errs[w])
+		parts[w], errs[w] = work(w, d.next)
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[w], errs[w] = work(w, d.next)
+			do(w)
 		}()
 	}
-	parts[0], errs[0] = work(0, d.next)
+	do(0)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return parts, err

@@ -7,7 +7,9 @@ import (
 	"math"
 	"math/big"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -132,6 +134,51 @@ func TestRunErrorRule(t *testing.T) {
 
 // lexLess orders fault sets lexicographically, a prefix first.
 func lexLess(a, b []int) bool { return slices.Compare(a, b) < 0 }
+
+// TestRunRecoversPanics: a worker that panics mid-range — worker 0 on the
+// caller's goroutine or one of its own — fails with a *PanicError that
+// holds the value and the stack, while every other worker runs to the end:
+// together they cover every index the panicking worker did not claim.
+// Alone, the panicking worker returns the zero partial.
+func TestRunRecoversPanics(t *testing.T) {
+	const units = 1000
+	for _, c := range []struct{ workers, panicking int }{{1, 0}, {4, 0}, {4, 3}} {
+		var claimed sync.WaitGroup
+		claimed.Add(c.workers)
+		var lost atomic.Int64 // indices claimed by the panicking worker
+		parts, err := Run(context.Background(), c.workers, units, func(w int, next func() (int, int, bool)) (int, error) {
+			lo, hi, ok := next()
+			claimed.Done()
+			claimed.Wait() // every worker holds a range before any panics
+			n := 0
+			for ; ok; lo, hi, ok = next() {
+				for i := lo; i < hi; i++ {
+					if w == c.panicking && i >= lo+(hi-lo)/2 {
+						lost.Add(int64(hi - lo))
+						panic(fmt.Sprintf("worker %d at %d", w, i))
+					}
+				}
+				n += hi - lo
+			}
+			return n, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%+v: err %v, want a *PanicError", c, err)
+		}
+		if !strings.HasPrefix(pe.Error(), fmt.Sprintf("panic: worker %d at ", c.panicking)) ||
+			!strings.Contains(string(pe.Stack), "TestRunRecoversPanics") {
+			t.Fatalf("%+v: error %q, stack %q", c, pe.Error(), pe.Stack)
+		}
+		total := 0
+		for _, n := range parts {
+			total += n
+		}
+		if len(parts) != c.workers || parts[c.panicking] != 0 || (c.workers > 1 && total+int(lost.Load()) != units) {
+			t.Fatalf("%+v: partials %v cover %d of %d indices, %d lost to the panic", c, parts, total, units, lost.Load())
+		}
+	}
+}
 
 // TestFaultSetsPartition: any partition of [0, n) into claimed ranges
 // visits every nonempty set of size ≤ f exactly once, lexicographically

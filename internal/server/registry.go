@@ -123,6 +123,7 @@ type buildEntry struct {
 	seed    int64
 	status  string            // guarded by Server.mu
 	errMsg  string            // guarded by Server.mu
+	stack   string            // guarded by Server.mu; stack of a builder panic, for the log only
 	created time.Time         // when the build was accepted (queue entry)
 	started time.Time         // guarded by Server.mu; when it acquired a build slot (zero while queued)
 	queued  time.Duration     // guarded by Server.mu; time spent waiting for the slot

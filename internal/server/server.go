@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/oracle"
+	"repro/internal/sched"
 	"repro/internal/server/batchcodec"
 	"repro/internal/snap"
 )
@@ -110,14 +111,19 @@ type BuildEvent struct {
 	Status    string
 	QueuedMS  float64
 	ElapsedMS float64
-	// Dijkstras counts the searches actually run: the final build stats
-	// for ready builds, the live progress counter (work done before the
-	// stop) for cancelled and failed ones.
+	// Dijkstras counts the build's logical searches, equal to
+	// BuildStats.Dijkstras: the final build stats for ready builds, the
+	// live progress counter (work done before the stop) for cancelled and
+	// failed ones. Searches answered without a kernel run count too.
 	Dijkstras int64
 	// Edges is |E_H| and GraphEdges |E(G)|, populated for ready builds.
 	Edges      int
 	GraphEdges int
 	Error      string
+	// Stack is the panicking goroutine's stack when the build failed
+	// because its builder panicked (Error is then "panic: <value>"). It is
+	// meant for the daemon log and never appears in an API response.
+	Stack string
 }
 
 // Server is the ftbfsd registry and HTTP handler factory. It is safe for
@@ -536,11 +542,7 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	be.queued = be.started.Sub(be.created)
 	s.mu.Unlock()
 	opts := &core.Options{Seed: be.seed, Parallelism: parallelism, Ctx: ctx, Progress: be.progress}
-	st, err := build(g2, opts)
-	var set *oracle.OracleSet
-	if err == nil && ctx.Err() == nil {
-		set, err = s.newOracleSet(st)
-	}
+	st, set, err := s.buildStructure(ctx, g2, build, opts)
 	s.mu.Lock()
 	be.elapsed = time.Since(be.started)
 	switch {
@@ -551,6 +553,10 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	case err != nil:
 		be.status = StatusFailed
 		be.errMsg = err.Error()
+		var pe *sched.PanicError
+		if errors.As(err, &pe) {
+			be.stack = string(pe.Stack)
+		}
 	default:
 		be.st = st
 		be.set = set
@@ -568,6 +574,21 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	s.logBuild(graphName, be)
 }
 
+// buildStructure runs the builder and indexes its structure for queries.
+// A panic in either — on a pool worker (sched.Run) or here on the build
+// goroutine — becomes a *sched.PanicError, so a faulty builder fails its
+// build instead of the daemon.
+func (s *Server) buildStructure(ctx context.Context, g2 *graph.Graph,
+	build func(*graph.Graph, *core.Options) (*core.Structure, error),
+	opts *core.Options) (st *core.Structure, set *oracle.OracleSet, err error) {
+	defer sched.Recover(&err)
+	st, err = build(g2, opts)
+	if err == nil && ctx.Err() == nil {
+		set, err = s.newOracleSet(st)
+	}
+	return st, set, err
+}
+
 // logBuild reports a terminal build outcome to Config.BuildLog.
 func (s *Server) logBuild(graphName string, be *buildEntry) {
 	if s.cfg.BuildLog == nil {
@@ -577,7 +598,7 @@ func (s *Server) logBuild(graphName string, be *buildEntry) {
 	ev := BuildEvent{
 		Graph: graphName, Build: be.id, Mode: be.mode,
 		Sources: append([]int(nil), be.sources...),
-		Status:  be.status, Error: be.errMsg,
+		Status:  be.status, Error: be.errMsg, Stack: be.stack,
 		QueuedMS: durationMS(be.queued), ElapsedMS: durationMS(be.elapsed),
 		Dijkstras: be.progress.Snapshot().Dijkstras,
 	}

@@ -31,9 +31,13 @@ import (
 // TieWarnings, so a tied final minimum is always reported.
 //
 // Contract: after a Run with a Target, accessors are valid for the target,
-// every vertex on the target's path, and every vertex outside R (exactly
-// the set the replace/multifail consumers query). After a Run without a
-// Target, accessors are valid for all vertices. A RepairSearch is not safe
+// every vertex on the target's path, and every vertex outside R. When the
+// run repaired the target (the target lies in R) or fell back to scratch,
+// they are also valid for every vertex with fewer hops than the target:
+// the sweep, like Search, settles every lower hop level before the
+// target's. Other vertices read as unreachable or at their true distance,
+// never closer. After a Run without a Target, accessors are valid for all
+// vertices. A RepairSearch is not safe
 // for concurrent use; create one per goroutine. The Tree it repairs
 // against is only read, so every goroutine's RepairSearch may share one.
 type RepairSearch struct {
@@ -115,8 +119,9 @@ func (r *RepairSearch) TieWarnings() int { return r.ties + r.scratch.TieWarnings
 // Changed returns the detached region of the last Run — the only vertices
 // whose (hops, tie, parent, parentE) may differ from the base tree — and
 // ok=true when the run was served incrementally. ok=false means the run
-// fell back to scratch and every vertex may differ. Only meaningful after
-// a Run without a Target; the slice is valid until the next Run.
+// fell back to scratch and every vertex may differ. ok is meaningful after
+// any Run, the region only after a Run without a Target; the slice is
+// valid until the next Run.
 func (r *RepairSearch) Changed() ([]int32, bool) {
 	if r.full {
 		return nil, false

@@ -13,10 +13,15 @@ import (
 // checkRepairMatchesScratch compares every accessor of a RepairSearch
 // against a from-scratch Search after both ran from src under opt. For full
 // runs (opt.Target < 0) all vertices must agree bit-for-bit. For Target
-// runs it checks each clause of the Target contract: the target and every
-// vertex on its path against ref's Target run and then, when the run was
-// repaired rather than delegated, every vertex outside the detached region
-// against a Target: -1 Search with the same masks, which it runs on ref.
+// runs it checks each clause of the Target contract against a Target: -1
+// Search with the same masks, which it runs on ref after checking the
+// target and every vertex on its path against ref's Target run:
+//   - when the run was repaired rather than delegated, every vertex
+//     outside the detached region;
+//   - when the target lies in the detached region or the run fell back,
+//     every vertex with fewer hops than the target (every vertex when the
+//     target is unreachable);
+//   - every other vertex reads as unreachable or at its true distance.
 func checkRepairMatchesScratch(t *testing.T, rep *RepairSearch, ref *Search, src int, opt Options, tag string) {
 	t.Helper()
 	g := rep.Graph()
@@ -64,15 +69,20 @@ func checkRepairMatchesScratch(t *testing.T, rep *RepairSearch, ref *Search, src
 	for _, u := range ref.PathTo(opt.Target) {
 		check(u)
 	}
-	if rep.full {
-		return
-	}
 	all := opt
 	all.Target = -1
 	ref.Run(src, all)
+	below := int32(-1) // hop bound of the fewer-hops clause; -1: clause off
+	if rep.full || rep.inR[opt.Target] == rep.ep {
+		if below = ref.HopDist(opt.Target); below < 0 {
+			below = int32(g.N()) // unreachable target: the run settled everything
+		}
+	}
 	for v := 0; v < g.N(); v++ {
-		if rep.inR[v] != rep.ep {
+		if h := ref.HopDist(v); (!rep.full && rep.inR[v] != rep.ep) || (h >= 0 && h < below) {
 			check(v)
+		} else if d := rep.HopDist(v); d >= 0 && d != h {
+			t.Fatalf("%s: HopDist(%d) = %d repair outside the contract set, true distance %d", tag, v, d, h)
 		}
 	}
 }
@@ -243,8 +253,9 @@ func TestRepairSearchResidualTie(t *testing.T) {
 }
 
 // FuzzRepairSearchEquivalence holds RepairSearch to the Target contract the
-// builders rely on. The first three bytes pick the graph (family, size,
-// generator seed) and the source; every following 5-byte group is one run:
+// builders rely on (see checkRepairMatchesScratch). The first three bytes
+// pick the graph (family, size, generator seed) and the source; every
+// following 5-byte group is one run:
 // a target or -1, up to three faulted edges (the first optionally an edge
 // of the target's base path, as in Cons2FTBFS), optionally the interior of
 // a stretch of that path disabled — the G(u_k, v) masks of the per-target

@@ -8,8 +8,9 @@ import (
 // Options restricts a search to a subgraph and optionally stops it early.
 type Options struct {
 	// Target, when ≥ 0, lets the search stop as soon as the target is
-	// settled. Distances of vertices settled before the target remain
-	// valid; others are reported unreachable.
+	// settled. Distances of vertices settled before the target — every
+	// vertex with fewer hops among them — remain valid; others are
+	// reported unreachable.
 	Target int
 	// DisabledVertices are excluded from the search (their incident edges
 	// become unusable). Disabling the source yields an all-unreachable

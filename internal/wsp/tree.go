@@ -61,6 +61,9 @@ func (t *Tree) Graph() *graph.Graph { return t.g }
 // Source returns the tree's root.
 func (t *Tree) Source() int { return t.src }
 
+// Assignment returns the weight assignment W the tree was built under.
+func (t *Tree) Assignment() *Assignment { return t.w }
+
 // Ties returns the equal-weight relaxations the base Search observed: the
 // tree's share of the TieWarnings evidence, counted once where it is built.
 func (t *Tree) Ties() int { return t.ties }
@@ -68,12 +71,41 @@ func (t *Tree) Ties() int { return t.ties }
 // HopDist returns the fault-free distance to v, or -1 when unreachable.
 func (t *Tree) HopDist(v int) int32 { return t.hops[v] }
 
+// ParentOf returns v's parent, or -1 at the source and at unreachable
+// vertices.
+func (t *Tree) ParentOf(v int) int { return int(t.parent[v]) }
+
 // ParentEdgeOf returns the ID of the edge to v's parent, or -1.
 func (t *Tree) ParentEdgeOf(v int) int { return int(t.parentE[v]) }
 
 // Children returns v's children in vertex order. Callers must not mutate
 // the slice.
 func (t *Tree) Children(v int) []int32 { return t.kids.Of(v) }
+
+// Preorder returns the vertices in a depth-first preorder of the tree from
+// its source, children in vertex order, followed by the unreachable
+// vertices in vertex order. Every subtree is a contiguous run of it. The
+// slice is freshly allocated on each call.
+func (t *Tree) Preorder() []int32 {
+	n := len(t.hops)
+	out := make([]int32, 0, n)
+	stack := []int32{int32(t.src)}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out = append(out, v)
+		kids := t.kids.Of(int(v))
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, kids[i])
+		}
+	}
+	for v := 0; v < n; v++ {
+		if t.hops[v] < 0 {
+			out = append(out, int32(v))
+		}
+	}
+	return out
+}
 
 // PathTo returns the canonical path π(s, v), or nil when v is unreachable.
 func (t *Tree) PathTo(v int) path.Path {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestTreeMatchesSearch checks every Tree accessor against the fault-free
@@ -42,6 +43,66 @@ func TestTreeMatchesSearch(t *testing.T) {
 	}
 	if reached := g.N(); kids != reached-1 {
 		t.Fatalf("%d child slots, want %d", kids, reached-1)
+	}
+}
+
+// TestTreePreorder checks Preorder on a graph with an unreachable part:
+// every vertex once, the source first, each reachable vertex after its
+// parent with its whole subtree in one contiguous run, children in vertex
+// order, and the unreachable vertices last in vertex order.
+func TestTreePreorder(t *testing.T) {
+	g := gen.TreePlusChords(120, 30, 4)
+	b := graph.NewBuilder(g.N() + 3)
+	for id := 0; id < g.M(); id++ {
+		e := g.EdgeAt(id)
+		b.MustAddEdge(e.U, e.V)
+	}
+	b.MustAddEdge(g.N(), g.N()+2) // an island the source cannot reach
+	g = b.Freeze()
+	tr := NewTree(g, NewAssignment(g.M(), 5), 3)
+	order := tr.Preorder()
+	if len(order) != g.N() || order[0] != 3 {
+		t.Fatalf("preorder has %d vertices starting at %d, want %d starting at 3", len(order), order[0], g.N())
+	}
+	pos := make([]int, g.N())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range order {
+		if pos[v] >= 0 {
+			t.Fatalf("vertex %d listed twice", v)
+		}
+		pos[v] = i
+	}
+	size := make([]int, g.N()) // subtree sizes, children before parents
+	for i := len(order) - 1; i >= 0; i-- {
+		v := int(order[i])
+		if tr.HopDist(v) < 0 {
+			continue
+		}
+		size[v]++
+		if p := tr.ParentOf(v); p >= 0 {
+			size[p] += size[v]
+		}
+	}
+	reached := 0
+	for v := 0; v < g.N(); v++ {
+		if tr.HopDist(v) < 0 {
+			continue
+		}
+		reached++
+		prev := -1
+		for _, c := range tr.Children(v) {
+			if pos[c] <= pos[v] || pos[c]+size[c] > pos[v]+size[v] || pos[c] < prev {
+				t.Fatalf("child %d of %d at %d, parent at %d: subtree not contiguous in preorder", c, v, pos[c], pos[v])
+			}
+			prev = pos[c]
+		}
+	}
+	for i, v := range order[reached:] {
+		if tr.HopDist(int(v)) >= 0 || (i > 0 && v < order[reached+i-1]) {
+			t.Fatalf("tail %v: unreachable vertices not last in vertex order", order[reached:])
+		}
 	}
 }
 
