@@ -58,13 +58,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		snapPath = fs.String("snapshot", "", "bench warm-start vs rebuild on a snapshot file")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 
-		zipf        = fs.Bool("zipf", false, "run the Zipf-skewed serving workload: hit rate and q/s of the full-table vs delta-compressed memo across -cache-bytes budgets")
+		zipf        = fs.Bool("zipf", false, "run the Zipf-skewed serving workload: entries held, hit rate and q/s of the delta-compressed memo across -cache-bytes budgets, beside budget/(4n) full tables")
 		zipfN       = fs.Int("zipf-n", 2000, "zipf workload: graph vertices")
 		zipfDeg     = fs.Int("zipf-deg", 6, "zipf workload: average degree")
 		zipfSources = fs.Int("zipf-sources", 4, "zipf workload: structure sources")
 		zipfSkew    = fs.Float64("zipf-skew", 1.2, "zipf workload: popularity exponent (>1)")
 		zipfEvents  = fs.Int("zipf-events", 4096, "zipf workload: distinct single-edge failure events")
-		zipfQueries = fs.Int("zipf-queries", 200000, "zipf workload: point lookups per memo configuration")
+		zipfQueries = fs.Int("zipf-queries", 200000, "zipf workload: point lookups per budget")
 		zipfSeed    = fs.Int64("zipf-seed", 7, "zipf workload: RNG seed (graph, ranks and stream)")
 		cacheBytes  = fs.String("cache-bytes", "262144,1048576,4194304", "zipf workload: comma-separated memo byte budgets")
 	)
@@ -146,7 +146,7 @@ func warmStartBench(ctx context.Context, path string, stdout io.Writer) error {
 	st := sn.Structure
 
 	start = time.Now()
-	set, err := oracle.NewSet(st)
+	set, err := oracle.NewSet(st, 0)
 	if err != nil {
 		return err
 	}

@@ -5,17 +5,11 @@ package main
 // popular sources × recently-failed edges — so hit rate is governed by
 // how many failure events the memo can HOLD, not by how fast one lookup
 // is. The mode drives one deterministic Zipf-distributed query stream
-// against two memo configurations per byte budget:
-//
-//   - full:  the pre-delta design, emulated by an entry cap of
-//     budget/(4n) full tables (the old CacheBytes clamp);
-//   - delta: the same budget handed to the byte-accounted cache, where
-//     a typical event is stored as a small delta against its source's
-//     pinned base.
-//
-// Both arms answer the identical stream, so entries held, hit rate and
-// q/s are directly comparable. EXPERIMENTS.md records representative
-// output.
+// against the byte-accounted memo at each budget, where a typical event is
+// stored as a small delta against its source's pinned base. Beside the
+// entries it holds, each row prints what the same budget holds as whole
+// 4n-byte tables, budget/(4n), and the ratio of the two. EXPERIMENTS.md
+// records representative output.
 
 import (
 	"context"
@@ -82,51 +76,36 @@ func zipfBench(ctx context.Context, cfg zipfConfig, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "%12s  %-6s %9s %11s %8s %12s\n",
-		"budget", "memo", "entries", "bytes/entry", "hit%", "q/s")
+	fmt.Fprintf(stdout, "%12s %9s %11s %7s %11s %8s %12s\n",
+		"budget", "entries", "full tables", "gain", "bytes/entry", "hit%", "q/s")
+	fault := make([]int, 1)
 	for _, budget := range cfg.budgets {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fullEntries := int(budget / (4 * int64(g.N())))
-		if fullEntries < 1 {
-			fullEntries = 1
+		set, err := oracle.NewSet(st, budget)
+		if err != nil {
+			return err
 		}
-		arms := []struct {
-			name string
-			mk   func() (*oracle.OracleSet, error)
-		}{
-			{"full", func() (*oracle.OracleSet, error) { return oracle.NewSetCapacity(st, fullEntries) }},
-			{"delta", func() (*oracle.OracleSet, error) { return oracle.NewSetBytes(st, budget) }},
-		}
-		for _, arm := range arms {
-			set, err := arm.mk()
-			if err != nil {
+		o := set.Handle()
+		start := time.Now()
+		for _, q := range stream {
+			fault[0] = perm[q.ev]
+			if _, err := o.Dist(srcs[q.src], q.target, fault); err != nil {
 				return err
 			}
-			o := set.Handle()
-			fault := make([]int, 1)
-			start := time.Now()
-			for _, q := range stream {
-				fault[0] = perm[q.ev]
-				if _, err := o.Dist(srcs[q.src], q.target, fault); err != nil {
-					return err
-				}
-			}
-			elapsed := time.Since(start)
-			cs := set.CacheStats()
-			// The full arm emulates the pre-delta design, which charged
-			// every entry a 4n-byte table; report that nominal cost, not
-			// what the entries happen to cost in the new encoding.
-			bytesPer := 4 * int64(g.N())
-			if arm.name == "delta" && cs.Len > 0 {
-				bytesPer = cs.BytesUsed / int64(cs.Len)
-			}
-			hitRate := 100 * float64(cs.Hits) / float64(cs.Hits+cs.Misses)
-			fmt.Fprintf(stdout, "%12d  %-6s %9d %11d %7.1f%% %12.0f\n",
-				budget, arm.name, cs.Len, bytesPer, hitRate,
-				float64(len(stream))/elapsed.Seconds())
 		}
+		elapsed := time.Since(start)
+		cs := set.CacheStats()
+		fullTables := max(budget/(4*int64(g.N())), 1)
+		var bytesPer int64
+		if cs.Len > 0 {
+			bytesPer = cs.BytesUsed / int64(cs.Len)
+		}
+		hitRate := 100 * float64(cs.Hits) / float64(cs.Hits+cs.Misses)
+		fmt.Fprintf(stdout, "%12d %9d %11d %6.1fx %11d %7.1f%% %12.0f\n",
+			budget, cs.Len, fullTables, float64(cs.Len)/float64(fullTables), bytesPer, hitRate,
+			float64(len(stream))/elapsed.Seconds())
 	}
 	return nil
 }

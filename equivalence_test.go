@@ -40,7 +40,7 @@ func fingerprintStructure(st *ftbfs.Structure) string {
 // fault sets (plus the routes' lengths, which must realize the distances).
 func fingerprintOracle(t *testing.T, st *ftbfs.Structure, trials int) string {
 	t.Helper()
-	set, err := ftbfs.NewOracleSet(st)
+	set, err := ftbfs.NewOracleSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,12 @@ func TestFacadeOracleSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := ftbfs.NewOracleSet(st)
+	set, err := ftbfs.NewOracleSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Faults() != 2 {
-		t.Fatalf("faults = %d", set.Faults())
+	if f := set.Structure().Faults; f != 2 {
+		t.Fatalf("faults = %d", f)
 	}
 	single, err := ftbfs.NewOracle(st)
 	if err != nil {

@@ -188,39 +188,22 @@ type OracleCacheStats = oracle.CacheStats
 // the source's pinned fault-free base (see Oracle.DistsView).
 type OracleDistView = oracle.DistView
 
-// NewOracle wraps a structure for single-goroutine querying.
-func NewOracle(st *Structure) (*Oracle, error) { return oracle.New(st) }
+// NewOracle wraps a structure for single-goroutine querying, with the
+// default memo budget.
+func NewOracle(st *Structure) (*Oracle, error) {
+	set, err := oracle.NewSet(st, 0)
+	if err != nil {
+		return nil, err
+	}
+	return set.Handle(), nil
+}
 
 // NewOracleSet builds the shared concurrent query state for a structure.
-func NewOracleSet(st *Structure) (*OracleSet, error) { return oracle.NewSet(st) }
-
-// NewOracleSetCapacity is NewOracleSet with an explicit bound on cached
-// failure events (≤ 0 disables memoization). The memo is split across
-// ~GOMAXPROCS independently-locked shards.
-func NewOracleSetCapacity(st *Structure, cacheEntries int) (*OracleSet, error) {
-	return oracle.NewSetCapacity(st, cacheEntries)
-}
-
-// NewOracleSetSharded is NewOracleSetCapacity with an explicit memo shard
-// count (rounded down to a power of two; 1 restores a single global LRU
-// with strict global recency order).
-func NewOracleSetSharded(st *Structure, cacheEntries, shards int) (*OracleSet, error) {
-	return oracle.NewSetSharded(st, cacheEntries, shards)
-}
-
-// NewOracleSetBytes is NewOracleSet with a byte budget instead of an
-// entry cap: failure events are byte-accounted (delta-compressed events
-// are charged only for what the fault changed), so a budget typically
-// holds 10–100× more events than full tables would. ≤ 0 disables
-// memoization.
-func NewOracleSetBytes(st *Structure, cacheBytes int64) (*OracleSet, error) {
-	return oracle.NewSetBytes(st, cacheBytes)
-}
-
-// NewOracleSetBudget is the general memo constructor: an entry cap, a
-// byte budget, or both, over an explicit shard count (≤ 0 for automatic).
-func NewOracleSetBudget(st *Structure, cacheEntries int, cacheBytes int64, shards int) (*OracleSet, error) {
-	return oracle.NewSetBudget(st, cacheEntries, cacheBytes, shards)
+// Its memo holds as many failure events as fit in cacheBytes
+// (delta-compressed events are charged only for what the fault changed):
+// 0 means the 256 MiB default, a negative budget turns the memo off.
+func NewOracleSet(st *Structure, cacheBytes int64) (*OracleSet, error) {
+	return oracle.NewSet(st, cacheBytes)
 }
 
 // Snapshot is a persistable build artifact: a structure (with its graph)

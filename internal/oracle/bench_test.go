@@ -18,10 +18,11 @@ func BenchmarkOracleQueryCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o, err := New(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	o := set.Handle()
 	faults := []int{3}
 	if _, err := o.Dist(0, 1, faults); err != nil {
 		b.Fatal(err)
@@ -45,7 +46,7 @@ func BenchmarkOracleSetParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := NewSet(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func BenchmarkOracleSetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheShardScaling contrasts the PR 1 single-mutex memo
-// (shards=1) with the sharded memo on the concurrent cached-dist path.
+// BenchmarkCacheShardScaling contrasts a single-mutex memo (shards=1) with
+// the sharded memo on the concurrent cached-dist path.
 // Run with -cpu 8 to measure the contention at 8 goroutines; the sharded
 // variant must scale ≥ 2× over the single mutex there (EXPERIMENTS.md).
 func BenchmarkCacheShardScaling(b *testing.B) {
@@ -85,7 +86,7 @@ func BenchmarkCacheShardScaling(b *testing.B) {
 	events := [][]int{{3}, {9}, {21}, {30}, {44}, {61}, {75}, {90}}
 	for _, shards := range []int{1, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			set, err := NewSetSharded(st, DefaultCacheEntries, shards)
+			set, err := newSet(st, DefaultCacheBytes, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func BenchmarkDeltaLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := NewSetBytes(st, 4<<20) // ample: nothing evicts mid-run
+	set, err := NewSet(st, 4<<20) // ample: nothing evicts mid-run
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,11 +164,9 @@ func BenchmarkDeltaLookup(b *testing.B) {
 }
 
 // BenchmarkZipfServing measures end-to-end point-lookup throughput on a
-// Zipf-skewed failure-event stream at one fixed byte budget — the memo
-// design that holds more events wins on hit rate, not lookup latency.
-// "full" emulates the pre-delta memo (budget/(4n) whole-table entries);
-// "delta" hands the same budget to the byte-accounted cache. The
-// full-scale sweep lives in ftbfsbench -zipf.
+// Zipf-skewed failure-event stream at one fixed byte budget, where the hit
+// rate — how many events the memo holds — sets the pace, not lookup
+// latency. The full-scale sweep lives in ftbfsbench -zipf.
 func BenchmarkZipfServing(b *testing.B) {
 	g := gen.SparseGNP(400, 8, 1)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -184,29 +183,25 @@ func BenchmarkZipfServing(b *testing.B) {
 		faults[i] = int(z.Uint64())
 		targets[i] = rng.Intn(g.N())
 	}
-	mk := map[string]func() (*OracleSet, error){
-		"full":  func() (*OracleSet, error) { return NewSetCapacity(st, budget/(4*g.N())) },
-		"delta": func() (*OracleSet, error) { return NewSetBytes(st, budget) },
-	}
 	fault := make([]int, 1)
-	for _, name := range []string{"full", "delta"} {
-		b.Run(name, func(b *testing.B) {
-			set, err := mk[name]()
-			if err != nil {
+	// The sub-benchmark keeps its name so benchstat pairs it with earlier
+	// results.
+	b.Run("delta", func(b *testing.B) {
+		set, err := NewSet(st, budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := set.Handle()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % streamLen
+			fault[0] = faults[j]
+			if _, err := o.Dist(0, targets[j], fault); err != nil {
 				b.Fatal(err)
 			}
-			o := set.Handle()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := i % streamLen
-				fault[0] = faults[j]
-				if _, err := o.Dist(0, targets[j], fault); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkOracleVsFullGraphBFS contrasts answering a fresh failure event
@@ -218,10 +213,11 @@ func BenchmarkOracleVsFullGraphBFS(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("structure", func(b *testing.B) {
-		o, err := New(st)
+		set, err := NewSet(st, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
+		o := set.Handle()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := o.Dists(0, []int{i % g.M()}); err != nil {
@@ -249,7 +245,7 @@ func BenchmarkOracleQueryUncached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := NewSetCapacity(st, 0) // no memo
+	set, err := NewSet(st, -1) // no memo
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +283,7 @@ func BenchmarkOracleMiss(b *testing.B) {
 		srcs []int
 	}{{"one-source", []int{0}}, {"two-sources", []int{0, 500}}} {
 		b.Run(bc.name, func(b *testing.B) {
-			set, err := NewSetBytes(st, 8<<20)
+			set, err := NewSet(st, 8<<20)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,7 +321,7 @@ func BenchmarkOracleSetBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSet(st); err != nil {
+		if _, err := NewSet(st, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,10 +29,10 @@ import (
 // accounted separately (PinnedBytes).
 //
 // Eviction is byte-accounted: each entry is charged its payload plus a
-// fixed overhead, and inserts evict least-recently-used entries until both
-// the entry cap and the byte budget hold. The hot lookup path performs no
-// allocation: the caller hashes into scratch buffers, the cache returns a
-// by-value DistView, and keys are only copied on insert.
+// fixed overhead, and inserts evict least-recently-used entries until the
+// byte budget holds. The hot lookup path performs no allocation: the
+// caller hashes into scratch buffers, the cache returns a by-value
+// DistView, and keys are only copied on insert.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -40,11 +40,10 @@ const (
 )
 
 // hashKey mixes the source and the sorted fault IDs (FNV-1a over their
-// little-endian bytes). mixWord used to be a closure here; ftbfslint's
-// hotalloc analyzer flagged it ("closure in a //ftbfs:hotpath function:
-// func literals allocate their captured environment") — it captured h, so
-// every hash of every lookup allocated. A top-level helper threads the
-// state explicitly and costs nothing.
+// little-endian bytes). mixWord must stay a top-level helper that threads
+// the state explicitly: a closure capturing h would allocate on every
+// lookup, and //ftbfs:hotpath makes ftbfslint's hotalloc analyzer check
+// that.
 //
 //ftbfs:hotpath
 func hashKey(src int, canon []int32) uint64 {
@@ -94,14 +93,13 @@ const entryOverheadBytes = 128
 // build info and GET /v1/stats.
 type CacheStats struct {
 	Len       int   `json:"len"`       // tier-1 entries currently cached
-	Capacity  int   `json:"capacity"`  // configured entry cap (0 = no entry bound)
 	Shards    int   `json:"shards"`    // independently-locked sub-caches
 	Hits      int64 `json:"hits"`      // lookups answered from the memo (either tier)
 	Misses    int64 `json:"misses"`    // lookups that ran a repair
-	Evictions int64 `json:"evictions"` // tier-1 entries dropped to stay within the bounds
+	Evictions int64 `json:"evictions"` // tier-1 entries dropped to stay within the budget
 
 	BytesUsed     int64 `json:"bytesUsed"`     // tier-1 bytes currently accounted against the budget
-	BytesCapacity int64 `json:"bytesCapacity"` // configured byte budget (0 = no byte bound)
+	BytesCapacity int64 `json:"bytesCapacity"` // configured byte budget (0 = memo off)
 	DeltaEntries  int   `json:"deltaEntries"`  // tier-1 entries stored as deltas vs a pinned base
 	FullEntries   int   `json:"fullEntries"`   // tier-1 entries stored as full tables
 	PinnedBytes   int64 `json:"pinnedBytes"`   // tier-0 pinned trees (distances, parents, child CSR), outside the LRU budget
@@ -110,7 +108,6 @@ type CacheStats struct {
 // add sums o into s, field by field.
 func (s *CacheStats) add(o CacheStats) {
 	s.Len += o.Len
-	s.Capacity += o.Capacity
 	s.Shards += o.Shards
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -241,13 +238,11 @@ func (e *cacheEntry) cost() int64 {
 }
 
 // lruCache is an intrusively-linked LRU protected by a single mutex,
-// bounded by an entry cap and/or a byte budget. A disabled cache is valid
-// and caches nothing.
+// bounded by a byte budget. A cache without a budget (maxBytes ≤ 0) is
+// valid and caches nothing.
 type lruCache struct {
-	mu         sync.Mutex
-	enabled    bool  // immutable after newLRUCache
-	maxEntries int   // immutable; 0 = no entry bound
-	maxBytes   int64 // immutable; 0 = no byte bound
+	mu       sync.Mutex
+	maxBytes int64 // immutable
 
 	entries map[uint64]*cacheEntry // guarded by mu
 	head    cacheEntry             // guarded by mu; sentinel, head.next is most recent
@@ -260,15 +255,8 @@ type lruCache struct {
 	evictions int64 // guarded by mu
 }
 
-func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
-	c := &lruCache{
-		enabled:    maxEntries > 0 || maxBytes > 0,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
-	if c.enabled {
-		c.entries = make(map[uint64]*cacheEntry, maxEntries)
-	}
+func newLRUCache(maxBytes int64) *lruCache {
+	c := &lruCache{maxBytes: maxBytes, entries: make(map[uint64]*cacheEntry)}
 	c.head.prev = &c.head
 	c.head.next = &c.head
 	return c
@@ -294,7 +282,7 @@ func (c *lruCache) moveToFront(e *cacheEntry) {
 //
 //ftbfs:hotpath
 func (c *lruCache) get(hash uint64, src int32, canon []int32) (DistView, bool) {
-	if !c.enabled {
+	if c.maxBytes <= 0 {
 		return DistView{}, false
 	}
 	c.mu.Lock()
@@ -312,15 +300,15 @@ func (c *lruCache) get(hash uint64, src int32, canon []int32) (DistView, bool) {
 }
 
 // add inserts a fully-built entry (the caller allocates and copies outside
-// the lock), evicting least-recently-used entries until both bounds hold,
+// the lock), evicting least-recently-used entries until the budget holds,
 // and returns the view now cached for the key (e's, or the incumbent of a
 // concurrent insert race so all clients share one table).
 func (c *lruCache) add(e *cacheEntry) DistView {
-	if !c.enabled {
+	if c.maxBytes <= 0 {
 		return e.view()
 	}
 	cost := e.cost()
-	if c.maxBytes > 0 && cost > c.maxBytes {
+	if cost > c.maxBytes {
 		// Bigger than the whole budget: it can never fit, so serve it
 		// uncached instead of evicting everything for nothing — and
 		// before touching the index, so an incumbent sharing its hash
@@ -342,8 +330,7 @@ func (c *lruCache) add(e *cacheEntry) DistView {
 		c.unlink(in)
 		c.evictions++
 	}
-	for (c.maxEntries > 0 && len(c.entries) >= c.maxEntries) ||
-		(c.maxBytes > 0 && c.bytes+cost > c.maxBytes) {
+	for c.bytes+cost > c.maxBytes {
 		lru := c.head.prev
 		if lru == &c.head {
 			break
@@ -393,7 +380,6 @@ func (c *lruCache) stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{
 		Len:           len(c.entries),
-		Capacity:      c.maxEntries,
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Evictions:     c.evictions,
@@ -406,14 +392,9 @@ func (c *lruCache) stats() CacheStats {
 
 // ---- sharding ----
 
-// minShardEntries keeps each shard's LRU large enough to be useful; the
-// default shard count is halved until this floor holds (small caches
-// degenerate to one shard, preserving strict global LRU order).
-const minShardEntries = 8
-
-// minShardBytes is the same floor for byte-budgeted caches without an
-// entry cap: a shard's budget must hold at least a few full tables (or
-// hundreds of deltas) before sharding pays.
+// minShardBytes keeps each shard's slice of the budget useful: it must
+// hold at least a few full tables (or hundreds of deltas) before sharding
+// pays, so the default shard count is halved until this floor holds.
 const minShardBytes = 64 << 10
 
 // shardedCache splits the memo into power-of-two many lruCache shards
@@ -427,77 +408,43 @@ type shardedCache struct {
 }
 
 // defaultShardCount rounds GOMAXPROCS up to a power of two, then halves
-// until every shard holds at least minShardEntries — or, for a pure byte
-// budget, minShardBytes (one shard for small or disabled caches).
-func defaultShardCount(entries int, bytes int64) int {
-	if entries < 0 || (entries == 0 && bytes <= 0) {
+// until every shard's slice of the budget holds at least minShardBytes
+// (one shard for small or disabled caches, preserving strict global LRU
+// order).
+func defaultShardCount(bytes int64) int {
+	if bytes <= 0 {
 		return 1
 	}
 	n := 1
 	for n < runtime.GOMAXPROCS(0) {
 		n *= 2
 	}
-	for n > 1 {
-		if entries > 0 && entries/n < minShardEntries {
-			n /= 2
-			continue
-		}
-		if entries == 0 && bytes/int64(n) < minShardBytes {
-			n /= 2
-			continue
-		}
-		break
+	for n > 1 && bytes/int64(n) < minShardBytes {
+		n /= 2
 	}
 	return n
 }
 
-// floorPow2 rounds n down to a power of two (1 for n ≤ 1).
-func floorPow2(n int) int {
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	return p
-}
-
-// newShardedCache builds a memo bounded by an entry cap (entries > 0)
-// and/or a byte budget (bytes > 0), split over `shards` sub-caches
-// (rounded down to a power of two, clamped so no shard has zero
-// capacity). entries < 0, or no bound at all, disables caching.
-func newShardedCache(entries int, bytes int64, shards int) *shardedCache {
-	enabled := entries > 0 || (entries == 0 && bytes > 0)
+// newShardedCache builds a memo bounded by a byte budget split
+// base+remainder over `shards` sub-caches, a power of two. bytes ≤ 0
+// disables caching: one inert shard.
+func newShardedCache(bytes int64, shards int) *shardedCache {
+	enabled := bytes > 0
 	if !enabled {
-		entries, bytes, shards = 0, 0, 1
-	} else if entries > 0 {
-		shards = floorPow2(min(shards, entries))
-	} else {
-		shards = floorPow2(shards)
+		bytes, shards = 0, 1
 	}
 	c := &shardedCache{
 		shards:  make([]*lruCache, shards),
 		mask:    uint64(shards - 1),
 		enabled: enabled,
 	}
-	eBase, eRem := 0, 0
-	if entries > 0 {
-		eBase, eRem = entries/shards, entries%shards
-	}
-	var bBase, bRem int64
-	if bytes > 0 {
-		bBase, bRem = bytes/int64(shards), bytes%int64(shards)
-	}
+	base, rem := bytes/int64(shards), bytes%int64(shards)
 	for i := range c.shards {
-		se, sb := eBase, bBase
-		if i < eRem {
-			se++
-		}
-		if int64(i) < bRem {
+		sb := base
+		if int64(i) < rem {
 			sb++
 		}
-		if !enabled {
-			se, sb = 0, 0
-		}
-		c.shards[i] = newLRUCache(se, sb)
+		c.shards[i] = newLRUCache(sb)
 	}
 	return c
 }

@@ -26,7 +26,7 @@ func TestDeltaFullEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetBytes(st, 1<<20) // ample: no evictions distort Len
+	set, err := NewSet(st, 1<<20) // ample: no evictions distort Len
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCacheByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 4096
-	set, err := NewSetBudget(st, 0, budget, 1) // one shard: exact global accounting
+	set, err := newSet(st, budget, 1) // one shard: exact global accounting
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCacheByteBudget(t *testing.T) {
 
 	// A budget smaller than one full table: full-table events are served
 	// uncached (correctly), delta events still cache.
-	tiny, err := NewSetBytes(st, entryOverheadBytes+64)
+	tiny, err := NewSet(st, entryOverheadBytes+64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDeltaCapacityGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 64 << 10
-	set, err := NewSetBytes(st, budget)
+	set, err := NewSet(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,10 @@ func TestDeltaCapacityGain(t *testing.T) {
 	}
 }
 
-// TestCacheBudgetAccessor pins the configured bounds across the
-// constructor lattice, as CacheStats reports them: the shards' entry caps
-// and byte budgets sum to exactly what the constructor was given.
+// TestCacheBudgetAccessor pins the configured budget as CacheStats
+// reports it: the shards' byte budgets sum to exactly what NewSet was
+// given, 0 reads as DefaultCacheBytes and a negative budget as the memo
+// off.
 func TestCacheBudgetAccessor(t *testing.T) {
 	g := gen.PathGraph(6)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -196,25 +197,60 @@ func TestCacheBudgetAccessor(t *testing.T) {
 	}
 	cases := []struct {
 		name        string
-		mk          func() (*OracleSet, error)
-		wantEntries int
-		wantBytes   int64
+		bytes, want int64
 	}{
-		{"default", func() (*OracleSet, error) { return NewSet(st) }, DefaultCacheEntries, 0},
-		{"capacity", func() (*OracleSet, error) { return NewSetCapacity(st, 32) }, 32, 0},
-		{"bytes", func() (*OracleSet, error) { return NewSetBytes(st, 1<<16) }, 0, 1 << 16},
-		{"budget", func() (*OracleSet, error) { return NewSetBudget(st, 8, 1<<12, 2) }, 8, 1 << 12},
-		{"disabled", func() (*OracleSet, error) { return NewSetCapacity(st, -1) }, 0, 0},
-		{"disabled bytes", func() (*OracleSet, error) { return NewSetBytes(st, 0) }, 0, 0},
+		{"default", 0, DefaultCacheBytes},
+		{"bytes", 1 << 16, 1 << 16},
+		{"odd", 3<<20 + 5, 3<<20 + 5},
+		{"disabled", -1, 0},
 	}
 	for _, tc := range cases {
-		set, err := tc.mk()
+		set, err := NewSet(st, tc.bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs := set.CacheStats(); cs.Capacity != tc.wantEntries || cs.BytesCapacity != tc.wantBytes {
-			t.Errorf("%s: CacheStats bounds (%d, %d), want (%d, %d)",
-				tc.name, cs.Capacity, cs.BytesCapacity, tc.wantEntries, tc.wantBytes)
+		if cs := set.CacheStats(); cs.BytesCapacity != tc.want || cs.Shards != defaultShardCount(tc.want) {
+			t.Errorf("%s: CacheStats budget %d over %d shards, want %d over %d",
+				tc.name, cs.BytesCapacity, cs.Shards, tc.want, defaultShardCount(tc.want))
+		}
+	}
+}
+
+// TestNewSetBudgetAdapter pins the adapter kept for the traced replay:
+// (0, b, 0) configures exactly what NewSet(st, b) does for b > 0, b ≤ 0
+// turns the memo off, and an entry cap or a shard count is refused.
+func TestNewSetBudgetAdapter(t *testing.T) {
+	st, err := core.BuildSingle(gen.PathGraph(6), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int64{1, 8 << 20, DefaultCacheBytes} {
+		got, err := NewSetBudget(st, 0, b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSet(st, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, ws := got.CacheStats(), want.CacheStats()
+		if gs.BytesCapacity != ws.BytesCapacity || gs.Shards != ws.Shards {
+			t.Errorf("NewSetBudget(0, %d, 0): budget %d over %d shards, NewSet gives %d over %d",
+				b, gs.BytesCapacity, gs.Shards, ws.BytesCapacity, ws.Shards)
+		}
+	}
+	for _, b := range []int64{0, -1} {
+		set, err := NewSetBudget(st, 0, b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := set.CacheStats(); set.cache.enabled || cs.BytesCapacity != 0 || cs.Shards != 1 {
+			t.Errorf("NewSetBudget(0, %d, 0): memo on (%+v), want off", b, cs)
+		}
+	}
+	for _, bad := range []struct{ entries, shards int }{{1, 0}, {-1, 0}, {0, 4}, {0, -1}, {8, 2}} {
+		if _, err := NewSetBudget(st, bad.entries, 1<<20, bad.shards); err == nil {
+			t.Errorf("NewSetBudget(%d, 1 MiB, %d) accepted an entry cap or shard count", bad.entries, bad.shards)
 		}
 	}
 }
@@ -237,8 +273,8 @@ func TestConstructorPinsTrees(t *testing.T) {
 		mk   func() (*OracleSet, error)
 		memo bool
 	}{
-		{"bytes", func() (*OracleSet, error) { return NewSetBytes(st, 1<<16) }, true},
-		{"off", func() (*OracleSet, error) { return NewSetCapacity(st, 0) }, false},
+		{"bytes", func() (*OracleSet, error) { return NewSet(st, 1<<16) }, true},
+		{"off", func() (*OracleSet, error) { return NewSet(st, -1) }, false},
 	} {
 		set, err := tc.mk()
 		if err != nil {
@@ -290,7 +326,7 @@ func TestConcurrentTierMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetBytes(st, 2<<10)
+	set, err := NewSet(st, 2<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +402,7 @@ func FuzzDeltaThreshold(f *testing.F) {
 		if err != nil {
 			t.Skip() // disconnected seeds are the builder's business
 		}
-		set, err := NewSetBytes(st, 1<<14)
+		set, err := NewSet(st, 1<<14)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestFrozenGraphStaysFrozen(t *testing.T) {
 				t.Fatal("building the structure changed G's CSR arrays")
 			}
 			words := slices.Clone(st.Edges.Words())
-			set, err := NewSet(st)
+			set, err := NewSet(st, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestPinnedTreesStayFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetBytes(st, 64<<10) // small: evictions and re-misses
+	set, err := NewSet(st, 64<<10) // small: evictions and re-misses
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,10 @@ import (
 	"repro/internal/path"
 )
 
-// DefaultCacheEntries bounds the shared memo table when NewSet is used;
+// DefaultCacheBytes is the memo budget NewSet applies when given 0;
 // least-recently-used failure events are evicted first (queries stay
 // correct, just uncached).
-const DefaultCacheEntries = 4096
+const DefaultCacheBytes = 256 << 20
 
 // ErrCode says which check rejected a query.
 type ErrCode uint8
@@ -89,59 +89,45 @@ type OracleSet struct {
 	baseHits    atomic.Int64 // empty-fault-set queries served from a tree
 }
 
-// NewSet builds the shared query state for st with the default cache bound.
-func NewSet(st *core.Structure) (*OracleSet, error) {
-	return NewSetCapacity(st, DefaultCacheEntries)
-}
-
-// NewSetCapacity is NewSet with an explicit bound on cached failure events
-// (cacheEntries ≤ 0 disables memoization) and no byte budget. The memo is
-// sharded by key hash across ~GOMAXPROCS independently-locked shards; use
-// NewSetSharded for an explicit shard count, NewSetBytes / NewSetBudget
-// for byte-accounted bounds.
-func NewSetCapacity(st *core.Structure, cacheEntries int) (*OracleSet, error) {
-	return NewSetBudget(st, cacheEntries, 0, 0)
-}
-
-// NewSetBytes is NewSet with a byte budget instead of an entry cap: the
-// memo holds as many failure events as fit in cacheBytes (delta-encoded
-// events are charged only for what the fault actually changed, so a budget
-// typically holds 10–100× more events than full tables would). Pinned
-// fault-free base trees are accounted separately (CacheStats.PinnedBytes)
-// and never evicted. cacheBytes ≤ 0 disables memoization.
-func NewSetBytes(st *core.Structure, cacheBytes int64) (*OracleSet, error) {
-	return NewSetBudget(st, 0, cacheBytes, 0)
-}
-
-// NewSetBudget is the general constructor: the memo is bounded by an entry
-// cap (cacheEntries > 0), a byte budget (cacheBytes > 0), or both —
-// whichever bound trips first evicts. cacheEntries == 0 with a positive
-// byte budget means "as many entries as the bytes allow"; cacheEntries < 0,
-// or no bound at all, disables memoization. shards ≤ 0 picks
-// ~GOMAXPROCS shards (rounded to a power of two, clamped so every shard's
-// slice of the budget stays useful).
-func NewSetBudget(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) (*OracleSet, error) {
-	if shards <= 0 {
-		shards = defaultShardCount(cacheEntries, cacheBytes)
+// NewSet builds the shared query state for st. Its memo holds as many
+// failure events as fit in cacheBytes: 0 means DefaultCacheBytes, and a
+// negative budget turns the memo off. Delta-encoded events are charged
+// only for what the fault actually changed, so a budget typically holds
+// 10–100× more events than full tables would. The pinned fault-free base
+// trees are accounted separately (CacheStats.PinnedBytes) and never
+// evicted. The memo is sharded by key hash across ~GOMAXPROCS
+// independently-locked shards (see defaultShardCount).
+func NewSet(st *core.Structure, cacheBytes int64) (*OracleSet, error) {
+	if cacheBytes == 0 {
+		cacheBytes = DefaultCacheBytes
 	}
-	return newSet(st, cacheEntries, cacheBytes, shards)
+	return newSet(st, cacheBytes, defaultShardCount(cacheBytes))
 }
 
-// NewSetSharded is NewSetCapacity with an explicit memo shard count
-// (rounded down to a power of two; 1 gives a single global LRU with strict
-// global recency order, larger counts trade that for lower lock
-// contention).
-func NewSetSharded(st *core.Structure, cacheEntries, shards int) (*OracleSet, error) {
-	return newSet(st, cacheEntries, 0, shards)
+// NewSetBudget keeps the former general constructor's signature for its
+// only caller, the traced replay in bench/trace.go, and is deleted with
+// it. Only a byte budget is accepted: (0, b, 0) is NewSet(st, b) for
+// b > 0 and a set with the memo off for b ≤ 0; a nonzero entry cap or
+// shard count is an error.
+func NewSetBudget(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) (*OracleSet, error) {
+	if cacheEntries != 0 || shards != 0 {
+		return nil, fmt.Errorf("oracle: NewSetBudget takes only a byte budget, not entry cap %d or shard count %d", cacheEntries, shards)
+	}
+	if cacheBytes <= 0 {
+		cacheBytes = -1
+	}
+	return NewSet(st, cacheBytes)
 }
 
-func newSet(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) (*OracleSet, error) {
+// newSet is NewSet with an explicit shard count, a power of two; a budget
+// ≤ 0 turns the memo off. Tests use it to pin the shard count.
+func newSet(st *core.Structure, cacheBytes int64, shards int) (*OracleSet, error) {
 	if len(st.Sources) == 0 {
 		return nil, fmt.Errorf("oracle: structure has no sources")
 	}
 	s := &OracleSet{
 		st:    st,
-		cache: newShardedCache(cacheEntries, cacheBytes, shards),
+		cache: newShardedCache(cacheBytes, shards),
 		trees: make([]*bfs.Tree, len(st.Sources)),
 	}
 	// Materialize H directly in CSR form; sub edge IDs are assigned in
@@ -157,12 +143,6 @@ func newSet(st *core.Structure, cacheEntries int, cacheBytes int64, shards int) 
 
 // Structure returns the underlying structure.
 func (s *OracleSet) Structure() *core.Structure { return s.st }
-
-// Faults returns the structure's fault budget.
-func (s *OracleSet) Faults() int { return s.st.Faults }
-
-// Sources returns a copy of the sources the set can answer for.
-func (s *OracleSet) Sources() []int { return append([]int(nil), s.st.Sources...) }
 
 // CacheStats returns a snapshot of the shared memo's counters: the tier-1
 // shard sums plus the tier-0 tree hits and bytes.
@@ -204,25 +184,6 @@ type Oracle struct {
 	canon  []int32       // scratch: sorted G fault IDs forming the cache key
 	dists  []int32       // scratch: Dists materialization of delta-encoded views
 }
-
-// New returns a single-handle oracle over st — NewSet + Handle for callers
-// that do not need to share the set across goroutines.
-func New(st *core.Structure) (*Oracle, error) {
-	s, err := NewSet(st)
-	if err != nil {
-		return nil, err
-	}
-	return s.Handle(), nil
-}
-
-// Set returns the shared state this handle queries.
-func (o *Oracle) Set() *OracleSet { return o.set }
-
-// Faults returns the structure's fault budget.
-func (o *Oracle) Faults() int { return o.set.st.Faults }
-
-// Sources returns a copy of the sources the oracle can answer for.
-func (o *Oracle) Sources() []int { return o.set.Sources() }
 
 func (o *Oracle) ensureRep() {
 	if o.rep == nil {

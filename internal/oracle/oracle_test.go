@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestNewRequiresSources(t *testing.T) {
 	g := gen.PathGraph(3)
 	st := &core.Structure{G: g}
-	if _, err := New(st); err == nil {
+	if _, err := NewSet(st, 0); err == nil {
 		t.Fatal("sourceless structure accepted")
 	}
 }
@@ -26,10 +27,11 @@ func TestOracleMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := set.Handle()
 	truth := bfs.NewRunner(g)
 	check := func(faults []int) {
 		t.Helper()
@@ -53,8 +55,9 @@ func TestOracleMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-// TestOracleRouteValid checks routes under each memo setup — entry cap,
-// byte budget, memo off — on the fault-free, one-fault and two-fault
+// TestOracleRouteValid checks routes under each memo setup — the default
+// budget, a small budget that evicts, memo off — on the fault-free,
+// one-fault and two-fault
 // events: every route is a shortest path of G \ F whose every hop, walking
 // back from the target, takes the lowest-ID edge of H \ F to a vertex one
 // step closer (which also keeps it inside H and off F), and a route on an
@@ -76,9 +79,9 @@ func TestOracleRouteValid(t *testing.T) {
 		name string
 		new  func() (*OracleSet, error)
 	}{
-		{"entries", func() (*OracleSet, error) { return NewSet(st) }},
-		{"bytes", func() (*OracleSet, error) { return NewSetBytes(st, 1<<20) }},
-		{"off", func() (*OracleSet, error) { return NewSetCapacity(st, 0) }},
+		{"default", func() (*OracleSet, error) { return NewSet(st, 0) }},
+		{"small", func() (*OracleSet, error) { return NewSet(st, 1<<10) }},
+		{"off", func() (*OracleSet, error) { return NewSet(st, -1) }},
 	}
 	truth := bfs.NewRunner(g)
 	for _, su := range setups {
@@ -138,10 +141,11 @@ func TestOracleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := set.Handle()
 	errOf := func(_ any, err error) error { return err }
 	cases := []struct {
 		err  error
@@ -164,8 +168,8 @@ func TestOracleValidation(t *testing.T) {
 			t.Errorf("case %d: error %v, want code %d %q", i, tc.err, tc.code, tc.msg)
 		}
 	}
-	if o.Faults() != 2 || len(o.Sources()) != 1 {
-		t.Fatal("accessors wrong")
+	if st := set.Structure(); st.Faults != 2 || len(st.Sources) != 1 {
+		t.Fatal("Structure accessor wrong")
 	}
 }
 
@@ -175,10 +179,11 @@ func TestOracleCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := set.Handle()
 	d1, err := o.Dists(0, []int{1, 0}) // unsorted on purpose
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +206,7 @@ func TestDuplicateFaultsDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,20 +241,20 @@ func TestDuplicateFaultsDeduped(t *testing.T) {
 
 // TestShardedCacheCorrectness drives many failure events through an
 // explicitly multi-shard memo and checks answers, aggregated counters and
-// the per-shard capacity split.
+// the per-shard split of the byte budget.
 func TestShardedCacheCorrectness(t *testing.T) {
 	g := gen.GNP(20, 0.25, 9)
 	st, err := core.BuildSingle(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const capacity = 20
-	set, err := NewSetSharded(st, capacity, 4)
+	const budget = 4 * 512 // each shard holds two full tables of n = 20
+	set, err := newSet(st, budget, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := set.CacheStats(); cs.Shards != 4 || cs.Capacity != capacity {
-		t.Fatalf("want 4 shards of total capacity %d, got %+v", capacity, cs)
+	if cs := set.CacheStats(); cs.Shards != 4 || cs.BytesCapacity != budget {
+		t.Fatalf("want 4 shards of total budget %d, got %+v", budget, cs)
 	}
 	o := set.Handle()
 	truth := bfs.NewRunner(g)
@@ -267,12 +272,14 @@ func TestShardedCacheCorrectness(t *testing.T) {
 			}
 		}
 	}
-	cs := set.CacheStats()
-	if cs.Len > capacity {
-		t.Fatalf("cache holds %d entries over capacity %d", cs.Len, capacity)
+	for i, sh := range set.cache.shards {
+		if cs := sh.stats(); cs.BytesUsed > cs.BytesCapacity {
+			t.Fatalf("shard %d holds %d bytes over its budget %d", i, cs.BytesUsed, cs.BytesCapacity)
+		}
 	}
+	cs := set.CacheStats()
 	if cs.Misses == 0 || cs.Evictions == 0 {
-		t.Fatalf("expected misses and evictions from scanning over capacity: %+v", cs)
+		t.Fatalf("expected misses and evictions from scanning over the budget: %+v", cs)
 	}
 	if cs.Hits+cs.Misses != int64(2*g.M()) {
 		t.Fatalf("lookup accounting off: %+v for %d lookups", cs, 2*g.M())
@@ -290,37 +297,53 @@ func TestShardedCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestShardCountClamps pins the shard-count policy: powers of two,
-// clamped so no shard ends up empty, one shard for tiny or disabled
-// caches.
+// TestShardCountClamps pins the shard policy NewSet runs, at GOMAXPROCS 1,
+// 2 and 8: GOMAXPROCS rounded up to a power of two, halved until each
+// shard's slice holds at least minShardBytes — so a budget under 128 KiB
+// and a disabled memo get one shard — and a base+remainder split that sums
+// to the budget with no zero-byte shard.
 func TestShardCountClamps(t *testing.T) {
-	cases := []struct{ capacity, shards, want int }{
-		{1024, 1, 1},
-		{1024, 4, 4},
-		{1024, 7, 4},  // rounded down to a power of two
-		{4, 16, 4},    // clamped to capacity
-		{3, 16, 2},    // clamped to the largest power of two ≤ capacity
-		{0, 16, 1},    // disabled cache: one inert shard
-		{-5, 8, 1},    // disabled cache
-		{1024, 0, 1},  // degenerate shard request
-		{1024, -3, 1}, // degenerate shard request
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct {
+		procs int
+		bytes int64
+		want  int
+	}{
+		{1, DefaultCacheBytes, 1},
+		{2, DefaultCacheBytes, 2},
+		{8, DefaultCacheBytes, 8},
+		{8, 8<<20 + 5, 8}, // the remainder goes to the first shards
+		{8, 4 * minShardBytes, 4},
+		{8, 4*minShardBytes - 1, 2},
+		{2, 2 * minShardBytes, 2},
+		{8, 2*minShardBytes - 1, 1}, // under 128 KiB: one shard
+		{2, 4096, 1},
+		{1, 1, 1},
+		{8, 0, 1},  // disabled
+		{2, -1, 1}, // disabled
 	}
 	for _, tc := range cases {
-		c := newShardedCache(tc.capacity, 0, tc.shards)
-		if len(c.shards) != tc.want {
-			t.Errorf("newShardedCache(%d, 0, %d): %d shards, want %d",
-				tc.capacity, tc.shards, len(c.shards), tc.want)
+		runtime.GOMAXPROCS(tc.procs)
+		n := defaultShardCount(tc.bytes)
+		if n != tc.want || n&(n-1) != 0 {
+			t.Errorf("GOMAXPROCS %d, budget %d: %d shards, want %d", tc.procs, tc.bytes, n, tc.want)
 		}
-		total := 0
+		if n > 1 && tc.bytes/int64(n) < minShardBytes {
+			t.Errorf("GOMAXPROCS %d, budget %d: %d shards of under minShardBytes", tc.procs, tc.bytes, n)
+		}
+		c := newShardedCache(tc.bytes, n)
+		if len(c.shards) != n || c.enabled != (tc.bytes > 0) {
+			t.Errorf("budget %d: newShardedCache built %d shards (enabled %v), want %d", tc.bytes, len(c.shards), c.enabled, n)
+		}
+		var total int64
 		for _, sh := range c.shards {
-			if tc.capacity > 0 && len(c.shards) > 1 && sh.maxEntries == 0 {
-				t.Errorf("newShardedCache(%d, 0, %d): empty shard", tc.capacity, tc.shards)
+			if tc.bytes > 0 && sh.maxBytes == 0 {
+				t.Errorf("budget %d over %d shards: a zero-byte shard", tc.bytes, n)
 			}
-			total += sh.maxEntries
+			total += sh.maxBytes
 		}
-		if tc.capacity > 0 && total != tc.capacity {
-			t.Errorf("newShardedCache(%d, 0, %d): shard capacities sum to %d",
-				tc.capacity, tc.shards, total)
+		if total != max(tc.bytes, 0) {
+			t.Errorf("budget %d over %d shards: shard budgets sum to %d", tc.bytes, n, total)
 		}
 	}
 }
@@ -331,10 +354,11 @@ func TestOracleMultiSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := set.Handle()
 	truth := bfs.NewRunner(g)
 	for _, s := range []int{0, 7} {
 		truth.Run(s, []int{2}, nil)

@@ -10,25 +10,24 @@ import (
 	"repro/internal/gen"
 )
 
-// TestCacheEviction drives more distinct failure events than the cache
-// holds and checks LRU bookkeeping plus answer correctness throughout.
+// TestCacheEviction drives more distinct failure events than a one-shard
+// byte budget holds and checks LRU bookkeeping plus answer correctness
+// throughout; then, white-box on equal-cost entries, the strict LRU order
+// and the exact eviction count.
 func TestCacheEviction(t *testing.T) {
 	g := gen.GNP(16, 0.3, 3)
 	st, err := core.BuildSingle(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const capacity = 8
-	set, err := NewSetCapacity(st, capacity)
+	const budget = 1 << 10 // about five full tables of n = 16
+	set, err := newSet(st, budget, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := set.Handle()
 	truth := bfs.NewRunner(g)
 	events := g.M()
-	if events <= capacity {
-		t.Fatalf("test graph too small: %d events, capacity %d", events, capacity)
-	}
 	for a := 0; a < events; a++ {
 		d, err := o.Dists(0, []int{a})
 		if err != nil {
@@ -42,11 +41,13 @@ func TestCacheEviction(t *testing.T) {
 		}
 	}
 	cs := set.CacheStats()
-	if cs.Len > capacity {
-		t.Fatalf("cache holds %d entries, capacity %d", cs.Len, capacity)
+	if cs.BytesUsed > budget {
+		t.Fatalf("cache holds %d bytes, budget %d", cs.BytesUsed, budget)
 	}
-	if cs.Evictions != int64(events-capacity) {
-		t.Fatalf("evictions = %d, want %d", cs.Evictions, events-capacity)
+	// Every miss inserted one entry (none outgrows the budget), so what
+	// is no longer held was evicted.
+	if cs.Evictions == 0 || cs.Evictions != int64(events-cs.Len) {
+		t.Fatalf("evictions = %d, want %d events - %d held", cs.Evictions, events, cs.Len)
 	}
 	if cs.Misses != int64(events) {
 		t.Fatalf("misses = %d, want %d", cs.Misses, events)
@@ -74,6 +75,32 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatalf("recomputed event wrong at %d: %d vs %d", v, d[v], truth.Dist(v))
 		}
 	}
+
+	// Strict LRU order: a budget of exactly four equal-cost entries, where
+	// a hit moves its entry to the front.
+	entry := func(h uint64) *cacheEntry {
+		e, _ := newEntry(h, 0, []int32{int32(h)}, nil, 4)
+		return e
+	}
+	cost := entry(0).cost()
+	c := newLRUCache(4 * cost)
+	for h := uint64(0); h < 4; h++ {
+		c.add(entry(h))
+	}
+	if _, ok := c.get(0, 0, []int32{0}); !ok { // recency now 0, 3, 2, 1
+		t.Fatal("entry 0 not cached")
+	}
+	c.add(entry(4)) // evicts 1
+	c.add(entry(5)) // evicts 2
+	if cs := c.stats(); cs.Len != 4 || cs.Evictions != 2 || cs.BytesUsed != 4*cost {
+		t.Fatalf("LRU after two inserts: Len %d Evictions %d BytesUsed %d, want 4, 2, %d",
+			cs.Len, cs.Evictions, cs.BytesUsed, 4*cost)
+	}
+	for h := uint64(0); h < 6; h++ {
+		if _, ok := c.get(h, 0, []int32{int32(h)}); ok != (h != 1 && h != 2) {
+			t.Errorf("entry %d cached = %v; want only 1 and 2 evicted", h, ok)
+		}
+	}
 }
 
 // TestCacheHashCollision pins the LRU's accounting of a true 64-bit hash
@@ -81,7 +108,7 @@ func TestCacheEviction(t *testing.T) {
 // eviction, and a colliding insert too large for the whole budget is
 // served uncached without dropping the incumbent.
 func TestCacheHashCollision(t *testing.T) {
-	c := newLRUCache(0, 1<<20)
+	c := newLRUCache(1 << 20)
 	e1, _ := newEntry(7, 0, []int32{1}, nil, 4)
 	e2, _ := newEntry(7, 0, []int32{2}, nil, 4)
 	c.add(e1)
@@ -94,7 +121,7 @@ func TestCacheHashCollision(t *testing.T) {
 		t.Fatal("the newer colliding event is not cached")
 	}
 
-	small := newLRUCache(0, 200)
+	small := newLRUCache(200)
 	in, _ := newEntry(7, 0, []int32{1}, nil, 4)   // 128 + 4·5 = 148 bytes
 	big, _ := newEntry(7, 0, []int32{2}, nil, 40) // 128 + 4·41 = 292 bytes > 200
 	small.add(in)
@@ -110,15 +137,15 @@ func TestCacheHashCollision(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled checks that a zero-capacity set stays correct with the
-// memo off.
+// TestCacheDisabled checks that a set with a negative budget stays correct
+// with the memo off.
 func TestCacheDisabled(t *testing.T) {
 	g := gen.Grid(3, 3)
 	st, err := core.BuildDual(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetCapacity(st, 0)
+	set, err := NewSet(st, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +174,7 @@ func TestSharedCacheAcrossHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +201,7 @@ func TestConcurrentPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSetCapacity(st, 32) // small: force concurrent evictions
+	set, err := NewSet(st, 2<<10) // small: force concurrent evictions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +255,7 @@ func TestConcurrentPool(t *testing.T) {
 	}
 	cs := set.CacheStats()
 	if cs.Evictions == 0 {
-		t.Fatalf("expected concurrent evictions with %d events over capacity 32, got %+v", len(events), cs)
+		t.Fatalf("expected concurrent evictions with %d events over a 2 KiB budget, got %+v", len(events), cs)
 	}
 	// Hits under churn are scheduling-dependent; check the hit path
 	// deterministically now that the clients are done.
@@ -253,11 +280,11 @@ func TestReleaseForeignHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewSet(st)
+	s1, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSet(st)
+	s2, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +304,7 @@ func TestQueryPathAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st)
+	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +340,7 @@ func TestMissAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewSetBytes(st, 8<<20) // ample: no evictions
+	probe, err := NewSet(st, 8<<20) // ample: no evictions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +377,7 @@ func TestMissAllocations(t *testing.T) {
 		}
 	}
 
-	set, err := NewSetBytes(st, 8<<20)
+	set, err := NewSet(st, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

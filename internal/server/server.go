@@ -54,19 +54,15 @@ import (
 	"repro/internal/snap"
 )
 
-// DefaultCacheBytes is the per-build memo budget applied when
-// Config.CacheBytes is zero.
-const DefaultCacheBytes = 256 << 20
-
 // Config tunes the service. The zero value is ready to use.
 type Config struct {
 	// MaxConcurrentBuilds bounds simultaneously running structure builds
 	// (default: GOMAXPROCS; builds beyond it queue).
 	MaxConcurrentBuilds int
 	// CacheBytes is each build's failure-event memo budget: 0 means
-	// DefaultCacheBytes (256 MiB), > 0 is the budget, < 0 turns the memo
-	// off. Entries are byte-accounted — delta-compressed events are
-	// charged only for what the fault actually changed — and
+	// oracle.DefaultCacheBytes (256 MiB), > 0 is the budget, < 0 turns
+	// the memo off. Entries are byte-accounted — delta-compressed events
+	// are charged only for what the fault actually changed — and
 	// least-recently-used events are evicted to stay within the budget.
 	// Untrusted clients can force one entry per distinct fault set, so
 	// the bound must not scale with n; the pinned fault-free base trees
@@ -155,9 +151,6 @@ func New(cfg *Config) *Server {
 	}
 	if s.cfg.MaxConcurrentBuilds <= 0 {
 		s.cfg.MaxConcurrentBuilds = runtime.GOMAXPROCS(0)
-	}
-	if s.cfg.CacheBytes == 0 {
-		s.cfg.CacheBytes = DefaultCacheBytes
 	}
 	if s.cfg.MaxBodyBytes <= 0 {
 		s.cfg.MaxBodyBytes = 32 << 20
@@ -695,11 +688,10 @@ func (s *Server) persistBuild(graphName string, be *buildEntry) {
 }
 
 // newOracleSet builds a build's shared query state with the configured
-// memo budget and the automatic shard count. The oracle treats a budget
-// ≤ 0 with no entry cap as "no memo", which is exactly CacheBytes < 0 (New
-// has already replaced 0 with the default).
+// memo budget, which oracle.NewSet reads exactly as Config.CacheBytes
+// documents it.
 func (s *Server) newOracleSet(st *core.Structure) (*oracle.OracleSet, error) {
-	return oracle.NewSetBudget(st, 0, s.cfg.CacheBytes, 0)
+	return oracle.NewSet(st, s.cfg.CacheBytes)
 }
 
 // progressInfo is the wire form of a build's live progress counters.

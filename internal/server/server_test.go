@@ -15,6 +15,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 )
 
 // testClient wraps an httptest server with JSON helpers.
@@ -333,24 +334,21 @@ func TestCacheBudgetWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name        string
-		cfg         Config
-		wantEntries int
-		wantBytes   int64
+		name      string
+		cfg       Config
+		wantBytes int64
 	}{
-		{"default", Config{}, 0, DefaultCacheBytes},
-		{"byte budget", Config{CacheBytes: 1 << 20}, 0, 1 << 20},
-		{"disabled", Config{CacheBytes: -1}, 0, 0},
+		{"default", Config{}, oracle.DefaultCacheBytes},
+		{"byte budget", Config{CacheBytes: 1 << 20}, 1 << 20},
+		{"disabled", Config{CacheBytes: -1}, 0},
 	}
 	for _, tc := range cases {
 		set, err := New(&tc.cfg).newOracleSet(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := set.CacheStats()
-		if cs.Capacity != tc.wantEntries || cs.BytesCapacity != tc.wantBytes {
-			t.Errorf("%s: budget (%d entries, %d bytes), want (%d, %d)",
-				tc.name, cs.Capacity, cs.BytesCapacity, tc.wantEntries, tc.wantBytes)
+		if cs := set.CacheStats(); cs.BytesCapacity != tc.wantBytes {
+			t.Errorf("%s: budget %d bytes, want %d", tc.name, cs.BytesCapacity, tc.wantBytes)
 		}
 	}
 }

@@ -134,11 +134,11 @@ func TestRoundTripOracleAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setA, err := oracle.NewSetSharded(st, 128, 2)
+	setA, err := oracle.NewSet(st, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setB, err := oracle.NewSetSharded(dec.Structure, 128, 2)
+	setB, err := oracle.NewSet(dec.Structure, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

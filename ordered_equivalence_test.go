@@ -62,7 +62,7 @@ func fingerprintOracleWire(t *testing.T, st *ftbfs.Structure, wireSource, trials
 		}
 		return int(toNew[v])
 	}
-	set, err := ftbfs.NewOracleSet(st)
+	set, err := ftbfs.NewOracleSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestOrderedRandomEquivalence(t *testing.T) {
 		if st.NumEdges() != ost.NumEdges() {
 			t.Fatalf("seed %d: kept %d vs %d edges", seed, st.NumEdges(), ost.NumEdges())
 		}
-		set, err := ftbfs.NewOracleSet(st)
+		set, err := ftbfs.NewOracleSet(st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oset, err := ftbfs.NewOracleSet(ost)
+		oset, err := ftbfs.NewOracleSet(ost, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
