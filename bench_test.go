@@ -98,6 +98,28 @@ func BenchmarkBuildServing(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildScale times single-source dual builds of SparseGNP(n, 6, 1)
+// from source 0 at one worker, for n past the serving graph's 1000: the
+// sizes where the cost per search grows with n.
+func BenchmarkBuildScale(b *testing.B) {
+	for _, n := range []int{2000, 4000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := ftbfs.SparseGNP(n, 6, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				st, err := ftbfs.BuildDualFTBFS(g, 0, &ftbfs.Options{Parallelism: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges = st.NumEdges()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
 func BenchmarkBuildSingle(b *testing.B) {
 	for _, n := range []int{40, 80, 160} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

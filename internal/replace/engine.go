@@ -155,12 +155,6 @@ func NewEngine(t *wsp.Tree) *Engine {
 	}
 }
 
-// Source returns the engine's source vertex.
-func (e *Engine) Source() int { return e.s }
-
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // Stats returns a copy of the accumulated effort counters, folding in the
 // underlying search's tie warnings.
 func (e *Engine) Stats() Stats {
@@ -168,9 +162,6 @@ func (e *Engine) Stats() Stats {
 	st.TieWarnings = e.search.TieWarnings() - e.memoTies + e.ties
 	return st
 }
-
-// TreeDist returns the fault-free distance from s to v (-1 if unreachable).
-func (e *Engine) TreeDist(v int) int32 { return e.t.HopDist(v) }
 
 // TreeEdges returns the edge IDs of the canonical tree T0(s).
 func (e *Engine) TreeEdges() []int {

@@ -14,9 +14,10 @@ import (
 
 // gtauMasked is the G_τ(v) check as the engine used to make it: a masked
 // search over G_τ(v)∖F, with v's edges outside H(v) and the faults
-// disabled. It returns the canonical s–v path, or nil when
-// dist(s,v,G_τ(v)∖F) is not d.
-func gtauMasked(ref *wsp.Search, g *graph.Graph, s, v int, d int32, inH map[int]bool, faults []int) path.Path {
+// disabled, on a RepairSearch of its own (internal/wsp's tests hold that
+// kernel to an independent Dijkstra). It returns the canonical s–v path,
+// or nil when dist(s,v,G_τ(v)∖F) is not d.
+func gtauMasked(ref *wsp.RepairSearch, g *graph.Graph, s, v int, d int32, inH map[int]bool, faults []int) path.Path {
 	var masks []int
 	for _, a := range g.Arcs(v) {
 		if !inH[int(a.ID)] {
@@ -76,7 +77,7 @@ func checkGtau(t *testing.T, g *graph.Graph, w *wsp.Assignment, s int) (checks, 
 	t.Helper()
 	tree := wsp.NewTree(g, w, s)
 	e := NewEngine(tree)
-	ref := wsp.NewSearch(g, w)
+	ref := wsp.NewRepairSearch(tree)
 	unmasked := wsp.NewRepairSearch(tree)
 	for _, v := range tree.Preorder() {
 		tr := e.BuildTarget(int(v), true)

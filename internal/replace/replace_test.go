@@ -18,12 +18,13 @@ func newEngine(t *testing.T, g *graph.Graph, s int, seed int64) *Engine {
 
 func TestTreeBasics(t *testing.T) {
 	g := gen.Grid(3, 3)
-	eng := newEngine(t, g, 0, 1)
-	if eng.Source() != 0 || eng.Graph() != g {
+	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), 1), 0)
+	eng := NewEngine(tree)
+	if tree.Source() != 0 || tree.Graph() != g {
 		t.Fatal("accessors wrong")
 	}
-	if eng.TreeDist(8) != 4 {
-		t.Fatalf("TreeDist(8) = %d", eng.TreeDist(8))
+	if tree.HopDist(8) != 4 {
+		t.Fatalf("HopDist(8) = %d", tree.HopDist(8))
 	}
 	if got := len(eng.TreeEdges()); got != 8 {
 		t.Fatalf("tree edge count = %d, want n-1", got)

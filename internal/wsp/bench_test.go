@@ -1,48 +1,11 @@
 package wsp
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 )
-
-func BenchmarkSearchFull(b *testing.B) {
-	for _, n := range []int{100, 400, 1600} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := gen.SparseGNP(n, 8, 1)
-			s := NewSearch(g, NewAssignment(g.M(), 1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Run(0, Options{Target: -1})
-			}
-		})
-	}
-}
-
-func BenchmarkSearchEarlyExit(b *testing.B) {
-	g := gen.SparseGNP(1600, 8, 1)
-	s := NewSearch(g, NewAssignment(g.M(), 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(0, Options{Target: i % g.N()})
-	}
-}
-
-func BenchmarkSearchMasked(b *testing.B) {
-	g := gen.SparseGNP(400, 8, 1)
-	s := NewSearch(g, NewAssignment(g.M(), 1))
-	faults := []int{1, 5}
-	off := []int{7, 9, 11}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(0, Options{Target: -1, DisabledEdges: faults, DisabledVertices: off})
-	}
-}
 
 // BenchmarkRepairSearch times the repair kernel on fault sets shaped like
 // Cons2FTBFS's pair events on SparseGNP(1000, 6, 1) from source 0: a tree
@@ -51,7 +14,11 @@ func BenchmarkSearchMasked(b *testing.B) {
 // drawn from the detached subtree. "target" runs stop at the target, as
 // the per-target builders do; "full" runs settle the whole region, as
 // unionTrees does. Cases are cycled after one warm pass, so allocs/op
-// reads the warm kernel.
+// reads the warm kernel. The scratch-* cases time the scratch sweep on the
+// same graph: "scratch-full" builds a tree (NewTree is one scratch run),
+// "scratch-target" runs from a source other than the tree's to a cycling
+// target, and "scratch-masked" runs from that source with two edges and
+// three vertices disabled.
 func BenchmarkRepairSearch(b *testing.B) {
 	g := gen.SparseGNP(1000, 6, 1)
 	w := NewAssignment(g.M(), 1)
@@ -108,6 +75,31 @@ func BenchmarkRepairSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.Run(0, opt(events[i%len(events)]))
+			}
+		})
+	}
+	b.Run("scratch-full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewTree(g, w, 0)
+		}
+	})
+	other := g.N() / 2
+	for _, mode := range []string{"scratch-target", "scratch-masked"} {
+		b.Run(mode, func(b *testing.B) {
+			r := NewRepairSearch(NewTree(g, w, 0))
+			opt := Options{Target: -1, DisabledEdges: []int{1, 5}, DisabledVertices: []int{7, 9, 11}}
+			if mode == "scratch-target" {
+				opt = Options{}
+			}
+			r.Run(other, Options{Target: -1}) // grow the level buckets
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "scratch-target" {
+					opt.Target = i % g.N()
+				}
+				r.Run(other, opt)
 			}
 		})
 	}

@@ -8,77 +8,98 @@ import (
 	"repro/internal/path"
 )
 
-// RepairSearch answers the same queries as Search for one fixed source by
-// incrementally repairing the canonical base tree instead of re-running
-// Dijkstra from scratch. The observation (arXiv:1505.00692 §2, shared with
-// the Gupta–Khan multi-source construction) is that under the isolation
-// weight assignment the canonical tree is the union of the unique
-// weight-minimal shortest paths, so a fault set can only change the answer
-// for vertices in the subtrees hanging below faulted tree edges (plus the
-// subtrees of disabled vertices). Everything outside that detached region R
-// keeps its exact base (hops, tie, parent, parentE); vertices inside R are
+// Options restricts a run to a subgraph and optionally stops it early.
+type Options struct {
+	// Target, when ≥ 0, lets the run stop as soon as the target is
+	// settled. The target, every vertex on its path and every vertex with
+	// fewer hops than it then read exactly; so do the vertices a repair
+	// left outside its detached region (see RepairSearch). Any other
+	// vertex reads as unreachable or at its true distance, never closer.
+	Target int
+	// DisabledVertices are excluded from the run (their incident edges
+	// become unusable). Disabling the source yields an all-unreachable
+	// result.
+	DisabledVertices []int
+	// DisabledEdges are excluded from the run.
+	DisabledEdges []int
+}
+
+// RepairSearch computes the unique shortest paths under W from a source in
+// G restricted by per-run vertex and edge masks. From its tree's own source
+// it repairs the canonical base tree instead of searching from scratch.
+// The observation (arXiv:1505.00692 §2, shared with the Gupta–Khan
+// multi-source construction) is that under the isolation weight
+// assignment the canonical tree is the union of the unique weight-minimal
+// shortest paths, so a fault set can only change the answer for vertices
+// in the subtrees hanging below faulted tree edges (plus the subtrees of
+// disabled vertices). Everything outside that detached region R keeps its
+// exact base (hops, tie, parent, parentE); vertices inside R are
 // re-settled one hop level at a time, seeded from the surviving boundary
 // arcs. Weights are hop-major, so a level's tie weights are final once the
 // level below it is settled: the sweep needs per-level buckets and an
-// in-place tie minimum, not a priority queue. Because the optimum is unique
-// per vertex, the repaired values are bit-identical to a from-scratch run —
-// the repair changes the settle schedule, never the result.
+// in-place tie minimum, not a priority queue. Because the optimum is
+// unique per vertex, the repaired values are bit-identical to a
+// from-scratch run — the repair changes the settle schedule, never the
+// result.
+//
+// Every other run is a scratch run of the same sweep: R = V, and the one
+// seed is the source at hops 0, tie 0. That serves runs from a source
+// other than the tree's, and detached regions whose arc volume passes the
+// volume cap, where starting over is cheaper than repairing. NewTree
+// builds each tree with one scratch run.
 //
 // Ties: on an exact residual tie (two distinct parents reaching a vertex at
 // the same (hops, tie)) the kept parent is the first candidate the sweep
-// meets — boundary arcs before inside arcs, then bucket order — so parents
-// may then differ from Search's. Every equal arrival is counted in
-// TieWarnings, so a tied final minimum is always reported.
+// meets — boundary arcs before inside arcs, then bucket order — so it may
+// differ from the one a heap-ordered Dijkstra keeps. Every equal arrival
+// is counted in TieWarnings, so a tied final minimum is always reported.
 //
 // Contract: after a Run with a Target, accessors are valid for the target,
 // every vertex on the target's path, and every vertex outside R. When the
-// run repaired the target (the target lies in R) or fell back to scratch,
-// they are also valid for every vertex with fewer hops than the target:
-// the sweep, like Search, settles every lower hop level before the
-// target's. Other vertices read as unreachable or at their true distance,
-// never closer. After a Run without a Target, accessors are valid for all
-// vertices. A RepairSearch is not safe
-// for concurrent use; create one per goroutine. The Tree it repairs
-// against is only read, so every goroutine's RepairSearch may share one.
+// run repaired the target (the target lies in R) or ran from scratch, they
+// are also valid for every vertex with fewer hops than the target: the
+// sweep settles every lower hop level before the target's. Other vertices
+// read as unreachable or at their true distance, never closer. After a Run
+// without a Target, accessors are valid for all vertices. A RepairSearch
+// is not safe for concurrent use; create one per goroutine. The Tree it
+// repairs against is only read, so every goroutine's RepairSearch may
+// share one.
 type RepairSearch struct {
 	g *graph.Graph
 	t *Tree // the shared frozen base; only ever read
 
-	// scratch absorbs every query repair cannot serve: a different source
-	// or a detached region past volLimit. When full is true the last Run
-	// lives in scratch and every accessor delegates to it.
-	scratch *Search
-	full    bool
+	// full marks a scratch run: R was all of V, so every vertex may
+	// differ from the tree.
+	full bool
 
-	// Live view: the tree's values patched by the current repair. Only
-	// vertices in region are ever patched; undo restores them from the
-	// tree at the start of the next Run.
+	// Live view: the tree's values patched by the current run. Only
+	// vertices in R are ever patched; undo restores them from the tree at
+	// the start of the next Run.
 	hops    []int32
 	tie     []int64
 	parent  []int32
 	parentE []int32
 
-	// Per-run stamps (epoch ep): inR marks the detached region, seen/done
-	// mirror Search's tentative/settled stamps, vOff/eOff the masks.
+	// Per-run stamps (epoch ep): inR marks the detached region, seen the
+	// vertices with a tentative weight, done the settled ones, vOff/eOff
+	// the masks.
 	ep     uint32
 	inR    []uint32
 	seen   []uint32
 	done   []uint32
 	vOff   []uint32
 	eOff   []uint32
-	region []int32 // R as a list; doubles as the undo list
+	region []int32 // R as a list when repairing; doubles as the undo list
 	// levels[h] buckets the region vertices that reached hop level h in
-	// the current repair (as seeds or by relaxation). Buckets keep their
-	// capacity across runs; a repair empties the levels it touched.
+	// the current run (as seeds or by relaxation). Buckets keep their
+	// capacity across runs; a run empties the levels it touched.
 	levels [][]int32
 
 	// volLimit caps the arc volume (sum of degrees) of R: past it a
-	// from-scratch run is cheaper than repairing, so Run falls back.
+	// scratch run is cheaper than repairing.
 	volLimit int
 
-	// ties counts residual equal-weight relaxations observed by repairs,
-	// mirroring Search.TieWarnings (which covers the fallback runs
-	// executed by scratch).
+	// ties counts residual equal-weight relaxations observed by all runs.
 	ties int
 }
 
@@ -90,7 +111,6 @@ func NewRepairSearch(t *Tree) *RepairSearch {
 	return &RepairSearch{
 		g:       g,
 		t:       t,
-		scratch: NewSearch(g, t.w),
 		hops:    slices.Clone(t.hops),
 		tie:     slices.Clone(t.tie),
 		parent:  slices.Clone(t.parent),
@@ -107,21 +127,17 @@ func NewRepairSearch(t *Tree) *RepairSearch {
 	}
 }
 
-// Graph returns the graph the search is bound to.
-func (r *RepairSearch) Graph() *graph.Graph { return r.g }
-
-// TieWarnings returns the residual equal-weight-path count accumulated
-// across all repairs and all fallback runs — the same evidence
-// Search.TieWarnings carries that the assignment failed to isolate a
-// unique shortest path. The base search's share is the tree's (Tree.Ties).
-func (r *RepairSearch) TieWarnings() int { return r.ties + r.scratch.TieWarnings }
+// TieWarnings returns the residual equal-weight relaxations counted across
+// all runs: evidence that the assignment failed to isolate a unique
+// shortest path. The tree's own share is Tree.Ties.
+func (r *RepairSearch) TieWarnings() int { return r.ties }
 
 // Changed returns the detached region of the last Run — the only vertices
 // whose (hops, tie, parent, parentE) may differ from the base tree — and
-// ok=true when the run was served incrementally. ok=false means the run
-// fell back to scratch and every vertex may differ. ok is meaningful after
-// any Run, the region only after a Run without a Target; the slice is
-// valid until the next Run.
+// ok=true when the run was a repair. ok=false means the run was from
+// scratch and every vertex may differ. ok is meaningful after any Run,
+// the region only after a Run without a Target; the slice is valid until
+// the next Run.
 func (r *RepairSearch) Changed() ([]int32, bool) {
 	if r.full {
 		return nil, false
@@ -130,9 +146,16 @@ func (r *RepairSearch) Changed() ([]int32, bool) {
 }
 
 // undo restores the live arrays to the base tree for every vertex patched
-// (or merely detached) by the previous repair.
+// (or merely detached) by the previous run.
 func (r *RepairSearch) undo() {
 	t := r.t
+	if r.full {
+		copy(r.hops, t.hops)
+		copy(r.tie, t.tie)
+		copy(r.parent, t.parent)
+		copy(r.parentE, t.parentE)
+		r.full = false
+	}
 	for _, v := range r.region {
 		r.hops[v] = t.hops[v]
 		r.tie[v] = t.tie[v]
@@ -142,18 +165,13 @@ func (r *RepairSearch) undo() {
 	r.region = r.region[:0]
 }
 
-// Run executes the query from src under the given restrictions, repairing
-// the base tree when possible and falling back to a from-scratch Dijkstra
-// otherwise. Results are valid until the next Run (see the type comment
-// for which accessors are valid after a Target run).
+// Run executes the query from src under the given restrictions: a repair
+// of the base tree when src is the tree's source and the detached region
+// stays under the volume cap, a scratch run otherwise. Results are valid
+// until the next Run (see the type comment for which accessors are valid
+// after a Target run).
 func (r *RepairSearch) Run(src int, opt Options) {
 	r.undo()
-	if src != r.t.src {
-		r.full = true
-		r.scratch.Run(src, opt)
-		return
-	}
-	r.full = false
 	r.ep++
 	if r.ep == 0 { // wrapped; reset stamps
 		for i := range r.inR {
@@ -168,13 +186,36 @@ func (r *RepairSearch) Run(src int, opt Options) {
 	for _, e := range opt.DisabledEdges {
 		r.eOff[e] = ep
 	}
-	// Detach the subtree of every disabled vertex (including the vertex
-	// itself: it is masked and never re-settled) and of the child endpoint
-	// of every faulted tree edge. Faulted non-tree edges detach nothing —
-	// the canonical tree is the union of the unique canonical paths, so
-	// removing a non-tree edge is an exact no-op.
 	for _, v := range opt.DisabledVertices {
 		r.vOff[v] = ep
+	}
+	if src != r.t.src || !r.detach(opt) {
+		// R = V: nothing keeps its base values, and the sweep starts
+		// from the source alone.
+		r.full = true
+		r.region = r.region[:0]
+		for v := range r.inR {
+			r.inR[v] = ep
+		}
+	} else if len(r.region) == 0 {
+		return // exact no-op: every fault missed the tree
+	} else if opt.Target >= 0 && r.inR[opt.Target] != ep {
+		// The target and its whole base path lie outside R: the base view
+		// already answers everything the caller may ask.
+		return
+	}
+	r.repair(src, opt.Target)
+}
+
+// detach collects R for a run from the tree's source: the subtree of every
+// disabled vertex (including the vertex itself: it is masked and never
+// re-settled) and of the child endpoint of every faulted tree edge.
+// Faulted non-tree edges detach nothing — the canonical tree is the union
+// of the unique canonical paths, so removing a non-tree edge is an exact
+// no-op. It reports false when R's arc volume passes volLimit.
+func (r *RepairSearch) detach(opt Options) bool {
+	ep := r.ep
+	for _, v := range opt.DisabledVertices {
 		if r.inR[v] != ep {
 			r.inR[v] = ep
 			r.region = append(r.region, int32(v))
@@ -195,39 +236,27 @@ func (r *RepairSearch) Run(src int, opt Options) {
 		}
 	}
 	var ok bool
-	if r.region, ok = r.t.kids.Detach(r.g, r.region, r.inR, ep, r.volLimit); !ok {
-		r.full = true
-		r.scratch.Run(src, opt)
-		return
-	}
-	if len(r.region) == 0 {
-		return // exact no-op: every fault missed the tree
-	}
-	if opt.Target >= 0 && r.inR[opt.Target] != ep {
-		// The target and its whole base path lie outside R: the base view
-		// already answers everything the caller may ask.
-		return
-	}
-	r.repair(opt.Target)
+	r.region, ok = r.t.kids.Detach(r.g, r.region, r.inR, ep, r.volLimit)
+	return ok
 }
 
-// repair re-settles the detached region one hop level at a time. Every
-// vertex x in R is seeded with its best crossing arc from the (exact,
-// surviving) outside and dropped into the bucket of that hop level; levels
-// are then settled in increasing order. By the last-crossing argument the
-// canonical path of every x in R decomposes into an exact outside prefix,
-// one crossing arc, and a suffix inside R, and because weights are
-// hop-major every tie weight at level h is final once level h−1 is
-// settled. A relaxation from level h therefore appends its endpoint to
-// level h+1 only when the endpoint first reaches that level and otherwise
-// lowers its tie weight in place, so the sweep reproduces the unique
-// optimum — and therefore the exact parent and parent edge — for every
-// vertex it settles. R vertices left unsettled are exactly the ones
-// unreachable under the fault set. A Target run stops when the target
-// comes up in its level.
+// repair re-settles R one hop level at a time. In a repair every vertex x
+// in R is seeded with its best crossing arc from the (exact, surviving)
+// outside and dropped into the bucket of that hop level; a scratch run has
+// no outside, and its one seed is src at level 0. Levels are then settled
+// in increasing order. By the last-crossing argument the canonical path of
+// every x in R decomposes into an exact outside prefix, one crossing arc,
+// and a suffix inside R, and because weights are hop-major every tie
+// weight at level h is final once level h−1 is settled. A relaxation from
+// level h therefore appends its endpoint to level h+1 only when the
+// endpoint first reaches that level and otherwise lowers its tie weight in
+// place, so the sweep reproduces the unique optimum — and therefore the
+// exact parent and parent edge — for every vertex it settles. R vertices
+// left unsettled are exactly the ones unreachable under the fault set. A
+// Target run stops when the target comes up in its level.
 //
 //ftbfs:hotpath
-func (r *RepairSearch) repair(target int) {
+func (r *RepairSearch) repair(src, target int) {
 	ep := r.ep
 	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
 	seen, done := r.seen, r.done
@@ -236,6 +265,12 @@ func (r *RepairSearch) repair(target int) {
 	wTie := r.t.w.tie
 	levels := r.levels
 	lo, hi := len(levels), -1
+	if r.full && vOff[src] != ep {
+		seen[src] = ep
+		hops[src], tie[src], parent[src], parentE[src] = 0, 0, -1, -1
+		levels[0] = append(levels[0], int32(src))
+		lo, hi = 0, 0
+	}
 	for _, x := range r.region {
 		if vOff[x] == ep {
 			continue
@@ -310,8 +345,8 @@ func (r *RepairSearch) repair(target int) {
 	}
 }
 
-// gated reports whether v is in the detached region but was not settled by
-// the repair — i.e. v is unreachable under the last fault set.
+// gated reports whether v is in R but was not settled by the last run —
+// i.e. v is unreachable under the last fault set.
 func (r *RepairSearch) gated(v int) bool {
 	return r.inR[v] == r.ep && r.done[v] != r.ep
 }
@@ -319,17 +354,11 @@ func (r *RepairSearch) gated(v int) bool {
 // Reachable reports whether v is reachable under the last Run's
 // restrictions (for Target runs, within the contract set).
 func (r *RepairSearch) Reachable(v int) bool {
-	if r.full {
-		return r.scratch.Reachable(v)
-	}
 	return !r.gated(v) && r.hops[v] >= 0
 }
 
 // HopDist returns the unweighted distance to v, or -1 when unreachable.
 func (r *RepairSearch) HopDist(v int) int32 {
-	if r.full {
-		return r.scratch.HopDist(v)
-	}
 	if r.gated(v) {
 		return -1
 	}
@@ -338,9 +367,6 @@ func (r *RepairSearch) HopDist(v int) int32 {
 
 // Dist returns the full weight to v and whether v is reachable.
 func (r *RepairSearch) Dist(v int) (Weight, bool) {
-	if r.full {
-		return r.scratch.Dist(v)
-	}
 	if r.gated(v) || r.hops[v] < 0 {
 		return Weight{}, false
 	}
@@ -350,9 +376,6 @@ func (r *RepairSearch) Dist(v int) (Weight, bool) {
 // PathTo returns the unique shortest path from the source to v under W, or
 // nil when v is unreachable.
 func (r *RepairSearch) PathTo(v int) path.Path {
-	if r.full {
-		return r.scratch.PathTo(v)
-	}
 	if r.gated(v) || r.hops[v] < 0 {
 		return nil
 	}
@@ -369,9 +392,6 @@ func (r *RepairSearch) PathTo(v int) path.Path {
 // ParentOf returns the predecessor of v on its shortest path (-1 for the
 // source or unreachable vertices).
 func (r *RepairSearch) ParentOf(v int) int {
-	if r.full {
-		return r.scratch.ParentOf(v)
-	}
 	if r.gated(v) {
 		return -1
 	}
@@ -380,23 +400,8 @@ func (r *RepairSearch) ParentOf(v int) int {
 
 // ParentEdgeOf returns the edge ID connecting v to its predecessor, or -1.
 func (r *RepairSearch) ParentEdgeOf(v int) int {
-	if r.full {
-		return r.scratch.ParentEdgeOf(v)
-	}
 	if r.gated(v) {
 		return -1
 	}
 	return int(r.parentE[v])
-}
-
-// LastEdgeTo returns the final edge of the shortest path to v. ok is false
-// when v is unreachable or is the source itself.
-func (r *RepairSearch) LastEdgeTo(v int) (graph.Edge, bool) {
-	if r.full {
-		return r.scratch.LastEdgeTo(v)
-	}
-	if r.gated(v) || r.hops[v] < 0 || r.parent[v] < 0 {
-		return graph.Edge{}, false
-	}
-	return graph.Edge{U: int(r.parent[v]), V: v}.Normalize(), true
 }

@@ -16,15 +16,15 @@ import (
 // runs it checks each clause of the Target contract against a Target: -1
 // Search with the same masks, which it runs on ref after checking the
 // target and every vertex on its path against ref's Target run:
-//   - when the run was repaired rather than delegated, every vertex
+//   - when the run was a repair rather than a scratch sweep, every vertex
 //     outside the detached region;
-//   - when the target lies in the detached region or the run fell back,
-//     every vertex with fewer hops than the target (every vertex when the
-//     target is unreachable);
+//   - when the target lies in the detached region or the run was a scratch
+//     sweep, every vertex with fewer hops than the target (every vertex
+//     when the target is unreachable);
 //   - every other vertex reads as unreachable or at its true distance.
 func checkRepairMatchesScratch(t *testing.T, rep *RepairSearch, ref *Search, src int, opt Options, tag string) {
 	t.Helper()
-	g := rep.Graph()
+	g := rep.g
 	check := func(v int) {
 		t.Helper()
 		if rep.Reachable(v) != ref.Reachable(v) {
@@ -43,11 +43,6 @@ func checkRepairMatchesScratch(t *testing.T, rep *RepairSearch, ref *Search, src
 		}
 		if rep.ParentEdgeOf(v) != ref.ParentEdgeOf(v) {
 			t.Fatalf("%s: ParentEdgeOf(%d) = %d repair vs %d scratch", tag, v, rep.ParentEdgeOf(v), ref.ParentEdgeOf(v))
-		}
-		re, rok := rep.LastEdgeTo(v)
-		se, sok2 := ref.LastEdgeTo(v)
-		if re != se || rok != sok2 {
-			t.Fatalf("%s: LastEdgeTo(%d) = (%v,%v) repair vs (%v,%v) scratch", tag, v, re, rok, se, sok2)
 		}
 		rp, sp := rep.PathTo(v), ref.PathTo(v)
 		if len(rp) != len(sp) {
@@ -127,7 +122,7 @@ func TestRepairSearchEquivalence(t *testing.T) {
 // TestRepairSearchFaultClasses pins the classification boundaries one at a
 // time: non-tree faults (exact no-op), a leaf subtree, a deep subtree
 // (fault on the source's own tree edge), disconnecting faults, a disabled
-// source, and a foreign source (scratch delegation).
+// source, and a foreign source (a scratch sweep).
 func TestRepairSearchFaultClasses(t *testing.T) {
 	g := gen.TreePlusChords(150, 40, 9)
 	w := NewAssignment(g.M(), 77)
@@ -161,7 +156,7 @@ func TestRepairSearchFaultClasses(t *testing.T) {
 		checkRepairMatchesScratch(t, rep, ref, src, opt, "class")
 		_ = i
 	}
-	// Foreign source delegates to scratch and stays correct.
+	// A foreign source takes the scratch sweep and stays correct.
 	other := g.N() / 2
 	opt := Options{Target: -1, DisabledEdges: treeEdges[:2]}
 	rep.Run(other, opt)
@@ -175,14 +170,19 @@ func TestRepairSearchFaultClasses(t *testing.T) {
 }
 
 // TestRepairSearchVolumeFallback forces the volume cap and checks the
-// fallback is transparent (and recoverable on the next small repair).
+// scratch sweep it falls back to is transparent (and recoverable on the
+// next small repair): full runs with edge faults, and Target runs masked
+// like the G(u_k, v) searches of the per-target rules — an edge e_i of
+// the target's base path faulted and π's vertices u_{k+1..i} disabled.
 func TestRepairSearchVolumeFallback(t *testing.T) {
 	g := gen.SparseGNP(200, 5, 3)
 	w := NewAssignment(g.M(), 5)
-	rep := NewRepairSearch(NewTree(g, w, 0))
+	tree := NewTree(g, w, 0)
+	rep := NewRepairSearch(tree)
 	ref := NewSearch(g, w)
 	rep.volLimit = 1 // every non-empty detach falls back
 	rng := rand.New(rand.NewSource(11))
+	masked := 0
 	for trial := 0; trial < 20; trial++ {
 		opt := Options{Target: -1, DisabledEdges: []int{rng.Intn(g.M()), rng.Intn(g.M())}}
 		rep.Run(0, opt)
@@ -191,11 +191,29 @@ func TestRepairSearchVolumeFallback(t *testing.T) {
 		if _, ok := rep.Changed(); ok {
 			// A fault set of only non-tree edges legitimately repairs
 			// in-place even with the cap (empty region); anything else
-			// must have delegated.
+			// must have fallen back.
 			if len(rep.region) != 0 {
 				t.Fatalf("trial %d: non-empty region survived volLimit=1", trial)
 			}
 		}
+		pi := tree.PathTo(rng.Intn(g.N()))
+		if len(pi) < 3 {
+			continue
+		}
+		i := 1 + rng.Intn(len(pi)-2) // e_i = (u_i, u_{i+1}), below a masked vertex
+		k := rng.Intn(i)
+		ei, _ := g.EdgeID(pi[i], pi[i+1])
+		opt = Options{Target: pi.Last(), DisabledEdges: []int{ei}, DisabledVertices: pi[k+1 : i+1]}
+		rep.Run(0, opt)
+		ref.Run(0, opt)
+		if _, ok := rep.Changed(); ok {
+			t.Fatalf("trial %d: masked Target run repaired past volLimit=1", trial)
+		}
+		checkRepairMatchesScratch(t, rep, ref, 0, opt, "capped-masked")
+		masked++
+	}
+	if masked < 10 {
+		t.Fatalf("only %d masked Target runs", masked)
 	}
 	rep.volLimit = g.M()
 	opt := Options{Target: -1, DisabledEdges: []int{0}}
@@ -254,13 +272,14 @@ func TestRepairSearchResidualTie(t *testing.T) {
 
 // FuzzRepairSearchEquivalence holds RepairSearch to the Target contract the
 // builders rely on (see checkRepairMatchesScratch). The first three bytes
-// pick the graph (family, size, generator seed) and the source; every
-// following 5-byte group is one run:
-// a target or -1, up to three faulted edges (the first optionally an edge
-// of the target's base path, as in Cons2FTBFS), optionally the interior of
-// a stretch of that path disabled — the G(u_k, v) masks of the per-target
-// selection rules — and now and then a foreign source. Every run is
-// compared against a from-scratch Search.
+// pick the graph (family, size, generator seed), the source, and whether
+// the volume cap is forced to 1, so that every run which detaches anything
+// takes the scratch sweep from the tree's own source. Every following
+// 5-byte group is one run: a target or -1, up to three faulted edges (the
+// first optionally an edge of the target's base path, as in Cons2FTBFS),
+// optionally the interior of a stretch of that path disabled — the
+// G(u_k, v) masks of the per-target selection rules — and now and then a
+// foreign source. Every run is compared against the heap reference Search.
 func FuzzRepairSearchEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -283,8 +302,11 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 			return
 		}
 		w := NewAssignment(g.M(), seed+1)
-		src := int(data[2]) % g.N()
+		src := int(data[2]&0x7f) % g.N()
 		rep := NewRepairSearch(NewTree(g, w, src))
+		if data[2]&0x80 != 0 {
+			rep.volLimit = 1
+		}
 		ref := NewSearch(g, w)
 		base := NewSearch(g, w)
 		base.Run(src, Options{Target: -1})

@@ -5,25 +5,12 @@ import (
 	"repro/internal/path"
 )
 
-// Options restricts a search to a subgraph and optionally stops it early.
-type Options struct {
-	// Target, when ≥ 0, lets the search stop as soon as the target is
-	// settled. Distances of vertices settled before the target — every
-	// vertex with fewer hops among them — remain valid; others are
-	// reported unreachable.
-	Target int
-	// DisabledVertices are excluded from the search (their incident edges
-	// become unusable). Disabling the source yields an all-unreachable
-	// result.
-	DisabledVertices []int
-	// DisabledEdges are excluded from the search.
-	DisabledEdges []int
-}
-
-// Search runs Dijkstra under a fixed weight assignment with per-run
-// vertex/edge masks. It is a reusable scratch object: results of a Run are
-// valid until the next Run. A Search is not safe for concurrent use; create
-// one per goroutine.
+// Search is the textbook binary-heap Dijkstra under a fixed weight
+// assignment with per-run vertex/edge masks: the independent reference
+// the tests hold RepairSearch to. Results of a Run are valid until the
+// next Run. With a Target, every vertex settled before the target — every
+// vertex with fewer hops among them — stays valid; others read
+// unreachable.
 type Search struct {
 	g *graph.Graph
 	w *Assignment
@@ -40,10 +27,9 @@ type Search struct {
 
 	heap heapSlice
 
-	// TieWarnings counts relaxations that found two distinct equal-weight
-	// paths to a vertex — evidence that the weight assignment failed to
-	// isolate a unique shortest path. It accumulates across runs.
-	TieWarnings int
+	// ties counts relaxations that found two distinct equal-weight paths
+	// to a vertex. It accumulates across runs.
+	ties int
 }
 
 type heapItem struct {
@@ -123,9 +109,6 @@ func NewSearch(g *graph.Graph, w *Assignment) *Search {
 	}
 }
 
-// Graph returns the graph the search is bound to.
-func (s *Search) Graph() *graph.Graph { return s.g }
-
 // Run executes Dijkstra from src under the given restrictions.
 func (s *Search) Run(src int, opt Options) {
 	s.epoch++
@@ -191,11 +174,14 @@ func (s *Search) Run(src int, opt Options) {
 				s.parent[u], s.parentE[u] = int32(v), eid
 				s.heap.push(heapItem{hops: nh, tie: nt, v: u})
 			} else if nh == distHops[u] && nt == distTie[u] && int(s.parent[u]) != v {
-				s.TieWarnings++
+				s.ties++
 			}
 		}
 	}
 }
+
+// TieWarnings returns the equal-weight relaxations counted across runs.
+func (s *Search) TieWarnings() int { return s.ties }
 
 // Reachable reports whether v was settled in the last run. With a Target
 // option, only vertices settled before the target report true.
@@ -249,13 +235,4 @@ func (s *Search) ParentEdgeOf(v int) int {
 		return -1
 	}
 	return int(s.parentE[v])
-}
-
-// LastEdgeTo returns the final edge of the shortest path to v. ok is false
-// when v is unreachable or is the source itself.
-func (s *Search) LastEdgeTo(v int) (graph.Edge, bool) {
-	if s.done[v] != s.epoch || s.parent[v] < 0 {
-		return graph.Edge{}, false
-	}
-	return graph.Edge{U: int(s.parent[v]), V: v}.Normalize(), true
 }

@@ -8,7 +8,7 @@ import (
 
 // Tree is the frozen canonical shortest-path tree T0(s) of (G, W, s): the
 // weight (hops, tie), parent and parent edge of every vertex, the child
-// lists, and the tie count of the one Search that built it. It is never
+// lists, and the tie count of the scratch run that built it. It is never
 // written after NewTree, so any number of RepairSearches — and the
 // replacement-path engines built on them — repair against one shared tree
 // from any goroutines.
@@ -23,33 +23,26 @@ type Tree struct {
 	parentE []int32
 	kids    bfs.Subtrees
 	depth   int32 // deepest hop level
-	ties    int   // TieWarnings of the base Search
+	ties    int   // TieWarnings of the base run
 }
 
-// NewTree runs one Search from src over g under w and freezes its result.
-// src must be a vertex of g and w must cover g's edges.
+// NewTree runs the sweep once from src over g under w and freezes its
+// result. src must be a vertex of g and w must cover g's edges.
 func NewTree(g *graph.Graph, w *Assignment, src int) *Tree {
 	n := g.N()
-	s := NewSearch(g, w)
-	s.Run(src, Options{Target: -1})
-	t := &Tree{
-		g:       g,
-		w:       w,
-		src:     src,
-		hops:    make([]int32, n),
-		tie:     make([]int64, n),
-		parent:  make([]int32, n),
-		parentE: make([]int32, n),
-		ties:    s.TieWarnings,
+	// A base with no source and nothing reachable: the run from src is a
+	// scratch run, and its live arrays become the tree's tables.
+	none := make([]int32, n)
+	for v := range none {
+		none[v] = -1
 	}
-	for v := 0; v < n; v++ {
-		if !s.Reachable(v) {
-			t.hops[v], t.parent[v], t.parentE[v] = -1, -1, -1
-			continue
-		}
-		t.hops[v], t.tie[v] = s.distHops[v], s.distTie[v]
-		t.parent[v], t.parentE[v] = s.parent[v], s.parentE[v]
-		t.depth = max(t.depth, t.hops[v])
+	r := NewRepairSearch(&Tree{g: g, w: w, src: -1,
+		hops: none, tie: make([]int64, n), parent: none, parentE: none})
+	r.Run(src, Options{Target: -1})
+	t := &Tree{g: g, w: w, src: src,
+		hops: r.hops, tie: r.tie, parent: r.parent, parentE: r.parentE, ties: r.ties}
+	for _, h := range t.hops {
+		t.depth = max(t.depth, h)
 	}
 	t.kids.Build(t.parent)
 	return t
@@ -64,7 +57,7 @@ func (t *Tree) Source() int { return t.src }
 // Assignment returns the weight assignment W the tree was built under.
 func (t *Tree) Assignment() *Assignment { return t.w }
 
-// Ties returns the equal-weight relaxations the base Search observed: the
+// Ties returns the equal-weight relaxations the base run observed: the
 // tree's share of the TieWarnings evidence, counted once where it is built.
 func (t *Tree) Ties() int { return t.ties }
 

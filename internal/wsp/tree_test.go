@@ -11,8 +11,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestTreeMatchesSearch checks every Tree accessor against the fault-free
-// Search it freezes, and the child lists against the parents.
+// TestTreeMatchesSearch checks every Tree accessor against a fault-free
+// run of the heap reference Search, and the child lists against the
+// parents.
 func TestTreeMatchesSearch(t *testing.T) {
 	g := gen.SparseGNP(200, 4, 8)
 	w := NewAssignment(g.M(), 3)
@@ -20,8 +21,8 @@ func TestTreeMatchesSearch(t *testing.T) {
 	tr := NewTree(g, w, src)
 	ref := NewSearch(g, w)
 	ref.Run(src, Options{Target: -1})
-	if tr.Source() != src || tr.Graph() != g || tr.Ties() != ref.TieWarnings {
-		t.Fatalf("tree header: source %d, ties %d (search: %d)", tr.Source(), tr.Ties(), ref.TieWarnings)
+	if tr.Source() != src || tr.Graph() != g || tr.Ties() != ref.TieWarnings() {
+		t.Fatalf("tree header: source %d, ties %d (search: %d)", tr.Source(), tr.Ties(), ref.TieWarnings())
 	}
 	kids := 0
 	for v := 0; v < g.N(); v++ {

@@ -1,8 +1,10 @@
 // Package wsp implements the unique-shortest-path machinery that the paper
 // assumes as a primitive: a weight assignment W over the edges of an
-// unweighted graph that breaks shortest-path ties in a consistent manner, and
-// a Dijkstra search that computes the unique shortest paths under W in
-// arbitrary vertex/edge-restricted subgraphs.
+// unweighted graph that breaks shortest-path ties in a consistent manner,
+// and one search kernel that computes the unique shortest paths under W in
+// arbitrary vertex/edge-restricted subgraphs. The kernel, RepairSearch, is
+// a level-bucket sweep: it repairs a frozen canonical tree (Tree) when it
+// runs from the tree's source, and sweeps from scratch otherwise.
 //
 // A weight is the exact pair (hops, tie): the number of edges on the path and
 // the sum of per-edge 62-bit tie-breakers. Weights compare lexicographically,
