@@ -13,14 +13,19 @@ import (
 )
 
 // TestFacadeOracleSet exercises the concurrent-serving exports: a shared
-// OracleSet queried through pooled handles from several goroutines.
+// OracleSet queried through pooled handles from several goroutines. The
+// set serves a copy of the structure without its replacement-distance
+// table, so its Dist answers go through the memo whose counters are
+// checked; the spot check compares them with the table's.
 func TestFacadeOracleSet(t *testing.T) {
 	g := ftbfs.GNP(30, 0.2, 4)
 	st, err := ftbfs.BuildDualFTBFS(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := ftbfs.NewOracleSet(st, 0)
+	memo := *st
+	memo.Tables = nil
+	set, err := ftbfs.NewOracleSet(&memo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,17 @@ type Structure struct {
 	// (Options.CollectPaths); indexed by vertex, nil entries for the
 	// source and unreachable vertices.
 	Targets []*replace.TargetResult
+	// Tables holds, per source in Sources order, the replacement-distance
+	// table of a dual-failure build: dist(s,v,G∖F) for every target and
+	// every |F| ≤ 2, from the distances Cons2FTBFS computed (see
+	// replace.DistTable). They are valid for the edge set the build
+	// produced, or any superset: H is an FT-BFS structure, so
+	// dist(s,v,H∖F) = dist(s,v,G∖F), and they answer point queries
+	// without a search. BuildDual fills them, and BuildFullPaths and
+	// multi-source compositions of BuildDual keep them, in the process
+	// that built them only: other builders' structures, snapshot-restored
+	// and uploaded ones have none (nil), since tables are not persisted.
+	Tables []*replace.DistTable
 }
 
 // NumEdges returns the number of edges in the structure.
@@ -207,6 +218,9 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	if collect {
 		st.Targets = make([]*replace.TargetResult, g.N())
 	}
+	// A dual build ran Steps 1–3 for every target, so each one's
+	// distances fill its run of the replacement-distance table.
+	tables := faults == 2
 	// Targets are independent: each worker folds the targets it claims
 	// into a private partial seeded with T0, through its own engine over
 	// the one shared tree. Indices are claimed in T0 preorder, so the
@@ -232,7 +246,13 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 						return partial{}, err
 					}
 					n0 := part.edges.Len()
-					part.fold(build(e, int(v), collect), st.Targets)
+					tr := build(e, int(v), collect)
+					if tables && tr != nil {
+						part.targets = append(part.targets, int32(tr.V))
+						part.runs = e.AppendDists(part.runs, tr)
+						part.ends = append(part.ends, int32(len(part.runs)))
+					}
+					part.fold(tr, st.Targets)
 					prog.AddUnits(1)
 					prog.AddEdges(int64(part.edges.Len() - n0))
 					if prog != nil {
@@ -252,15 +272,35 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	if err != nil {
 		return nil, err
 	}
+	if tables {
+		st.Tables = []*replace.DistTable{distTable(tree, parts)}
+	}
 	st.union(parts, prog)
 	return st, nil
 }
 
-// partial is one worker's share of a build: the edges it kept and its
-// counters.
+// partial is one worker's share of a build: the edges it kept, its
+// counters and, for dual builds, the replacement-distance runs of its
+// targets (targets[k]'s run ends at ends[k]).
 type partial struct {
 	edges *graph.EdgeSet
 	stats BuildStats
+
+	targets, ends, runs []int32
+}
+
+// distTable gathers the workers' runs into the source's table, ordered by
+// vertex: the bytes do not depend on which worker built which target.
+func distTable(tree *wsp.Tree, parts []partial) *replace.DistTable {
+	runs := make([][]int32, tree.Graph().N())
+	for _, p := range parts {
+		start := int32(0)
+		for k, v := range p.targets {
+			runs[v] = p.runs[start:p.ends[k]]
+			start = p.ends[k]
+		}
+	}
+	return replace.NewDistTable(tree, runs)
 }
 
 // union merges the workers' partials into st: edges unioned, counters
@@ -521,8 +561,14 @@ func BuildMultiSource(g *graph.Graph, sources []int, opts *Options,
 		}
 		out.Edges.Union(st.Edges)
 		out.Sources = append(out.Sources, s)
+		out.Tables = append(out.Tables, st.Tables...)
 		out.Faults = st.Faults
 		out.Stats.merge(&st.Stats)
+	}
+	// A superset of each source's structure keeps its distances, so the
+	// per-source tables hold for the union — when every source has one.
+	if len(out.Tables) != len(out.Sources) {
+		out.Tables = nil
 	}
 	return out, nil
 }

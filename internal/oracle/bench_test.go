@@ -267,10 +267,12 @@ func BenchmarkOracleQueryUncached(b *testing.B) {
 // repairs against its source's pinned tree, so a source switch costs a
 // table copy rather than a BFS and the two stay within 1.5× of each other.
 // The structure is built once, outside both sub-benchmarks, from
-// single-fault builds so the bench smoke run stays short; its fault budget
-// is then raised to 2 to admit two-edge events. A miss's cost depends on
-// H's size and the detached subtrees, not on H's guarantee, so the timing
-// holds for a dual structure too.
+// single-fault builds, which carry no replacement-distance table, so every
+// query reaches the memo; its fault budget is then raised to 2 to admit
+// two-edge events. A miss's cost depends on H's size and the detached
+// subtrees, not on H's guarantee, so the timing holds for a table-less
+// dual structure (a restored snapshot) too. BenchmarkOracleTable runs the
+// same stream on the dual build's tables.
 func BenchmarkOracleMiss(b *testing.B) {
 	g := gen.SparseGNP(1000, 6, 1)
 	st, err := core.BuildMultiSource(g, []int{0, 500}, nil, core.BuildSingle)
@@ -305,6 +307,48 @@ func BenchmarkOracleMiss(b *testing.B) {
 				if _, err := o.Dist(bc.srcs[i%len(bc.srcs)], i%g.N(), faults); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkOracleTable is BenchmarkOracleMiss's query stream on the dual
+// structure it stands in for: uniform two-edge failure events from one
+// source or alternating between two, on the two-source dual build of the
+// same sparse 1000-vertex graph. Dist reads each answer from the build's
+// replacement-distance tables, so no query reaches the memo.
+func BenchmarkOracleTable(b *testing.B) {
+	g := gen.SparseGNP(1000, 6, 1)
+	st, err := core.BuildMultiSource(g, []int{0, 500}, &core.Options{Parallelism: 2}, core.BuildDual)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		srcs []int
+	}{{"one-source", []int{0}}, {"two-sources", []int{0, 500}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			set, err := NewSet(st, 8<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := set.Handle()
+			rng := rand.New(rand.NewSource(1))
+			faults := make([]int, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				faults[0], faults[1] = rng.Intn(g.M()), rng.Intn(g.M())
+				for faults[1] == faults[0] {
+					faults[1] = rng.Intn(g.M())
+				}
+				if _, err := o.Dist(bc.srcs[i%len(bc.srcs)], i%g.N(), faults); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if cs := set.CacheStats(); cs.Misses != 0 {
+				b.Fatalf("%d queries reached the memo", cs.Misses)
 			}
 		})
 	}

@@ -103,6 +103,7 @@ type CacheStats struct {
 	DeltaEntries  int   `json:"deltaEntries"`  // tier-1 entries stored as deltas vs a pinned base
 	FullEntries   int   `json:"fullEntries"`   // tier-1 entries stored as full tables
 	PinnedBytes   int64 `json:"pinnedBytes"`   // tier-0 pinned trees (distances, parents, child CSR), outside the LRU budget
+	TableBytes    int64 `json:"tableBytes"`    // replacement-distance tables Dist reads first, outside the LRU budget
 }
 
 // add sums o into s, field by field.
@@ -117,6 +118,7 @@ func (s *CacheStats) add(o CacheStats) {
 	s.DeltaEntries += o.DeltaEntries
 	s.FullEntries += o.FullEntries
 	s.PinnedBytes += o.PinnedBytes
+	s.TableBytes += o.TableBytes
 }
 
 // TotalCacheStats sums the counters of several sets, Shards included, so

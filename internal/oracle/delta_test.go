@@ -26,6 +26,7 @@ func TestDeltaFullEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	set, err := NewSet(st, 1<<20) // ample: no evictions distort Len
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +403,7 @@ func FuzzDeltaThreshold(f *testing.F) {
 		if err != nil {
 			t.Skip() // disconnected seeds are the builder's business
 		}
-		set, err := NewSet(st, 1<<14)
+		set, err := NewSet(tableless(st), 1<<14)
 		if err != nil {
 			t.Fatal(err)
 		}

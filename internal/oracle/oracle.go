@@ -1,8 +1,14 @@
 // Package oracle answers fault-tolerant distance and routing queries on a
 // built FT-BFS structure: given a target v and a fault set F (|F| ≤ f),
-// it returns dist(s, v, G \ F) and a realizing path, computed entirely
-// inside the structure H — which is the point of the structure: H \ F
-// provably contains such a path (the paper's motivating routing scenario).
+// it returns dist(s, v, G \ F) and a realizing path. Routes, distance
+// tables and the point queries of structures without a
+// replacement-distance table are computed inside the structure H — which
+// is the point of the structure: H \ F provably contains such a path (the
+// paper's motivating routing scenario). A point query (Dist) on a dual
+// structure this process built reads the distance Cons2FTBFS computed for
+// its fault set from the build's table (core.Structure.Tables): that is
+// dist(s, v, G \ F), and it equals dist(s, v, H \ F) because H is an
+// FT-BFS structure.
 //
 // The package is organized for concurrent serving. An OracleSet holds the
 // shared immutable state — the materialized subgraph H, the G→H edge-ID
@@ -87,6 +93,11 @@ type OracleSet struct {
 	trees       []*bfs.Tree
 	pinnedBytes int64
 	baseHits    atomic.Int64 // empty-fault-set queries served from a tree
+
+	// Ahead of both tiers, Dist reads the structure's replacement-distance
+	// tables (st.Tables, indexed like st.Sources) when it has them;
+	// tableBytes is their footprint.
+	tableBytes int64
 }
 
 // NewSet builds the shared query state for st. Its memo holds as many
@@ -130,6 +141,9 @@ func newSet(st *core.Structure, cacheBytes int64, shards int) (*OracleSet, error
 		cache: newShardedCache(cacheBytes, shards),
 		trees: make([]*bfs.Tree, len(st.Sources)),
 	}
+	for _, t := range st.Tables {
+		s.tableBytes += t.Bytes()
+	}
 	// Materialize H directly in CSR form; sub edge IDs are assigned in
 	// increasing G-edge-ID order, no per-edge hashing involved.
 	s.sub, s.gToSub = st.G.SubgraphMapped(st.Edges)
@@ -150,6 +164,7 @@ func (s *OracleSet) CacheStats() CacheStats {
 	cs := s.cache.stats()
 	cs.Hits += s.baseHits.Load()
 	cs.PinnedBytes = s.pinnedBytes
+	cs.TableBytes = s.tableBytes
 	return cs
 }
 
@@ -299,10 +314,12 @@ func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 	return set.cache.add(e)
 }
 
-// Dist returns dist(s, v, G \ F) answered inside the structure
-// (bfs.Unreachable when v is cut off in G \ F as well). On a memo hit this
-// is a point lookup: a full-table index, or a short binary search of a
-// delta entry falling back to the pinned base.
+// Dist returns dist(s, v, G \ F) (bfs.Unreachable when v is cut off in
+// G \ F as well). On a structure with replacement-distance tables and
+// |F| ≤ 2 it is a table lookup: no lock, no search, no memo. Otherwise,
+// and for the table's marked slots, it is answered inside the structure
+// through the memo: on a hit a full-table index, or a short binary search
+// of a delta entry falling back to the pinned base.
 func (o *Oracle) Dist(s, v int, faults []int) (int32, error) {
 	canon, srcIdx, err := o.prepare(s, faults)
 	if err != nil {
@@ -310,6 +327,11 @@ func (o *Oracle) Dist(s, v int, faults []int) (int32, error) {
 	}
 	if v < 0 || v >= o.set.st.G.N() {
 		return bfs.Unreachable, queryErr(ErrBadTarget, "oracle: target %d out of range", v)
+	}
+	if tabs := o.set.st.Tables; tabs != nil && len(canon) <= 2 {
+		if d, ok := tabs[srcIdx].Dist(v, canon); ok {
+			return d, nil
+		}
 	}
 	return o.run(s, srcIdx, canon).At(v), nil
 }

@@ -19,38 +19,46 @@ func TestNewRequiresSources(t *testing.T) {
 	}
 }
 
-// TestOracleMatchesGroundTruth compares every oracle answer against BFS on
-// G \ F for all |F| ≤ 2.
+// TestOracleMatchesGroundTruth compares every oracle answer — tables and
+// point lookups — against BFS on G \ F for all |F| ≤ 2, with the build's
+// replacement-distance table and on a table-less copy.
 func TestOracleMatchesGroundTruth(t *testing.T) {
 	g := gen.GNP(16, 0.25, 8)
-	st, err := core.BuildDual(g, 0, nil)
+	dual, err := core.BuildDual(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := set.Handle()
-	truth := bfs.NewRunner(g)
-	check := func(faults []int) {
-		t.Helper()
-		truth.Run(0, faults, nil)
-		d, err := o.Dists(0, faults)
+	for _, st := range []*core.Structure{dual, tableless(dual)} {
+		set, err := NewSet(st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := 0; v < g.N(); v++ {
-			if d[v] != truth.Dist(v) {
-				t.Fatalf("faults %v target %d: oracle %d, truth %d", faults, v, d[v], truth.Dist(v))
+		o := set.Handle()
+		truth := bfs.NewRunner(g)
+		check := func(faults []int) {
+			t.Helper()
+			truth.Run(0, faults, nil)
+			d, err := o.Dists(0, faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < g.N(); v++ {
+				pt, err := o.Dist(0, v, faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d[v] != truth.Dist(v) || pt != truth.Dist(v) {
+					t.Fatalf("table %t faults %v target %d: oracle %d (point %d), truth %d",
+						st.Tables != nil, faults, v, d[v], pt, truth.Dist(v))
+				}
 			}
 		}
-	}
-	check(nil)
-	for a := 0; a < g.M(); a++ {
-		check([]int{a})
-		for b := a + 1; b < g.M(); b += 7 { // stride keeps the test fast
-			check([]int{a, b})
+		check(nil)
+		for a := 0; a < g.M(); a++ {
+			check([]int{a})
+			for b := a + 1; b < g.M(); b += 7 { // stride keeps the test fast
+				check([]int{a, b})
+			}
 		}
 	}
 }
@@ -179,6 +187,7 @@ func TestOracleCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -348,26 +357,33 @@ func TestShardCountClamps(t *testing.T) {
 	}
 }
 
+// TestOracleMultiSource checks one query per source of a two-source dual
+// structure, with its per-source tables and on a table-less copy.
 func TestOracleMultiSource(t *testing.T) {
 	g := gen.GNP(14, 0.3, 5)
-	st, err := core.BuildMultiSource(g, []int{0, 7}, nil, core.BuildDual)
+	multi, err := core.BuildMultiSource(g, []int{0, 7}, nil, core.BuildDual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st, 0)
-	if err != nil {
-		t.Fatal(err)
+	if len(multi.Tables) != 2 {
+		t.Fatalf("multi-source dual build has %d tables, want one per source", len(multi.Tables))
 	}
-	o := set.Handle()
-	truth := bfs.NewRunner(g)
-	for _, s := range []int{0, 7} {
-		truth.Run(s, []int{2}, nil)
-		d, err := o.Dist(s, 5, []int{2})
+	for _, st := range []*core.Structure{multi, tableless(multi)} {
+		set, err := NewSet(st, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != truth.Dist(5) {
-			t.Fatalf("source %d: oracle %d, truth %d", s, d, truth.Dist(5))
+		o := set.Handle()
+		truth := bfs.NewRunner(g)
+		for _, s := range []int{0, 7} {
+			truth.Run(s, []int{2}, nil)
+			d, err := o.Dist(s, 5, []int{2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != truth.Dist(5) {
+				t.Fatalf("table %t source %d: oracle %d, truth %d", st.Tables != nil, s, d, truth.Dist(5))
+			}
 		}
 	}
 }

@@ -145,6 +145,7 @@ func TestCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	set, err := NewSet(st, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +175,7 @@ func TestSharedCacheAcrossHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	set, err := NewSet(st, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +203,7 @@ func TestConcurrentPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	set, err := NewSet(st, 2<<10) // small: force concurrent evictions
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +300,8 @@ func TestReleaseForeignHandle(t *testing.T) {
 }
 
 // TestQueryPathAllocationFree proves the hot query path allocates nothing
-// once the failure event is cached.
+// once the failure event is cached, and nothing at all when a
+// replacement-distance table answers.
 func TestQueryPathAllocationFree(t *testing.T) {
 	g := gen.SparseGNP(200, 6, 2)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -323,6 +327,51 @@ func TestQueryPathAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cached Dist allocates %.1f objects per query, want 0", allocs)
 	}
+
+	dual, err := core.BuildDual(g, 0, &core.Options{CollectPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tset, err := NewSet(dual, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := tset.Handle()
+	// Every table case: no fault on π(0,v), then its first edge alone and
+	// with a second fault elsewhere, on π, and on that edge's detour.
+	type query struct {
+		v      int
+		faults []int
+	}
+	var qs []query
+	for _, r := range dual.Targets {
+		if r == nil {
+			continue
+		}
+		e0, last := r.PiEdgeIDs[0], r.PiEdgeIDs[len(r.PiEdgeIDs)-1]
+		qs = append(qs, query{r.V, nil}, query{r.V, []int{e0}},
+			query{r.V, []int{e0, (e0 + 1) % g.M()}}, query{r.V, []int{e0, last}})
+		if d := r.Detours[0]; d.Valid {
+			qs = append(qs, query{r.V, []int{e0, d.EdgeIDs[0]}})
+		}
+	}
+	if _, err := to.Dist(0, 1, []int{0, 1}); err != nil { // grow the canonicalization scratch
+		t.Fatal(err)
+	}
+	i := 0
+	allocs = testing.AllocsPerRun(len(qs), func() {
+		q := qs[i%len(qs)]
+		if _, err := to.Dist(0, q.v, q.faults); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("table-served Dist allocates %.1f objects per query, want 0", allocs)
+	}
+	if cs := tset.CacheStats(); cs.Misses != 0 || cs.Hits != 0 {
+		t.Fatalf("table-served queries reached the memo: %+v", cs)
+	}
 }
 
 // TestMissAllocations pins the allocations of a memo miss: distinct one-
@@ -340,6 +389,7 @@ func TestMissAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st = tableless(st)
 	probe, err := NewSet(st, 8<<20) // ample: no evictions
 	if err != nil {
 		t.Fatal(err)

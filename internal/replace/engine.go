@@ -10,6 +10,10 @@
 // checks globally) and best-effort about the paper's canonical selection:
 // when residual weight ties make a selection rule unrealizable the engine
 // falls back to the canonical shortest path and counts the event in Stats.
+//
+// Every step finds dist(s,v,G∖F) for its fault sets on the way; the engine
+// keeps those distances for AppendDists, and DistTable lays them out per
+// source so that point queries need no search (table.go).
 package replace
 
 import (
@@ -132,6 +136,15 @@ type Engine struct {
 	// search's count.
 	ties, memoTies int
 	memo           sfMemo
+
+	// What the current target's steps found, for AppendDists: Step 1's
+	// d(e_i) and whether P_i leaves π only once, Step 2's d(e_i, e_j)
+	// for i < j row by row, and Step 3's d(e_i, t) per detour edge t,
+	// detour i's run starting at d3At[i].
+	d1     []int32
+	once   []bool
+	d2, d3 []int32
+	d3At   []int32
 
 	// scratch
 	disabledV  []int

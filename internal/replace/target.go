@@ -133,10 +133,14 @@ func (e *Engine) piPos(u int) int {
 func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 	l := tr.Pi.Len()
 	tr.Detours = make([]Detour, l)
+	e.d1, e.once = e.d1[:0], e.once[:0]
 	for i := 0; i < l; i++ {
 		rec := e.singleFaultPath(tr, i)
+		e.d1 = append(e.d1, hops(rec.Path))
+		e.once = append(e.once, false)
 		if rec.Path != nil {
 			tr.Detours[i] = e.extractDetour(tr, rec.Path)
+			e.once[i] = leavesOnce(tr, &tr.Detours[i], rec.Path)
 			if !inH[rec.LastEdgeID] {
 				rec.NewEnding = true
 				inH[rec.LastEdgeID] = true
@@ -202,6 +206,23 @@ func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
 	return rec
 }
 
+// hops is the length of a replacement path: the distance the step found,
+// or -1 when the faults cut v off and there is no path.
+func hops(p path.Path) int32 {
+	if p == nil {
+		return -1
+	}
+	return int32(p.Len())
+}
+
+// leavesOnce reports whether the Step-1 path p is π(s,x_i) ∘ D_i ∘
+// π(y_i,v): whether it follows π from y_i to v once it has rejoined it.
+// Only residual ties can make it leave π again.
+func leavesOnce(tr *TargetResult, det *Detour, p path.Path) bool {
+	tail := len(tr.Pi) - det.YPos
+	return det.Valid && len(p) >= tail && slices.Equal(p[len(p)-tail:], tr.Pi[det.YPos:])
+}
+
 // extractDetour pulls the detour segment out of a Step-1 path: the maximal
 // segment between the first divergence from π and the first return to π.
 func (e *Engine) extractDetour(tr *TargetResult, p path.Path) Detour {
@@ -242,9 +263,11 @@ func (e *Engine) extractDetour(tr *TargetResult, p path.Path) Detour {
 
 func (e *Engine) step2(tr *TargetResult, inH map[int]bool, collect bool) {
 	l := tr.Pi.Len()
+	e.d2 = e.d2[:0]
 	for i := 0; i < l; i++ {
 		for j := i + 1; j < l; j++ {
 			rec := e.piPiPair(tr, i, j)
+			e.d2 = append(e.d2, hops(rec.Path))
 			if rec.Path != nil {
 				if !inH[rec.LastEdgeID] {
 					rec.NewEnding = true
@@ -354,12 +377,15 @@ func (e *Engine) step3(tr *TargetResult, inH map[int]bool, collect bool) {
 	// Enumerate F_v(D) and sort it in the paper's decreasing order:
 	// deeper e_i first; within one e_i, deeper t_j first.
 	var faults []piDFault
+	e.d3, e.d3At = e.d3[:0], e.d3At[:0]
 	for i := range tr.Detours {
+		e.d3At = append(e.d3At, int32(len(e.d3)))
 		if !tr.Detours[i].Valid {
 			continue
 		}
 		for t := range tr.Detours[i].EdgeIDs {
 			faults = append(faults, piDFault{eIdx: i, tIdx: t})
+			e.d3 = append(e.d3, -1)
 		}
 	}
 	sort.Slice(faults, func(a, b int) bool {
@@ -371,6 +397,7 @@ func (e *Engine) step3(tr *TargetResult, inH map[int]bool, collect bool) {
 
 	for _, f := range faults {
 		rec := e.piDPair(tr, f, inH)
+		e.d3[int(e.d3At[f.eIdx])+f.tIdx] = hops(rec.Path)
 		if rec.NewEnding {
 			inH[rec.LastEdgeID] = true
 			tr.NewEndingPiD++

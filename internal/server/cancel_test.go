@@ -400,10 +400,13 @@ func TestStatsEndpoint(t *testing.T) {
 	waitFor(t, h, "/v1/graphs/st/builds/"+info.ID, 30*time.Second, func(i buildInfo) bool {
 		return i.Status == StatusReady
 	})
-	// Touch the cache so the aggregate counters move.
-	if code, body := doJSON(t, h, "GET",
-		"/v1/graphs/st/builds/"+info.ID+"/dist?source=0&target=3&faults=1", ""); code != http.StatusOK {
-		t.Fatalf("query: %d %s", code, body)
+	// Touch the cache so the aggregate counters move: the dist item is
+	// answered from the build's replacement-distance table, the whole
+	// table of the same event through the memo.
+	for _, q := range []string{"dist?source=0&target=3&faults=1", "dists?source=0&faults=1"} {
+		if code, body := doJSON(t, h, "GET", "/v1/graphs/st/builds/"+info.ID+"/"+q, ""); code != http.StatusOK {
+			t.Fatalf("query %s: %d %s", q, code, body)
+		}
 	}
 	stats = statsResponse{}
 	_, body = doJSON(t, h, "GET", "/v1/stats", "")
@@ -413,7 +416,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Builds[StatusReady] != 1 || stats.BuildSlots.InUse != 0 {
 		t.Fatalf("ready stats: %+v", stats)
 	}
-	if stats.Cache == nil || stats.Cache.Misses == 0 || stats.Cache.Shards < 1 {
+	if stats.Cache == nil || stats.Cache.Misses == 0 || stats.Cache.Shards < 1 || stats.Cache.TableBytes == 0 {
 		t.Fatalf("cache aggregate missing: %+v", stats.Cache)
 	}
 }
