@@ -59,7 +59,6 @@ func run(args []string) error {
 		builds     = fs.Int("builds", 0, "max concurrent structure builds (0 = GOMAXPROCS)")
 		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed, pinned per-source base trees (~16 B × n each) sit outside it (0 = default 256 MiB, <0 = no memo)")
 		maxBatch   = fs.Int("max-batch", 0, "max queries per batch request (0 = default 65536)")
-		ordered    = fs.Bool("ordered", false, "renumber registered graphs into BFS vertex order (wire IDs unchanged; per-graph \"ordered\" field overrides)")
 		snapDir    = fs.String("snapshot-dir", "", "persist completed builds under this directory and warm-start from it")
 		demo       = fs.Bool("demo", false, "register a demo graph (gnp n=200 p=0.05 seed=7) at startup")
 		rtimeout   = fs.Duration("read-timeout", 30*time.Second, "HTTP read timeout")
@@ -73,7 +72,6 @@ func run(args []string) error {
 		MaxConcurrentBuilds: *builds,
 		CacheBytes:          *cacheBytes,
 		MaxBatchQueries:     *maxBatch,
-		OrderVertices:       *ordered,
 		// One structured line per terminal build so operators can audit
 		// the build plane (completions AND cancellations) without polling.
 		BuildLog: func(e server.BuildEvent) {

@@ -82,13 +82,6 @@ type LowerBoundMultiInstance = lowerbound.MultiInstance
 // with AddEdge/MustAddEdge, then Freeze into an immutable Graph.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// ReorderBFS re-freezes g with its vertices renumbered into BFS order
-// (cache-friendly adjacency for the query plane), keeping edge IDs and
-// recording the wire↔internal maps on the result (Graph.OrderMaps).
-// Ordered graphs are returned unchanged. Structures built over the
-// reordered graph are observationally identical up to the relabeling.
-func ReorderBFS(g *Graph) *Graph { return graph.ReorderBFS(g) }
-
 // BuildDualFTBFS constructs the dual-failure (f = 2) FT-BFS structure of
 // Theorem 1.1 via Algorithm Cons2FTBFS: O(n^{5/3}) edges, exact distances
 // under every fault set of at most two edges.

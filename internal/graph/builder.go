@@ -128,12 +128,3 @@ func (b *Builder) Freeze() *Graph {
 	copy(edges, b.edges)
 	return freeze(b.n, edges)
 }
-
-// FreezeOrdered is Freeze plus a BFS/degree vertex renumbering computed at
-// freeze time (see order.go): hot CSR spans become contiguous in memory
-// while edge IDs and per-edge iteration order are preserved, and the frozen
-// graph carries the old<->new maps for boundary translation. The builder's
-// own labels are unaffected.
-func (b *Builder) FreezeOrdered() *Graph {
-	return freezeOrdered(b.n, b.edges)
-}

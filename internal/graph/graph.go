@@ -77,11 +77,6 @@ type Graph struct {
 	arcs   []Arc   // len 2M, per-vertex spans in insertion order
 	arcTo  []int32 // len 2M; arcTo[i] == arcs[i].To (dense scan stream)
 	sorted []Arc   // len 2M, per-vertex spans sorted by To (for EdgeID)
-
-	// Freeze-time vertex renumbering (see order.go). Nil on unordered
-	// graphs, where labels are the identity. Edge IDs are never remapped.
-	toNew []int32 // original label -> internal label
-	toOld []int32 // internal label -> original label
 }
 
 // freeze builds the CSR representation from a finished edge list. The edge
@@ -207,16 +202,6 @@ func (g *Graph) Neighbors(v int) []int {
 	out := make([]int, len(arcs))
 	for i, a := range arcs {
 		out[i] = int(a.To)
-	}
-	return out
-}
-
-// IncidentEdges returns a fresh slice of the IDs of edges incident to v.
-func (g *Graph) IncidentEdges(v int) []int {
-	arcs := g.Arcs(v)
-	out := make([]int, len(arcs))
-	for i, a := range arcs {
-		out[i] = int(a.ID)
 	}
 	return out
 }

@@ -11,12 +11,15 @@
 // FT-BFS structure.
 //
 // The package is organized for concurrent serving. An OracleSet holds the
-// shared immutable state — the materialized subgraph H, the G→H edge-ID
+// shared immutable state — the structure's replacement-distance tables
+// when it has them, the materialized subgraph H, the G→H edge-ID
 // mapping, and a two-tier byte-budgeted memo of per-failure-event distance
 // tables — built once per structure. Per-goroutine Oracle handles carry
 // only repair scratch and are cheap to create (or recycle through
-// Acquire/Release), so one failure event's BFS is computed once and shared
-// across every concurrent client — by distance lookups and routes alike.
+// Acquire/Release). A failure event the tables do not answer — a route, a
+// whole table, any query on a structure without tables — is repaired once
+// and its distance table shared through the memo across every concurrent
+// client.
 //
 // The memo's two tiers (see cache.go): tier 0 is each source's fault-free
 // BFS tree, pinned by the constructor outside the LRU — the base every
@@ -240,17 +243,35 @@ func (o *Oracle) prepare(s int, faults []int) ([]int32, int, error) {
 // canonicalize fills o.canon with the sorted, deduplicated fault IDs — the
 // canonical per-failure-event key — without allocating once the scratch
 // has grown. Deduplication matters: faults {3,3} and {3} are the same
-// failure event and must share one cache entry and one budget slot.
+// failure event and must share one cache entry and one budget slot. One
+// or two IDs, the common case, are ordered and deduplicated in place; only
+// longer lists go through the sort.
 //
 //ftbfs:hotpath
 func (o *Oracle) canonicalize(faults []int) []int32 {
-	o.canon = o.canon[:0]
-	for _, id := range faults {
-		o.canon = append(o.canon, int32(id))
+	c := o.canon[:0]
+	switch len(faults) {
+	case 0:
+	case 1:
+		c = append(c, int32(faults[0]))
+	case 2:
+		a, b := int32(faults[0]), int32(faults[1])
+		if a > b {
+			a, b = b, a
+		}
+		c = append(c, a)
+		if a != b {
+			c = append(c, b)
+		}
+	default:
+		for _, id := range faults {
+			c = append(c, int32(id))
+		}
+		slices.Sort(c)
+		c = slices.Compact(c)
 	}
-	slices.Sort(o.canon)
-	o.canon = slices.Compact(o.canon)
-	return o.canon
+	o.canon = c
+	return c
 }
 
 // translate maps canonical G fault IDs into sub-graph IDs, dropping faults

@@ -206,6 +206,40 @@ func TestOracleCacheReuse(t *testing.T) {
 	}
 }
 
+// TestCanonicalize pins the cache key: fault IDs sorted and deduplicated,
+// on the one- and two-ID fast paths and on the sorted path alike.
+func TestCanonicalize(t *testing.T) {
+	st, err := core.BuildDual(gen.PathGraph(5), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := NewSet(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := set.Handle()
+	cases := []struct{ in, want []int }{
+		{nil, nil},
+		{[]int{7}, []int{7}},
+		{[]int{3, 5}, []int{3, 5}},
+		{[]int{5, 3}, []int{3, 5}},
+		{[]int{4, 4}, []int{4}},
+		{[]int{9, 2, 9}, []int{2, 9}},
+		{[]int{8, 1, 6, 1}, []int{1, 6, 8}},
+	}
+	for _, tc := range cases {
+		got := o.canonicalize(tc.in)
+		if len(got) != len(tc.want) {
+			t.Fatalf("canonicalize(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+		for i, id := range tc.want {
+			if got[i] != int32(id) {
+				t.Fatalf("canonicalize(%v) = %v, want %v", tc.in, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestDuplicateFaultsDeduped checks that repeated fault IDs describe one
 // failure event: they must not consume extra budget slots and must share
 // one cache entry with the deduplicated set.

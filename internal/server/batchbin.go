@@ -47,7 +47,7 @@ var binErrCodes = map[oracle.ErrCode]batchcodec.ErrCode{
 // errors — bad magic, truncation, CRC mismatch, length bombs — reject
 // the whole request with 400 and the byte offset of the failure.
 func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) {
-	set, x := s.readySet(w, r)
+	set := s.readySet(w, r)
 	if set == nil {
 		return
 	}
@@ -80,7 +80,7 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 		it := req.Item(i)
 		if it.Valid() {
 			q := binQuery(it, &faults)
-			values += writeBinary(rw, q.op, answer(o, &q, x), x)
+			values += writeBinary(rw, q.op, answer(o, &q))
 		} else {
 			rw.Error(batchcodec.ErrBadItem)
 			values += 2
@@ -122,19 +122,16 @@ func binQuery(it batchcodec.Item, faults *[2]int) query {
 
 // writeBinary appends one reply to rw as exactly one record and returns
 // the response values it contributed (2 fixed words + value words — the
-// same accounting as the JSON path). Whole tables are re-indexed on the
-// way into the value area on ordered graphs.
+// same accounting as the JSON path).
 //
 //ftbfs:hotpath
-func writeBinary(rw *batchcodec.ResponseWriter, op queryOp, r reply, x xlat) int {
+func writeBinary(rw *batchcodec.ResponseWriter, op queryOp, r reply) int {
 	switch {
 	case r.err != nil:
 		rw.Error(binErrCode(r.err))
 		return 2
-	case op == opDists && x.identity():
-		rw.Dists(r.dists)
 	case op == opDists:
-		rw.DistsReindexed(r.dists, x.toNew)
+		rw.Dists(r.dists)
 	case r.path != nil:
 		rw.Path(r.path)
 		return 2 + len(r.path)

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -35,17 +37,11 @@ func (c *testClient) postBinary(graph, build string, frame []byte) (int, []byte)
 	return resp.StatusCode, buf.Bytes()
 }
 
-// binReady registers a graph (optionally BFS-ordered) and builds a dual
-// structure on source 0, returning the build ID.
-func binReady(t *testing.T, c *testClient, name string, ordered bool) string {
+// binReady registers a graph and builds a dual structure on source 0,
+// returning the build ID.
+func binReady(t *testing.T, c *testClient, name string) string {
 	t.Helper()
-	spec := GenSpec{Family: "gnp", N: 60, P: 0.1, Seed: 42}
-	var gi graphInfo
-	c.decode("POST", "/v1/graphs", createGraphRequest{Name: name, Gen: &spec, Ordered: &ordered},
-		http.StatusCreated, &gi)
-	if gi.Ordered != ordered {
-		t.Fatalf("graph %q ordered = %v, want %v", name, gi.Ordered, ordered)
-	}
+	c.createGraph(name, GenSpec{Family: "gnp", N: 60, P: 0.1, Seed: 42})
 	id := c.startBuild(name, createBuildRequest{Mode: "dual", Sources: []int{0}})
 	if info := c.waitReady(name, id); info.Status != StatusReady {
 		t.Fatalf("build failed: %+v", info)
@@ -107,133 +103,107 @@ var jsonErrs = map[batchcodec.ErrCode]string{
 }
 
 // TestBinaryBatchMatchesJSON runs the same mixed batch through the JSON
-// and binary protocols — on a plain and on a BFS-ordered graph — and
-// requires record-for-record agreement: same errors, same distances, same
-// tables, same paths, all in the wire numbering.
+// and binary protocols and requires record-for-record agreement: same
+// errors, same distances, same tables, same paths.
 func TestBinaryBatchMatchesJSON(t *testing.T) {
-	for _, ordered := range []bool{false, true} {
-		name := map[bool]string{false: "plain", true: "ordered"}[ordered]
-		t.Run(name, func(t *testing.T) {
-			c := newTestClient(t, nil)
-			build := binReady(t, c, name, ordered)
-			items := binItems(t)
+	name := "plain"
+	t.Run(name, func(t *testing.T) {
+		c := newTestClient(t, nil)
+		build := binReady(t, c, name)
+		items := binItems(t)
 
-			var rb batchcodec.RequestBuilder
-			for _, it := range items {
-				rb.Add(it)
-			}
-			code, body := c.postBinary(name, build, rb.Frame())
-			if code != http.StatusOK {
-				t.Fatalf("binary batch: %d: %s", code, body)
-			}
-			resp, err := batchcodec.DecodeResponse(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Len() != len(items) {
-				t.Fatalf("binary batch answered %d of %d items", resp.Len(), len(items))
-			}
+		var rb batchcodec.RequestBuilder
+		for _, it := range items {
+			rb.Add(it)
+		}
+		code, body := c.postBinary(name, build, rb.Frame())
+		if code != http.StatusOK {
+			t.Fatalf("binary batch: %d: %s", code, body)
+		}
+		resp, err := batchcodec.DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Len() != len(items) {
+			t.Fatalf("binary batch answered %d of %d items", resp.Len(), len(items))
+		}
 
-			var jsonResp struct {
-				Results []batchResult `json:"results"`
-			}
-			c.decode("POST", "/v1/graphs/"+name+"/builds/"+build+"/query",
-				batchRequest{Queries: jsonTwin(items)}, http.StatusOK, &jsonResp)
+		var jsonResp struct {
+			Results []batchResult `json:"results"`
+		}
+		c.decode("POST", "/v1/graphs/"+name+"/builds/"+build+"/query",
+			batchRequest{Queries: jsonTwin(items)}, http.StatusOK, &jsonResp)
 
-			it := resp.Iter()
-			j := 0 // index into the JSON twin (skips the malformed item)
-			for i, item := range items {
-				if !it.Next() {
-					t.Fatalf("binary iterator ended at item %d", i)
+		it := resp.Iter()
+		j := 0 // index into the JSON twin (skips the malformed item)
+		for i, item := range items {
+			if !it.Next() {
+				t.Fatalf("binary iterator ended at item %d", i)
+			}
+			rec := it.Record()
+			if !item.Valid() {
+				if rec.Err() != batchcodec.ErrBadItem {
+					t.Fatalf("item %d: err = %v, want ErrBadItem", i, rec.Err())
 				}
-				rec := it.Record()
-				if !item.Valid() {
-					if rec.Err() != batchcodec.ErrBadItem {
-						t.Fatalf("item %d: err = %v, want ErrBadItem", i, rec.Err())
-					}
-					continue
-				}
-				res := jsonResp.Results[j]
-				j++
-				if (rec.Err() != batchcodec.ErrNone) != (res.Error != "") {
+				continue
+			}
+			res := jsonResp.Results[j]
+			j++
+			if (rec.Err() != batchcodec.ErrNone) != (res.Error != "") {
+				t.Fatalf("item %d: binary err %v vs JSON error %q", i, rec.Err(), res.Error)
+			}
+			if rec.Err() != batchcodec.ErrNone {
+				if !strings.Contains(res.Error, jsonErrs[rec.Err()]) {
 					t.Fatalf("item %d: binary err %v vs JSON error %q", i, rec.Err(), res.Error)
 				}
-				if rec.Err() != batchcodec.ErrNone {
-					if !strings.Contains(res.Error, jsonErrs[rec.Err()]) {
-						t.Fatalf("item %d: binary err %v vs JSON error %q", i, rec.Err(), res.Error)
-					}
-					continue
+				continue
+			}
+			switch {
+			case item.AllDists():
+				if it.ValueLen() != len(res.Dists) {
+					t.Fatalf("item %d: table %d vs %d entries", i, it.ValueLen(), len(res.Dists))
 				}
-				switch {
-				case item.AllDists():
-					if it.ValueLen() != len(res.Dists) {
-						t.Fatalf("item %d: table %d vs %d entries", i, it.ValueLen(), len(res.Dists))
-					}
-					for k, want := range res.Dists {
-						if int32(it.Value(k)) != want {
-							t.Fatalf("item %d: table[%d] = %d, want %d", i, k, int32(it.Value(k)), want)
-						}
-					}
-				case item.Route():
-					if rec.Reachable() != *res.Reachable {
-						t.Fatalf("item %d: reachable %v vs %v", i, rec.Reachable(), *res.Reachable)
-					}
-					if !rec.Reachable() {
-						break
-					}
-					if rec.Dist != *res.Dist || it.ValueLen() != len(res.Path) {
-						t.Fatalf("item %d: route %d/%d vs %d/%d", i, rec.Dist, it.ValueLen(), *res.Dist, len(res.Path))
-					}
-					for k, want := range res.Path {
-						if int(it.Value(k)) != want {
-							t.Fatalf("item %d: path[%d] = %d, want %d", i, k, it.Value(k), want)
-						}
-					}
-				default:
-					if rec.Dist != *res.Dist || rec.Reachable() != *res.Reachable {
-						t.Fatalf("item %d: dist %d/%v vs %d/%v", i, rec.Dist, rec.Reachable(), *res.Dist, *res.Reachable)
+				for k, want := range res.Dists {
+					if int32(it.Value(k)) != want {
+						t.Fatalf("item %d: table[%d] = %d, want %d", i, k, int32(it.Value(k)), want)
 					}
 				}
-			}
-
-			// Pin the typed codes of the error tail (items 8..13). Both
-			// protocols report the oracle's first failed check, so the item
-			// with a bad source and a bad fault is ErrBadSource here and the
-			// source message over JSON.
-			wantErrs := []batchcodec.ErrCode{
-				batchcodec.ErrBadSource, batchcodec.ErrBadSource, batchcodec.ErrBadTarget,
-				batchcodec.ErrBadFault, batchcodec.ErrBadSource, batchcodec.ErrBadItem,
-			}
-			for k, want := range wantErrs {
-				if got := resp.Record(len(items) - len(wantErrs) + k).Err(); got != want {
-					t.Fatalf("error item %d: code %v, want %v", k, got, want)
+			case item.Route():
+				if rec.Reachable() != *res.Reachable {
+					t.Fatalf("item %d: reachable %v vs %v", i, rec.Reachable(), *res.Reachable)
+				}
+				if !rec.Reachable() {
+					break
+				}
+				if rec.Dist != *res.Dist || it.ValueLen() != len(res.Path) {
+					t.Fatalf("item %d: route %d/%d vs %d/%d", i, rec.Dist, it.ValueLen(), *res.Dist, len(res.Path))
+				}
+				for k, want := range res.Path {
+					if int(it.Value(k)) != want {
+						t.Fatalf("item %d: path[%d] = %d, want %d", i, k, it.Value(k), want)
+					}
+				}
+			default:
+				if rec.Dist != *res.Dist || rec.Reachable() != *res.Reachable {
+					t.Fatalf("item %d: dist %d/%v vs %d/%v", i, rec.Dist, rec.Reachable(), *res.Dist, *res.Reachable)
 				}
 			}
-		})
-	}
-}
+		}
 
-// TestBinaryBatchOrderedTransparent is the relabeling-invisibility pin:
-// the same graph registered plain and BFS-ordered must answer the same
-// binary batch with byte-identical response frames.
-func TestBinaryBatchOrderedTransparent(t *testing.T) {
-	c := newTestClient(t, nil)
-	plainBuild := binReady(t, c, "plain", false)
-	ordBuild := binReady(t, c, "ordered", true)
-
-	var rb batchcodec.RequestBuilder
-	for _, it := range binItems(t) {
-		rb.Add(it)
-	}
-	frame := rb.Frame()
-	code1, resp1 := c.postBinary("plain", plainBuild, frame)
-	code2, resp2 := c.postBinary("ordered", ordBuild, frame)
-	if code1 != http.StatusOK || code2 != http.StatusOK {
-		t.Fatalf("binary batches: %d / %d", code1, code2)
-	}
-	if !bytes.Equal(resp1, resp2) {
-		t.Fatalf("ordered graph answered differently (%d vs %d bytes)", len(resp1), len(resp2))
-	}
+		// Pin the typed codes of the error tail (items 8..13). Both
+		// protocols report the oracle's first failed check, so the item
+		// with a bad source and a bad fault is ErrBadSource here and the
+		// source message over JSON.
+		wantErrs := []batchcodec.ErrCode{
+			batchcodec.ErrBadSource, batchcodec.ErrBadSource, batchcodec.ErrBadTarget,
+			batchcodec.ErrBadFault, batchcodec.ErrBadSource, batchcodec.ErrBadItem,
+		}
+		for k, want := range wantErrs {
+			if got := resp.Record(len(items) - len(wantErrs) + k).Err(); got != want {
+				t.Fatalf("error item %d: code %v, want %v", k, got, want)
+			}
+		}
+	})
 }
 
 // TestBinaryBatchFrameErrors pins the HTTP mapping of frame-level
@@ -241,7 +211,7 @@ func TestBinaryBatchOrderedTransparent(t *testing.T) {
 // batches are 413, and the JSON protocol on the same route is unharmed.
 func TestBinaryBatchFrameErrors(t *testing.T) {
 	c := newTestClient(t, &Config{MaxBatchQueries: 3})
-	build := binReady(t, c, "g", false)
+	build := binReady(t, c, "g")
 
 	var rb batchcodec.RequestBuilder
 	rb.Add(batchcodec.Item{Source: 0, Target: 1})
@@ -284,7 +254,7 @@ func TestBinaryBatchResponseBound(t *testing.T) {
 	maxBatchResultValues = 100
 	defer func() { maxBatchResultValues = old }()
 	c := newTestClient(t, nil)
-	build := binReady(t, c, "g", false)
+	build := binReady(t, c, "g")
 	var rb batchcodec.RequestBuilder
 	for i := 0; i < 3; i++ {
 		rb.Add(batchcodec.Item{Source: 0, Flags: batchcodec.FlagAllDists}) // 62 values each on n=60
@@ -295,26 +265,26 @@ func TestBinaryBatchResponseBound(t *testing.T) {
 	}
 }
 
-// TestOrderedBuildSourceNumbering pins the wire contract of renumbered
-// graphs across the build plane: sources are sent, stored, and reported
-// in the registered numbering, and multi-source structures answer for
-// exactly the wire sources the client named.
+// TestOrderedBuildSourceNumbering pins the build plane's one vertex
+// numbering: the "ordered" registration field is gone (rejected as
+// unknown), sources are sent, stored and reported as registered, and
+// multi-source structures answer for exactly the sources the client named.
 func TestOrderedBuildSourceNumbering(t *testing.T) {
 	c := newTestClient(t, nil)
 	spec := GenSpec{Family: "gnp", N: 40, P: 0.15, Seed: 9}
-	ordered := true
-	c.decode("POST", "/v1/graphs", createGraphRequest{Name: "g", Gen: &spec, Ordered: &ordered},
-		http.StatusCreated, nil)
+	code, body := c.do("POST", "/v1/graphs", map[string]any{"name": "g", "gen": spec, "ordered": true})
+	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("ordered")) {
+		t.Fatalf("\"ordered\" field: %d: %s", code, body)
+	}
+	c.createGraph("g", spec)
 	id := c.startBuild("g", createBuildRequest{Mode: "multi", Sources: []int{3, 7}})
 	info := c.waitReady("g", id)
 	if info.Status != StatusReady {
 		t.Fatalf("build failed: %+v", info)
 	}
 	if len(info.Sources) != 2 || info.Sources[0] != 3 || info.Sources[1] != 7 {
-		t.Fatalf("build sources = %v, want wire [3 7]", info.Sources)
+		t.Fatalf("build sources = %v, want [3 7]", info.Sources)
 	}
-	// Wire sources answer; a non-source wire ID is refused — even if its
-	// internal relabeling happens to collide with a source.
 	var res distResponse
 	c.decode("GET", "/v1/graphs/g/builds/"+id+"/dist?source=3&target=7", nil, http.StatusOK, &res)
 	if !res.Reachable || res.Dist < 1 {
@@ -325,49 +295,69 @@ func TestOrderedBuildSourceNumbering(t *testing.T) {
 	}
 }
 
-// TestOrderedSnapshotRestart builds over a BFS-ordered graph with a
-// store, warm-starts a fresh instance from the same store, and requires
-// the restored build to keep the ordered flag, wire-numbered sources,
-// and byte-identical binary batch answers — the renumbering must survive
-// the snapshot round trip (version-2 VPRM section).
+// TestOrderedSnapshotRestart warm-starts from a store holding the legacy
+// version-2 fixture (a dual build of SparseGNP(80, 6, 2015) over a
+// BFS-renumbered copy) on top of a plain registration of the same graph.
+// The restored build must report the registered source, answer a binary
+// batch byte for byte like a plain build of the graph made here, and
+// serve its snapshot as stored. A PUT of the same file installs too.
 func TestOrderedSnapshotRestart(t *testing.T) {
-	store := NewMemStore()
-	srv1 := New(&Config{Store: store, OrderVertices: true})
-	c1 := newStoreClient(t, srv1)
-	build := binReady(t, c1, "g", true)
-	if info := c1.waitSnapshot("g", build); info.Snapshot != SnapSaved {
-		t.Fatalf("snapshot not saved: %+v", info)
+	legacy, err := os.ReadFile("../../testdata/golden-v2-ordered-dual-sparse-gnp-80.ftbfs")
+	if err != nil {
+		t.Fatal(err)
 	}
+	store := NewMemStore()
+	if err := store.Put("g", "b1", func(w io.Writer) error { _, err := w.Write(legacy); return err }); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(&Config{Store: store})
+	if err := srv.RegisterGraph("g", &GenSpec{Family: "sparse", N: 80, AvgDeg: 6, Seed: 2015}); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := srv.WarmStart(); err != nil || restored != 1 {
+		t.Fatalf("warm start restored %d builds, err %v", restored, err)
+	}
+	c := newStoreClient(t, srv)
+	var bi buildInfo
+	c.decode("GET", "/v1/graphs/g/builds/b1", nil, http.StatusOK, &bi)
+	if !bi.Restored || len(bi.Sources) != 1 || bi.Sources[0] != 0 {
+		t.Fatalf("restored build: %+v", bi)
+	}
+	plain := c.startBuild("g", createBuildRequest{Mode: "dual", Sources: []int{0}})
+	if info := c.waitReady("g", plain); info.Status != StatusReady {
+		t.Fatalf("plain build failed: %+v", info)
+	}
+
 	var rb batchcodec.RequestBuilder
 	for _, it := range binItems(t) {
 		rb.Add(it)
 	}
 	frame := rb.Frame()
-	code, want := c1.postBinary("g", build, frame)
+	code, want := c.postBinary("g", plain, frame)
 	if code != http.StatusOK {
-		t.Fatalf("pre-restart batch: %d: %s", code, want)
+		t.Fatalf("plain batch: %d: %s", code, want)
 	}
-
-	srv2 := New(&Config{Store: store})
-	if restored, err := srv2.WarmStart(); err != nil || restored != 1 {
-		t.Fatalf("warm start restored %d builds, err %v", restored, err)
-	}
-	c2 := newStoreClient(t, srv2)
-	var gi graphInfo
-	c2.decode("GET", "/v1/graphs/g", nil, http.StatusOK, &gi)
-	if !gi.Ordered {
-		t.Fatal("restored graph lost its ordered flag")
-	}
-	var bi buildInfo
-	c2.decode("GET", "/v1/graphs/g/builds/"+build, nil, http.StatusOK, &bi)
-	if !bi.Restored || len(bi.Sources) != 1 || bi.Sources[0] != 0 {
-		t.Fatalf("restored build: %+v", bi)
-	}
-	code, got := c2.postBinary("g", build, frame)
+	code, got := c.postBinary("g", "b1", frame)
 	if code != http.StatusOK {
-		t.Fatalf("post-restart batch: %d: %s", code, got)
+		t.Fatalf("restored batch: %d: %s", code, got)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatalf("restart changed binary answers (%d vs %d bytes)", len(want), len(got))
+		t.Fatalf("restored legacy build answered differently (%d vs %d bytes)", len(got), len(want))
+	}
+
+	if code, body := c.do("GET", "/v1/graphs/g/builds/b1/snapshot", nil); code != http.StatusOK || !bytes.Equal(body, legacy) {
+		t.Fatalf("GET snapshot: %d, %d bytes; want the stored %d-byte file", code, len(body), len(legacy))
+	}
+	req, err := http.NewRequest("PUT", c.srv.URL+"/v1/graphs/g/builds/b9/snapshot", bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT legacy snapshot onto the plain registration: %d", resp.StatusCode)
 	}
 }

@@ -529,21 +529,6 @@ func (w *ResponseWriter) DistsPatched(base, keys, vals []int32) {
 	w.vwords += uint32(len(base))
 }
 
-// DistsReindexed appends a whole-table record, permuting entries on the
-// way into the value area: output position w holds table[toNew[w]]. Used
-// by servers whose internal vertex numbering differs from the wire's —
-// the table is read through the permutation instead of being copied
-// first.
-//
-//ftbfs:hotpath
-func (w *ResponseWriter) DistsReindexed(table []int32, toNew []int32) {
-	w.record(-1, RecHasDists, uint32(len(toNew)))
-	for _, nw := range toNew {
-		w.values = binary.LittleEndian.AppendUint32(w.values, uint32(table[nw]))
-	}
-	w.vwords += uint32(len(toNew))
-}
-
 // Frame returns the encoded response. The slice is freshly allocated per
 // call (one allocation per batch, not per item).
 func (w *ResponseWriter) Frame() []byte {

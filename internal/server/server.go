@@ -22,11 +22,16 @@
 // Builds run asynchronously (they queue behind a bounded semaphore; poll
 // the build resource through "queued" and "building" until "ready" —
 // running builds report live progress counters, and DELETE cancels them
-// cooperatively, normally within a few milliseconds); the query path is
+// cooperatively, normally within a few milliseconds). The query path is
 // served by a pool of per-goroutine oracles over one shared immutable
-// OracleSet whose failure-event memo is sharded by key hash, so
-// concurrent clients asking about one failure event share a single BFS
-// over the sparse structure without contending on a global lock.
+// OracleSet. A dist on a dual or multi build made by this process is
+// read from the build's replacement-distance table, with no search and no
+// lock (a slot the table leaves open falls back to the memo). Routes,
+// whole tables, and every query on a build without a table (other modes,
+// restored or uploaded snapshots) go through the set's failure-event
+// memo, sharded by key hash, so concurrent clients asking about one
+// failure event share a single repair of H∖F without contending on a
+// global lock.
 package server
 
 import (
@@ -75,12 +80,6 @@ type Config struct {
 	// MaxBatchQueries bounds the items of one batch query request
 	// (default 65536).
 	MaxBatchQueries int
-	// OrderVertices renumbers every registered graph's vertices into BFS
-	// order at freeze time (see graph.ReorderBFS), improving query-plane
-	// locality. Clients are unaffected: vertex IDs on the wire keep the
-	// registered numbering and are translated at the API boundary. A
-	// per-graph "ordered" field on POST /v1/graphs overrides the default.
-	OrderVertices bool
 	// Store persists completed builds as binary snapshots (internal/snap
 	// format) and serves warm starts and snapshot replication. nil
 	// disables persistence: artifacts live and die with the process,
@@ -175,9 +174,6 @@ func (s *Server) RegisterGraph(name string, spec *GenSpec) error {
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	if s.cfg.OrderVertices {
-		g = graph.ReorderBFS(g)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.graphs[name]; exists {
@@ -239,17 +235,13 @@ type createGraphRequest struct {
 	Name     string   `json:"name"`
 	Gen      *GenSpec `json:"gen,omitempty"`
 	EdgeList string   `json:"edgeList,omitempty"`
-	// Ordered overrides Config.OrderVertices for this graph: BFS vertex
-	// renumbering at freeze time, invisible on the wire.
-	Ordered *bool `json:"ordered,omitempty"`
 }
 
 type graphInfo struct {
-	Name    string   `json:"name"`
-	N       int      `json:"n"`
-	M       int      `json:"m"`
-	Ordered bool     `json:"ordered,omitempty"`
-	Builds  []string `json:"builds"`
+	Name   string   `json:"name"`
+	N      int      `json:"n"`
+	M      int      `json:"m"`
+	Builds []string `json:"builds"`
 }
 
 // graphInfoLocked renders one graph's wire info. Callers must hold s.mu
@@ -257,7 +249,7 @@ type graphInfo struct {
 //
 //ftbfs:holds Server.mu
 func graphInfoLocked(g *graphEntry) graphInfo {
-	return graphInfo{Name: g.name, N: g.g.N(), M: g.g.M(), Ordered: g.g.Ordered(), Builds: append([]string{}, g.order...)}
+	return graphInfo{Name: g.name, N: g.g.N(), M: g.g.M(), Builds: append([]string{}, g.order...)}
 }
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
@@ -298,13 +290,6 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ordered := s.cfg.OrderVertices
-	if req.Ordered != nil {
-		ordered = *req.Ordered
-	}
-	if ordered {
-		gg = graph.ReorderBFS(gg)
-	}
 	g := &graphEntry{name: req.Name, g: gg}
 	g.created = time.Now()
 	g.builds = make(map[string]*buildEntry)
@@ -316,7 +301,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	s.graphs[req.Name] = g
 	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, graphInfo{Name: g.name, N: g.g.N(), M: g.g.M(), Ordered: g.g.Ordered(), Builds: []string{}})
+	writeJSON(w, http.StatusCreated, graphInfo{Name: g.name, N: g.g.N(), M: g.g.M(), Builds: []string{}})
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
@@ -465,9 +450,7 @@ func (s *Server) handleCreateBuild(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The builder works in the graph's internal numbering; be.sources (and
-	// everything rendered from it) keeps the wire IDs the client sent.
-	build, err := core.BuilderForMode(req.Mode, internalSources(g.g, req.Sources))
+	build, err := core.BuilderForMode(req.Mode, req.Sources)
 	if err != nil {
 		s.mu.Unlock()
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -858,10 +841,9 @@ func (s *Server) resolveLocked(r *http.Request) (*graphEntry, *buildEntry, error
 	return g, be, nil
 }
 
-// readySet resolves the request's build and returns its oracle set plus
-// the build graph's vertex translation, or writes the error response and
-// returns a nil set.
-func (s *Server) readySet(w http.ResponseWriter, r *http.Request) (*oracle.OracleSet, xlat) {
+// readySet resolves the request's build and returns its oracle set, or
+// writes the error response and returns nil.
+func (s *Server) readySet(w http.ResponseWriter, r *http.Request) *oracle.OracleSet {
 	s.mu.RLock()
 	_, be, err := s.resolveLocked(r)
 	var (
@@ -875,101 +857,13 @@ func (s *Server) readySet(w http.ResponseWriter, r *http.Request) (*oracle.Oracl
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
-		return nil, xlat{}
+		return nil
 	}
 	if status != StatusReady {
 		writeErr(w, http.StatusConflict, "build is %s, not ready", status)
-		return nil, xlat{}
+		return nil
 	}
-	// The structure's graph is immutable once the build is published, so
-	// the maps may be read outside the lock.
-	return set, xlatFor(set.Structure().G)
-}
-
-// ---- vertex-order translation ----
-
-// xlat translates vertex IDs between the wire numbering (the IDs clients
-// registered the graph with) and the internal numbering of a BFS-ordered
-// graph. The zero value is the identity, which is also what xlatFor
-// returns for plain graphs — so every query path can translate
-// unconditionally and unordered graphs pay two nil checks per item.
-// Edge (fault) IDs are never renumbered and need no translation.
-type xlat struct {
-	toNew []int32 // wire → internal; nil on plain graphs
-	toOld []int32 // internal → wire
-}
-
-// xlatFor captures g's order maps (identity for plain graphs).
-func xlatFor(g *graph.Graph) xlat {
-	toNew, toOld := g.OrderMaps()
-	return xlat{toNew: toNew, toOld: toOld}
-}
-
-// identity reports whether translation is a no-op.
-func (x xlat) identity() bool { return x.toNew == nil }
-
-// in maps a wire vertex ID to the internal numbering. Out-of-range IDs
-// pass through untranslated: both numberings cover the same range [0,n),
-// so the oracle's own validation rejects them either way.
-//
-//ftbfs:hotpath
-func (x xlat) in(v int) int {
-	if x.toNew == nil || v < 0 || v >= len(x.toNew) {
-		return v
-	}
-	return int(x.toNew[v])
-}
-
-// out maps an internal vertex ID back to the wire numbering.
-//
-//ftbfs:hotpath
-func (x xlat) out(v int) int {
-	if x.toOld == nil {
-		return v
-	}
-	return int(x.toOld[v])
-}
-
-// internalSources maps wire source IDs into g's internal numbering
-// (identity — the same slice — on plain graphs). Callers have
-// bounds-checked the IDs.
-func internalSources(g *graph.Graph, wire []int) []int {
-	toNew, _ := g.OrderMaps()
-	if toNew == nil {
-		return wire
-	}
-	out := make([]int, len(wire))
-	for i, v := range wire {
-		out[i] = int(toNew[v])
-	}
-	return out
-}
-
-// wireSources renders internal source IDs in the wire numbering for
-// display fields (identity copy on plain graphs).
-func wireSources(g *graph.Graph, internal []int) []int {
-	out := append([]int(nil), internal...)
-	if _, toOld := g.OrderMaps(); toOld != nil {
-		for i, v := range out {
-			out[i] = int(toOld[v])
-		}
-	}
-	return out
-}
-
-// reindexDists copies an internal-order distance table into wire order (a
-// plain copy on unordered graphs): a JSON batch keeps every result until
-// the response is written, and the oracle only lends the table. Kept out
-// of the query hotpath: the n-sized copy is dwarfed by encoding it.
-func reindexDists(d []int32, toNew []int32) []int32 {
-	if toNew == nil {
-		return slices.Clone(d)
-	}
-	out := make([]int32, len(d))
-	for w, nw := range toNew {
-		out[w] = d[nw]
-	}
-	return out
+	return set
 }
 
 // ---- queries ----
@@ -1011,10 +905,10 @@ const (
 	opRoute                // one distance and a realizing path
 )
 
-// query is one decoded query item in the wire numbering: what every
-// protocol — GET, JSON, NDJSON and binary — decodes into. Decoders reject
-// only item shapes their encoding can spell but not answer; everything
-// else is the oracle's to validate.
+// query is one decoded query item: what every protocol — GET, JSON,
+// NDJSON and binary — decodes into. Decoders reject only item shapes their
+// encoding can spell but not answer; everything else is the oracle's to
+// validate.
 type query struct {
 	op             queryOp
 	source, target int // target is unused by opDists
@@ -1024,10 +918,10 @@ type query struct {
 // reply is the answer to one query, for the protocol encoders: err (a
 // *oracle.QueryError) for a rejected query, else dist for opDist and
 // opRoute (bfs.Unreachable when cut off), path for a reachable opRoute
-// (wire numbering) and dists for opDists (internal numbering, lent by the
-// oracle until the handle's next query, so each encoder copies or
-// re-indexes it at once). Four fields, nine words: small enough to return
-// in registers, which keeps the per-item cost of the binary path flat.
+// and dists for opDists (lent by the oracle until the handle's next
+// query, so each encoder copies it at once). Four fields, nine words:
+// small enough to return in registers, which keeps the per-item cost of
+// the binary path flat.
 type reply struct {
 	err   error
 	dist  int32
@@ -1035,30 +929,24 @@ type reply struct {
 	dists []int32
 }
 
-// answer resolves one query with the request's pooled handle, translating
-// vertex IDs through x at the boundary (wire in, wire out). It is this
+// answer resolves one query with the request's pooled handle. It is this
 // package's only caller of the oracle's query methods, so it must not
 // allocate beyond what the oracle returns.
 //
 //ftbfs:hotpath
-func answer(o *oracle.Oracle, q *query, x xlat) reply {
-	src := x.in(q.source)
+func answer(o *oracle.Oracle, q *query) reply {
 	switch q.op {
 	case opDists:
-		d, err := o.Dists(src, q.faults)
+		d, err := o.Dists(q.source, q.faults)
 		return reply{err: err, dists: d}
 	case opRoute:
-		p, err := o.Route(src, x.in(q.target), q.faults)
+		p, err := o.Route(q.source, q.target, q.faults)
 		if p == nil {
 			return reply{err: err, dist: bfs.Unreachable}
 		}
-		// Route returns a freshly allocated path, safe to relabel in place.
-		for i, v := range p {
-			p[i] = x.out(v)
-		}
 		return reply{dist: int32(p.Len()), path: p}
 	default:
-		d, err := o.Dist(src, x.in(q.target), q.faults)
+		d, err := o.Dist(q.source, q.target, q.faults)
 		return reply{err: err, dist: d}
 	}
 }
@@ -1069,7 +957,7 @@ func answer(o *oracle.Oracle, q *query, x xlat) reply {
 // becomes a 400.
 func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		set, x := s.readySet(w, r)
+		set := s.readySet(w, r)
 		if set == nil {
 			return
 		}
@@ -1080,7 +968,7 @@ func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 		}
 		o := set.Acquire()
 		defer set.Release(o)
-		res := answerJSON(o, q, x)
+		res := answerJSON(o, q)
 		if res.Error != "" {
 			writeErr(w, http.StatusBadRequest, "%s", res.Error)
 			return
@@ -1172,7 +1060,7 @@ var maxBatchResultValues = 4 << 20
 // is the one item shape JSON can spell but not answer.
 //
 //ftbfs:hotpath
-func answerJSON(o *oracle.Oracle, b *batchQuery, x xlat) batchResult {
+func answerJSON(o *oracle.Oracle, b *batchQuery) batchResult {
 	q := query{op: opDists, source: b.Source, faults: b.Faults}
 	switch {
 	case b.Target != nil && b.Route:
@@ -1182,12 +1070,14 @@ func answerJSON(o *oracle.Oracle, b *batchQuery, x xlat) batchResult {
 	case b.Route:
 		return batchResult{Error: "route query needs a target"}
 	}
-	r := answer(o, &q, x)
+	r := answer(o, &q)
 	switch {
 	case r.err != nil:
 		return batchResult{Error: r.err.Error()}
 	case q.op == opDists:
-		return batchResult{Dists: reindexDists(r.dists, x.toNew)}
+		// A JSON batch keeps every result until the response is written,
+		// and the oracle only lends the table.
+		return batchResult{Dists: slices.Clone(r.dists)}
 	}
 	d, reachable := r.dist, r.dist != bfs.Unreachable
 	res := batchResult{Reachable: &reachable, Path: r.path}
@@ -1209,7 +1099,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleBatchQueryBinary(w, r)
 		return
 	}
-	set, x := s.readySet(w, r)
+	set := s.readySet(w, r)
 	if set == nil {
 		return
 	}
@@ -1246,7 +1136,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		// buffering, and write failures surface on the next Encode.
 		flush := func() { _ = rc.Flush() }
 		for i := range req.Queries {
-			if err := enc.Encode(answerJSON(o, &req.Queries[i], x)); err != nil {
+			if err := enc.Encode(answerJSON(o, &req.Queries[i])); err != nil {
 				return // client went away; nothing sensible to write
 			}
 			// Re-arm on elapsed time, not item count: slow uncached
@@ -1271,7 +1161,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	results := make([]batchResult, len(req.Queries))
 	values := 0
 	for i := range req.Queries {
-		results[i] = answerJSON(o, &req.Queries[i], x)
+		results[i] = answerJSON(o, &req.Queries[i])
 		values += 2 + len(results[i].Dists) + len(results[i].Path)
 		if values > maxBatchResultValues {
 			writeErr(w, http.StatusRequestEntityTooLarge,

@@ -112,7 +112,7 @@ func (s *Server) installSnapshot(graphName, buildID string, sn *snap.Snapshot, s
 	be := &buildEntry{
 		id:        buildID,
 		mode:      sn.Meta.Mode,
-		sources:   wireSources(st.G, st.Sources),
+		sources:   st.Sources,
 		seed:      sn.Meta.Seed,
 		status:    StatusReady,
 		created:   time.Now(),
@@ -145,12 +145,9 @@ func (s *Server) installSnapshot(graphName, buildID string, sn *snap.Snapshot, s
 }
 
 // graphsEqual reports observational equality of two frozen graphs: same
-// vertex count, identical edge tables (IDs and endpoints), and the same
-// vertex-order maps. Since the CSR arrays are a pure function of
-// (n, edge table), equal edge tables imply equal graphs — but an ordered
-// graph's edge table holds internal endpoints, so two graphs may agree
-// edge-for-edge yet present different wire numberings; the maps are part
-// of the observable identity.
+// vertex count and identical edge tables (IDs and endpoints). The CSR
+// arrays are a pure function of (n, edge table), so equal edge tables
+// imply equal graphs.
 func graphsEqual(a, b *graph.Graph) bool {
 	if a == b {
 		return true
@@ -163,24 +160,16 @@ func graphsEqual(a, b *graph.Graph) bool {
 			return false
 		}
 	}
-	aNew, _ := a.OrderMaps()
-	bNew, _ := b.OrderMaps()
-	if len(aNew) != len(bNew) {
-		return false
-	}
-	for v := range aNew {
-		if aNew[v] != bNew[v] {
-			return false
-		}
-	}
 	return true
 }
 
 // handleGetSnapshot streams a ready build as one snapshot file. When the
 // store already holds the encoded bytes they are copied straight through;
 // otherwise (no store, or persistence still pending) the snapshot is
-// encoded from live state on the fly — the response is identical either
-// way, because the encoding is deterministic.
+// encoded from live state on the fly. The response is identical either
+// way, because the encoding is deterministic, with one exception: a
+// legacy version-2 file restored from the store is served as stored,
+// while a live encoding of the same build is its version-1 equivalent.
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	g, be, err := s.resolveLocked(r)
@@ -227,8 +216,9 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 // snapshot is persisted before the response, and the returned "snapshot"
 // field reports whether the artifact landed on disk. The body is decoded
 // as a stream — never buffered whole — and the store copy is re-encoded
-// from the decoded snapshot, which reproduces the uploaded bytes exactly
-// because the encoding is deterministic.
+// from the decoded snapshot, which reproduces an uploaded version-1 file
+// exactly because the encoding is deterministic (a legacy version-2
+// upload is stored as its version-1 equivalent).
 func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	graphName, buildID := r.PathValue("graph"), r.PathValue("build")
 	sn, err := snap.Decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxSnapshotBytes))

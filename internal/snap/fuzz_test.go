@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
 
 // fuzzSeeds returns valid encodings to seed the corpus: small structures
@@ -35,9 +34,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	add(st, err, Meta{Seed: -1, ElapsedMS: 0.25})
 	st, err = core.BuildVertexExhaustive(gen.Grid(3, 3), 0, 1, nil)
 	add(st, err, Meta{Graph: "vertex"})
-	st, err = core.BuildDual(graph.ReorderBFS(gen.GNP(10, 0.4, 8)), 0, nil)
-	add(st, err, Meta{Graph: "ordered"}) // version-2 seed: exercises VPRM
-	return out
+	return append(out, v2Fixture(f)) // legacy version 2: exercises VPRM
 }
 
 // FuzzDecode feeds arbitrary bytes to the decoder: it must never panic,

@@ -26,15 +26,17 @@
 //	STRC  the structure: fault budget, fault model, sources, BuildStats,
 //	      and the kept-edge bitset words verbatim.
 //
-// Version 2 appends exactly one more section:
+// Version 2, written by earlier releases for graphs frozen under a BFS
+// vertex renumbering, appends exactly one more section:
 //
-//	VPRM  the freeze-time vertex renumbering of an ordered graph
-//	      (graph.Builder.FreezeOrdered): the internal->original label
-//	      map, validated as a permutation on decode, so a warm-started
-//	      graph keeps its cache-friendly layout AND its boundary
-//	      translation. The encoder writes version 2 only for ordered
-//	      graphs; plain graphs still produce byte-identical version-1
-//	      files (pinned by the golden snapshot test).
+//	VPRM  vertex count, then the internal->registered label map. GRPH
+//	      and STRC hold internal labels; edge IDs are the registered
+//	      ones. The decoder checks the map is a permutation, re-freezes
+//	      the edge table in edge-ID order with endpoints mapped back,
+//	      and maps the sources back, so a version-2 file decodes to the
+//	      snapshot of the same build over the registered numbering.
+//
+// The encoder writes version 1 only.
 //
 // Compatibility policy: the decoder rejects unknown magic, versions, and
 // section IDs outright (a snapshot is an artifact, not a negotiation).
@@ -62,9 +64,8 @@ import (
 // Magic identifies a snapshot file (the first 8 bytes).
 const Magic = "FTBFSNAP"
 
-// Version is the highest format version written and understood. Encode
-// picks the lowest version that can represent the snapshot: 1 for plain
-// graphs, 2 when the graph carries a freeze-time vertex order.
+// Version is the highest format version Decode reads. Encode writes
+// version 1.
 const Version = 2
 
 // maxSectionBytes bounds a single section's declared payload length, so a
@@ -202,21 +203,7 @@ func encodeStructure(st *core.Structure) []byte {
 	return b
 }
 
-// encodeOrder serializes the freeze-time vertex renumbering of an ordered
-// graph: vertex count, then the internal->original map. The inverse is
-// derived on decode.
-func encodeOrder(g *graph.Graph) []byte {
-	_, toOld := g.OrderMaps()
-	b := make([]byte, 0, 4+4*len(toOld))
-	b = appendU32(b, uint32(len(toOld)))
-	for _, old := range toOld {
-		b = appendU32(b, uint32(old))
-	}
-	return b
-}
-
-// Encode writes st and meta as a snapshot, choosing the lowest format
-// version that represents it (see the package comment). The encoding is
+// Encode writes st and meta as a version-1 snapshot. The encoding is
 // deterministic: identical snapshots produce identical bytes.
 func Encode(w io.Writer, s *Snapshot) error {
 	if s == nil || s.Structure == nil || s.Structure.G == nil || s.Structure.Edges == nil {
@@ -226,7 +213,6 @@ func Encode(w io.Writer, s *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("snap: meta: %w", err)
 	}
-	version := uint32(1)
 	sections := []struct {
 		id      [4]byte
 		payload []byte
@@ -235,16 +221,9 @@ func Encode(w io.Writer, s *Snapshot) error {
 		{idGraph, encodeGraph(s.Structure.G)},
 		{idStruct, encodeStructure(s.Structure)},
 	}
-	if s.Structure.G.Ordered() {
-		version = 2
-		sections = append(sections, struct {
-			id      [4]byte
-			payload []byte
-		}{idVPerm, encodeOrder(s.Structure.G)})
-	}
 	head := make([]byte, 0, 16+12*len(sections))
 	head = append(head, Magic...)
-	head = appendU32(head, version)
+	head = appendU32(head, 1)
 	head = appendU32(head, uint32(len(sections)))
 	for _, sec := range sections {
 		head = append(head, sec.id[:]...)
@@ -466,29 +445,42 @@ func decodeStructure(r *sectionReader, g *graph.Graph) (*core.Structure, error) 
 	}, nil
 }
 
-// decodeOrder parses the VPRM section and attaches the renumbering to g.
-func decodeOrder(r *sectionReader, g *graph.Graph) error {
+// registerOrder parses a version-2 VPRM section and moves st onto the
+// registered numbering: toOld must be a permutation of [0, n); the edge
+// table is re-frozen in edge-ID order with endpoints mapped through it, so
+// edge IDs, and with them the kept-edge set, carry over unchanged.
+func registerOrder(r *sectionReader, st *core.Structure) error {
+	n := st.G.N()
 	nRaw, err := r.u32()
 	if err != nil {
 		return err
 	}
-	n, err := r.count(nRaw, 4, "order entry")
-	if err != nil {
-		return err
-	}
-	if n != g.N() {
-		return r.errf("order map has %d entries, graph has %d vertices", n, g.N())
+	if int(nRaw) != n {
+		return r.errf("order map has %d entries, graph has %d vertices", nRaw, n)
 	}
 	if r.remaining() != 4*n {
 		return r.errf("order payload has %d bytes, want %d", r.remaining(), 4*n)
 	}
-	toOld := make([]int32, n)
+	toOld := make([]int, n)
+	seen := make([]bool, n)
 	for i := range toOld {
 		v, _ := r.u32()
-		toOld[i] = int32(v)
+		if int(v) >= n || seen[v] {
+			return r.errf("order map entry %d = %d is out of range or repeated", i, v)
+		}
+		seen[v] = true
+		toOld[i] = int(v)
 	}
-	if err := g.AdoptOrder(toOld); err != nil {
-		return formatErrf(r.base, "invalid vertex order: %v", err)
+	b := graph.NewBuilder(n)
+	for id := 0; id < st.G.M(); id++ {
+		e := st.G.EdgeAt(id)
+		if _, err := b.AddEdge(toOld[e.U], toOld[e.V]); err != nil {
+			return formatErrf(r.base, "remapping edge %d: %v", id, err)
+		}
+	}
+	st.G = b.Freeze()
+	for i, s := range st.Sources {
+		st.Sources[i] = toOld[s]
 	}
 	return nil
 }
@@ -571,14 +563,14 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if err := decodeOrder(&sectionReader{buf: payloads[3], base: bases[3]}, g); err != nil {
-			return nil, err
-		}
-	}
 	st, err := decodeStructure(&sectionReader{buf: payloads[2], base: bases[2]}, g)
 	if err != nil {
 		return nil, err
+	}
+	if version == 2 {
+		if err := registerOrder(&sectionReader{buf: payloads[3], base: bases[3]}, st); err != nil {
+			return nil, err
+		}
 	}
 	return &Snapshot{Structure: st, Meta: meta}, nil
 }
