@@ -6,7 +6,6 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/spdag"
 )
 
 // TestStep1DivergenceMinimalLinearScan validates the Step-1 binary search
@@ -77,8 +76,8 @@ func TestStep1DivergenceNotLaterThanCleanPaths(t *testing.T) {
 			if rec.Kind != KindSingle || rec.Unreachable || rec.UsedFallback {
 				continue
 			}
-			dag := spdag.New(g, 0, rec.FaultIDs)
-			for _, p := range dag.AllPaths(v, 200) {
+			dag := newSPDAG(g, 0, rec.FaultIDs)
+			for _, p := range dag.allPaths(v, 200) {
 				b := p.FirstDivergence(tr.Pi)
 				if b < 0 || b >= rec.BPos {
 					continue

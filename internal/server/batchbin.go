@@ -23,9 +23,9 @@ import (
 // writers are pooled, item decoding is a zero-copy view, and every reply
 // appends straight into the pooled writer's buffers.
 
-// binBodyPool recycles request-body buffers across binary batch
-// requests; binRespPool recycles response writers (record + value
-// buffers). Both grow to the largest batch they have served and stay
+// binBodyPool recycles request-body buffers across batch requests,
+// binary and JSON; binRespPool recycles binary response writers (record +
+// value buffers). Both grow to the largest batch they have served and stay
 // warm, so a steady query load settles into zero steady-state
 // allocation outside Frame's single per-response slice.
 var (

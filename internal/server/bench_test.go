@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,17 +16,24 @@ import (
 	"repro/internal/server/batchcodec"
 )
 
-// benchServer stands up a server with one ready dual build over gnp
+// benchServer stands up a server with one ready dual build over sparse
 // n=400 and returns the handler plus the build's query path prefix.
 func benchServer(b *testing.B) (http.Handler, string) {
+	return benchBuild(b, nil, &GenSpec{Family: "sparse", N: 400, AvgDeg: 8, Seed: 1},
+		`{"mode":"dual","sources":[0],"parallelism":4}`)
+}
+
+// benchBuild registers spec as graph "bench" on a server with cfg, runs
+// one build from the JSON body build, and returns the handler plus the
+// ready build's query path prefix.
+func benchBuild(b *testing.B, cfg *Config, spec *GenSpec, build string) (http.Handler, string) {
 	b.Helper()
-	s := New(nil)
-	if err := s.RegisterGraph("bench", &GenSpec{Family: "sparse", N: 400, AvgDeg: 8, Seed: 1}); err != nil {
+	s := New(cfg)
+	if err := s.RegisterGraph("bench", spec); err != nil {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	body := `{"mode":"dual","sources":[0],"parallelism":4}`
-	req := httptest.NewRequest("POST", "/v1/graphs/bench/builds", strings.NewReader(body))
+	req := httptest.NewRequest("POST", "/v1/graphs/bench/builds", strings.NewReader(build))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusAccepted {
@@ -189,6 +198,98 @@ func BenchmarkServerBatchStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*1000/time.Since(start).Seconds(), "queries/s")
+}
+
+// mixedJSONBodies draws the JSON batch bodies of the benchmark's
+// route-json workload: `requests` bodies of `items` items each. Failure
+// events come from a universe of 4096 (one fault in 20%, two distinct in
+// the rest) and are drawn Zipf(1.2), as are the sources; 10% of items
+// carry no fault. Targets are uniform over the n vertices; 70% of items ask
+// for a distance, 20% for a route and 10% for the whole table.
+func mixedJSONBodies(n, m int, sources []int, requests, items int) [][]byte {
+	rng := rand.New(rand.NewPCG(1, 2))
+	events := make([][]int, 4096)
+	for i := range events {
+		two := rng.Float64() >= 0.2
+		f0 := rng.IntN(m)
+		events[i] = []int{f0}
+		for two {
+			if f1 := rng.IntN(m); f1 != f0 {
+				events[i] = append(events[i], f1)
+				break
+			}
+		}
+	}
+	zsrc := rand.NewZipf(rng, 1.2, 1, uint64(len(sources)-1))
+	zevents := rand.NewZipf(rng, 1.2, 1, uint64(len(events)-1))
+	bodies := make([][]byte, requests)
+	for r := range bodies {
+		b := []byte(`{"queries":[`)
+		for i := 0; i < items; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			target, src := rng.IntN(n), sources[zsrc.Uint64()]
+			var faults []int
+			if rng.Float64() >= 0.1 {
+				faults = events[zevents.Uint64()]
+			}
+			u := rng.Float64()
+			b = fmt.Appendf(b, `{"source":%d`, src)
+			if u < 0.2 || u >= 0.3 { // whole-table items have no target
+				b = fmt.Appendf(b, `,"target":%d`, target)
+			}
+			if len(faults) > 0 {
+				b = append(b, `,"faults":[`...)
+				for k, f := range faults {
+					if k > 0 {
+						b = append(b, ',')
+					}
+					b = strconv.AppendInt(b, int64(f), 10)
+				}
+				b = append(b, ']')
+			}
+			if u < 0.2 {
+				b = append(b, `,"route":true`...)
+			}
+			b = append(b, '}')
+		}
+		bodies[r] = append(b, "]}"...)
+	}
+	return bodies
+}
+
+// BenchmarkServerBatchMixedJSON sends the route-json workload's requests
+// through the handler: the serving build (sparse n=1000 avgDeg=6 seed=1,
+// multi from sources 0 and 500, 8 MiB memo) answering 64-item JSON
+// batches of mixedJSONBodies, rotated over 256 bodies after one warm-up
+// pass. It times the JSON codec together with the oracle work it wraps.
+func BenchmarkServerBatchMixedJSON(b *testing.B) {
+	spec := &GenSpec{Family: "sparse", N: 1000, AvgDeg: 6, Seed: 1}
+	g, err := spec.generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, prefix := benchBuild(b, &Config{CacheBytes: 8 << 20}, spec, `{"mode":"multi","sources":[0,500]}`)
+	const items = 64
+	bodies := mixedJSONBodies(g.N(), g.M(), []int{0, 500}, 256, items)
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", prefix+"/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("code %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies {
+		post(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+	b.ReportMetric(float64(b.N)*items/time.Since(start).Seconds(), "items/s")
 }
 
 // binBatchFrame builds a reusable binary frame of `items` dist queries

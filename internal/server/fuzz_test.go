@@ -11,15 +11,20 @@ import (
 	"testing"
 
 	"repro/internal/bfs"
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/server/batchcodec"
 )
 
-// wireFixture is the in-process server FuzzQueryWire queries: one small
-// sparse graph with a dual build, whose dist answers come from its
-// replacement-distance table, and a single build, whose answers come from
-// the memo. Both are built from source 0.
+// wireFixture is the in-process server FuzzQueryWire and
+// FuzzBatchRequestJSON query: one small sparse graph with a dual build,
+// whose dist answers come from its replacement-distance table, and a
+// single build, whose answers come from the memo. Both are built from
+// source 0. Its batch and body limits are small enough for fuzzed JSON
+// bodies to cross.
 type wireFixture struct {
+	srv    *Server
 	h      http.Handler
 	g      *graph.Graph
 	builds [2]wireBuild
@@ -29,39 +34,46 @@ type wireBuild struct {
 	id     string
 	budget int
 	edges  *graph.EdgeSet
+	set    *oracle.OracleSet
 }
 
 func newWireFixture(tb testing.TB) *wireFixture {
 	tb.Helper()
-	srv := New(&Config{MaxConcurrentBuilds: 1})
+	srv := New(&Config{MaxConcurrentBuilds: 1, MaxBatchQueries: 8, MaxBodyBytes: 1024})
 	if err := srv.RegisterGraph("w", &GenSpec{Family: "sparse", N: 24, AvgDeg: 4, Seed: 11}); err != nil {
 		tb.Fatal(err)
 	}
-	fx := &wireFixture{h: srv.Handler()}
+	fx := &wireFixture{srv: srv, h: srv.Handler()}
 	for i, mode := range []string{"dual", "single"} {
-		rec := serveWire(fx.h, "POST", "/v1/graphs/w/builds", "", []byte(`{"mode":"`+mode+`","sources":[0]}`))
-		var info buildInfo
-		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusAccepted {
-			tb.Fatalf("start %s build: %d: %s", mode, rec.Code, rec.Body)
-		}
-		srv.mu.RLock()
-		g := srv.graphs["w"]
-		be := g.builds[info.ID]
-		srv.mu.RUnlock()
-		<-be.done
-		srv.mu.RLock()
-		status, st := be.status, be.st
-		srv.mu.RUnlock()
-		if status != StatusReady {
-			tb.Fatalf("%s build: %s", mode, status)
-		}
+		id, st, set := readyBuild(tb, srv, fx.h, "w", `{"mode":"`+mode+`","sources":[0]}`)
 		if (st.Tables != nil) != (mode == "dual") {
 			tb.Fatalf("%s build has tables %v", mode, st.Tables != nil)
 		}
-		fx.g = g.g
-		fx.builds[i] = wireBuild{id: info.ID, budget: st.Faults, edges: st.Edges}
+		fx.g = st.G
+		fx.builds[i] = wireBuild{id: id, budget: st.Faults, edges: st.Edges, set: set}
 	}
 	return fx
+}
+
+// readyBuild starts a build through the handler, waits for it to end and
+// returns its ID, structure and oracle set.
+func readyBuild(tb testing.TB, srv *Server, h http.Handler, graph, body string) (string, *core.Structure, *oracle.OracleSet) {
+	tb.Helper()
+	rec := serveWire(h, "POST", "/v1/graphs/"+graph+"/builds", "", []byte(body))
+	var info buildInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusAccepted {
+		tb.Fatalf("start build %s: %d: %s", body, rec.Code, rec.Body)
+	}
+	srv.mu.RLock()
+	be := srv.graphs[graph].builds[info.ID]
+	srv.mu.RUnlock()
+	<-be.done
+	srv.mu.RLock()
+	defer srv.mu.RUnlock()
+	if be.status != StatusReady {
+		tb.Fatalf("build %s: %s", body, be.status)
+	}
+	return info.ID, be.st, be.set
 }
 
 func serveWire(h http.Handler, method, target, contentType string, body []byte) *httptest.ResponseRecorder {

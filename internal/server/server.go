@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +54,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/sched"
-	"repro/internal/server/batchcodec"
 	"repro/internal/snap"
 )
 
@@ -900,14 +898,17 @@ func queryInt(v url.Values, key string) (int, error) {
 type queryOp uint8
 
 const (
-	opDist  queryOp = iota // one distance
-	opDists                // the failure event's whole distance table
-	opRoute                // one distance and a realizing path
+	opDist     queryOp = iota // one distance
+	opDists                   // the failure event's whole distance table
+	opRoute                   // one distance and a realizing path
+	opNoTarget                // a JSON route without a target: spelled, never answered
 )
 
 // query is one decoded query item: what every protocol — GET, JSON,
-// NDJSON and binary — decodes into. Decoders reject only item shapes their
-// encoding can spell but not answer; everything else is the oracle's to
+// NDJSON and binary — decodes into. Only item shapes a protocol can spell
+// but not answer are turned away before the oracle: binary rejects an
+// item failing Valid(), and JSON decodes a route without a target as
+// opNoTarget, which answer rejects. Everything else is the oracle's to
 // validate.
 type query struct {
 	op             queryOp
@@ -916,12 +917,12 @@ type query struct {
 }
 
 // reply is the answer to one query, for the protocol encoders: err (a
-// *oracle.QueryError) for a rejected query, else dist for opDist and
-// opRoute (bfs.Unreachable when cut off), path for a reachable opRoute
-// and dists for opDists (lent by the oracle until the handle's next
-// query, so each encoder copies it at once). Four fields, nine words:
-// small enough to return in registers, which keeps the per-item cost of
-// the binary path flat.
+// *oracle.QueryError, or errRouteNoTarget) for a rejected query, else dist
+// for opDist and opRoute (bfs.Unreachable when cut off), path for a
+// reachable opRoute and dists for opDists (lent by the oracle until the
+// handle's next query, so each encoder writes it out at once). Four
+// fields, nine words: small enough to return in registers, which keeps
+// the per-item cost of both batch codecs flat.
 type reply struct {
 	err   error
 	dist  int32
@@ -936,6 +937,8 @@ type reply struct {
 //ftbfs:hotpath
 func answer(o *oracle.Oracle, q *query) reply {
 	switch q.op {
+	case opNoTarget:
+		return reply{err: errRouteNoTarget}
 	case opDists:
 		d, err := o.Dists(q.source, q.faults)
 		return reply{err: err, dists: d}
@@ -952,9 +955,9 @@ func answer(o *oracle.Oracle, q *query) reply {
 }
 
 // handleGet serves the single-query GET endpoints (dist, dists, route).
-// The query string is parsed once into the JSON batch item it abbreviates
-// and answered as one, so the two APIs cannot diverge; an item error
-// becomes a 400.
+// The query string is parsed into the same query a JSON batch item
+// decodes into and answered as one, so the two APIs cannot diverge; a
+// rejected query becomes a 400 carrying the item's error object.
 func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		set := s.readySet(w, r)
@@ -968,63 +971,37 @@ func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 		}
 		o := set.Acquire()
 		defer set.Release(o)
-		res := answerJSON(o, q)
-		if res.Error != "" {
-			writeErr(w, http.StatusBadRequest, "%s", res.Error)
-			return
+		rep := answer(o, &q)
+		code := http.StatusOK
+		if rep.err != nil {
+			code = http.StatusBadRequest
 		}
-		writeJSON(w, http.StatusOK, res)
+		sc := jsonPool.Get().(*jsonScratch)
+		defer jsonPool.Put(sc)
+		sc.out = append(appendReply(sc.out[:0], op, rep), '\n')
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		_, _ = w.Write(sc.out)
 	}
 }
 
-// parseGet decodes a GET endpoint's query string into a batch item.
-func parseGet(v url.Values, op queryOp) (*batchQuery, error) {
+// parseGet decodes a GET endpoint's query string into a query.
+func parseGet(v url.Values, op queryOp) (query, error) {
 	src, err := queryInt(v, "source")
 	if err != nil {
-		return nil, err
+		return query{}, err
 	}
-	q := &batchQuery{Source: src, Route: op == opRoute}
+	q := query{op: op, source: src}
 	if op != opDists {
-		target, err := queryInt(v, "target")
-		if err != nil {
-			return nil, err
+		if q.target, err = queryInt(v, "target"); err != nil {
+			return query{}, err
 		}
-		q.Target = &target
 	}
-	q.Faults, err = parseFaults(v.Get("faults"))
+	q.faults, err = parseFaults(v.Get("faults"))
 	return q, err
 }
 
 // ---- batch queries ----
-
-// batchQuery is one item of a batch request. Target absent asks for the
-// whole distance table of the failure event; Route additionally returns a
-// realizing path (and requires a target). Faults are edge IDs of G.
-type batchQuery struct {
-	Source int   `json:"source"`
-	Target *int  `json:"target,omitempty"`
-	Faults []int `json:"faults,omitempty"`
-	Route  bool  `json:"route,omitempty"`
-}
-
-type batchRequest struct {
-	Queries []batchQuery `json:"queries"`
-	// Stream switches the response to NDJSON: one result object per
-	// line, in request order, flushed incrementally — large batches
-	// start arriving before the last item is answered.
-	Stream bool `json:"stream,omitempty"`
-}
-
-// batchResult is one item's answer. Exactly one of (Dist+Reachable),
-// Dists, (Reachable+Dist+Path) or Error is populated; item errors are
-// reported inline so one bad item cannot fail a half-streamed batch.
-type batchResult struct {
-	Dist      *int32  `json:"dist,omitempty"`
-	Reachable *bool   `json:"reachable,omitempty"`
-	Dists     []int32 `json:"dists,omitempty"`
-	Path      []int   `json:"path,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
 
 // streamFlushEvery bounds how many NDJSON lines are buffered before an
 // explicit flush (and how often the request context is polled for a gone
@@ -1039,14 +1016,6 @@ const streamFlushEvery = 64
 // cut off.
 const streamWriteWindow = 30 * time.Second
 
-// batchStreamTrailer is the final NDJSON line of a streamed batch. Its
-// presence lets clients distinguish a complete stream from one truncated
-// by a deadline or disconnect (result lines never carry "done").
-type batchStreamTrailer struct {
-	Done    bool `json:"done"`
-	Results int  `json:"results"`
-}
-
 // maxBatchResultValues bounds the numbers materialized by ONE
 // non-streaming batch response (~32 MiB of JSON at worst). Whole-table
 // items cost n values each, so a batch within MaxBatchQueries could
@@ -1054,126 +1023,6 @@ type batchStreamTrailer struct {
 // past the bound the client is told to use streaming, which buffers at
 // most streamFlushEvery lines. A var only so tests can lower it.
 var maxBatchResultValues = 4 << 20
-
-// answerJSON decodes, answers and renders one JSON batch item — the GET,
-// JSON and NDJSON path through the query core. A route without a target
-// is the one item shape JSON can spell but not answer.
-//
-//ftbfs:hotpath
-func answerJSON(o *oracle.Oracle, b *batchQuery) batchResult {
-	q := query{op: opDists, source: b.Source, faults: b.Faults}
-	switch {
-	case b.Target != nil && b.Route:
-		q.op, q.target = opRoute, *b.Target
-	case b.Target != nil:
-		q.op, q.target = opDist, *b.Target
-	case b.Route:
-		return batchResult{Error: "route query needs a target"}
-	}
-	r := answer(o, &q)
-	switch {
-	case r.err != nil:
-		return batchResult{Error: r.err.Error()}
-	case q.op == opDists:
-		// A JSON batch keeps every result until the response is written,
-		// and the oracle only lends the table.
-		return batchResult{Dists: slices.Clone(r.dists)}
-	}
-	d, reachable := r.dist, r.dist != bfs.Unreachable
-	res := batchResult{Reachable: &reachable, Path: r.path}
-	if reachable || q.op == opDist {
-		res.Dist = &d // not &r.dist, which would move all of r to the heap
-	}
-	return res
-}
-
-// handleBatchQuery answers a JSON batch of (source, target?, faults)
-// items with ONE pooled oracle per request, amortizing handle checkout
-// and fault parsing across the whole batch — the multi-source workload
-// shape (many queries per network round-trip). With "stream": true the
-// results are NDJSON-streamed in request order. A request with the
-// binary batch Content-Type is dispatched to the binary protocol handler
-// instead (same route, negotiated per request).
-func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), batchcodec.ContentType) {
-		s.handleBatchQueryBinary(w, r)
-		return
-	}
-	set := s.readySet(w, r)
-	if set == nil {
-		return
-	}
-	var req batchRequest
-	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeErr(w, bodyErrStatus(err), "bad request body: %v", err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatchQueries {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			"batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchQueries)
-		return
-	}
-	o := set.Acquire()
-	defer set.Release(o)
-	ctx := r.Context()
-	if req.Stream {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		rc := http.NewResponseController(w)
-		// The rolling deadline outlives the server's global WriteTimeout
-		// on purpose; clear it on exit so it cannot leak into the next
-		// request of a keep-alive connection when WriteTimeout is 0.
-		armed := time.Now()
-		_ = rc.SetWriteDeadline(armed.Add(streamWriteWindow))
-		defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		// ResponseController.Flush reaches flushers behind Unwrap-ing
-		// middleware; ErrNotSupported (plain recorders) just means more
-		// buffering, and write failures surface on the next Encode.
-		flush := func() { _ = rc.Flush() }
-		for i := range req.Queries {
-			if err := enc.Encode(answerJSON(o, &req.Queries[i])); err != nil {
-				return // client went away; nothing sensible to write
-			}
-			// Re-arm on elapsed time, not item count: slow uncached
-			// queries must not let the window expire mid-batch while the
-			// handler is making progress.
-			if time.Since(armed) > streamWriteWindow/2 {
-				armed = time.Now()
-				_ = rc.SetWriteDeadline(armed.Add(streamWriteWindow))
-			}
-			if (i+1)%streamFlushEvery == 0 {
-				flush()
-				if ctx.Err() != nil {
-					return // client gone: stop burning BFS time
-				}
-			}
-		}
-		// Terminal line: lets clients tell completion from truncation.
-		_ = enc.Encode(batchStreamTrailer{Done: true, Results: len(req.Queries)})
-		flush()
-		return
-	}
-	results := make([]batchResult, len(req.Queries))
-	values := 0
-	for i := range req.Queries {
-		results[i] = answerJSON(o, &req.Queries[i])
-		values += 2 + len(results[i].Dists) + len(results[i].Path)
-		if values > maxBatchResultValues {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"batch response exceeds %d values at item %d; use \"stream\": true", maxBatchResultValues, i)
-			return
-		}
-		if (i+1)%streamFlushEvery == 0 && ctx.Err() != nil {
-			return // client gone before any byte was written; drop the work
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
 
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
