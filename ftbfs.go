@@ -167,10 +167,10 @@ func VerifySampled(g *Graph, st *Structure, sources []int, f, trials int, seed i
 type Oracle = oracle.Oracle
 
 // OracleSet is the shared immutable query state over one structure —
-// materialized subgraph, edge-ID translation and a bounded LRU of
-// per-failure-event distance tables, sharded by key hash across
-// independently-locked shards — safe for concurrent use through
-// per-goroutine handles (Handle) or the built-in pool (Acquire/Release).
+// materialized subgraph, edge-ID translation and one byte-budgeted LRU of
+// per-failure-event distance tables behind one mutex — safe for concurrent
+// use through per-goroutine handles (Handle) or the built-in pool
+// (Acquire/Release).
 type OracleSet = oracle.OracleSet
 
 // OracleCacheStats is a snapshot of an OracleSet's memo counters.

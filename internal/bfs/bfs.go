@@ -5,8 +5,6 @@
 package bfs
 
 import (
-	"math/bits"
-
 	"repro/internal/graph"
 	"repro/internal/path"
 )
@@ -14,55 +12,37 @@ import (
 // Unreachable is the distance reported for vertices not reached.
 const Unreachable = int32(-1)
 
-// compactLimit is the vertex count above which the scan loops switch from
-// the dist-array probe to the uint64 visited bitset. The bitset shrinks the
-// random-access working set 32x, which pays once the dist array outgrows
-// the cache hierarchy; below that point the dist probe is strictly cheaper
-// (one 4-byte load on a line the claim writes anyway, no read-modify-write
-// on words shared by 64 vertices). Measured crossover on the reference box
-// is around 64k vertices (see EXPERIMENTS.md "Query plane").
-const compactLimit = 1 << 16
-
 // Runner is a reusable BFS scratch over a fixed graph. It is not safe for
 // concurrent use; create one per goroutine.
 //
-// The scan kernel is adaptive. Large graphs (N > compactLimit) probe a
-// uint64 visited bitset — one cache line answers "seen?" for 512 vertices —
-// and run level-synchronously: Run clears only the n/64 visited words, each
-// level's distances land in one pass over the fresh queue span, and
-// whatever the bitset still reports unvisited at the end is backfilled with
-// Unreachable (on a connected graph that degenerates to an n/64-word scan).
-// Small graphs keep the dist-array probe, where the bitset's extra
-// test-and-set traffic costs more than the working-set shrink saves. Both
-// regimes share the dense 4-byte neighbor stream (graph.ArcHeads) on the
-// unmasked path and an explicit-tail queue instead of append bookkeeping.
+// The scan loops probe the dist array: a vertex is not yet reached while
+// its distance reads Unreachable, so the probe reads the line the claim
+// writes.
+// The unmasked loop reads the dense 4-byte neighbor stream
+// (graph.ArcHeads); both keep an explicit-tail queue instead of append
+// bookkeeping.
 //
 // The epoch-stamped edge/vertex masks are allocated on the first masked
-// Run, so runners used only for unmasked sweeps (Distances, Eccentricity)
+// Run, so runners used only for unmasked sweeps (Distances, tree builds)
 // never pay the M-sized eOff allocation.
 type Runner struct {
-	g       *graph.Graph
-	dist    []int32
-	parent  []int32
-	queue   []int32
-	visited []uint64 // nil when N <= compactLimit (dist-probe regime)
-	eOff    []uint32
-	vOff    []uint32
-	epoch   uint32
+	g      *graph.Graph
+	dist   []int32
+	parent []int32
+	queue  []int32
+	eOff   []uint32
+	vOff   []uint32
+	epoch  uint32
 }
 
 // NewRunner returns a runner bound to g.
 func NewRunner(g *graph.Graph) *Runner {
-	r := &Runner{
+	return &Runner{
 		g:      g,
 		dist:   make([]int32, g.N()),
 		parent: make([]int32, g.N()),
 		queue:  make([]int32, g.N()),
 	}
-	if g.N() > compactLimit {
-		r.visited = make([]uint64, (g.N()+63)/64)
-	}
-	return r
 }
 
 // ensureMasks allocates the epoch-stamped disable masks on first use. Kept
@@ -102,141 +82,28 @@ func (r *Runner) Run(src int, disabledEdges []int, disabledVertices []int) {
 			r.vOff[v] = ep
 		}
 	}
-	if r.visited == nil {
-		dist := r.dist
-		for i := range dist {
-			dist[i] = Unreachable
-		}
-		if masked && r.vOff[src] == ep {
-			return
-		}
-		dist[src] = 0
-		r.parent[src] = -1
-		r.queue[0] = int32(src)
-		if !masked {
-			r.scanFastCompact()
-		} else {
-			r.scanMaskedCompact(ep)
-		}
-		return
-	}
-	visited := r.visited
-	for i := range visited {
-		visited[i] = 0
+	dist := r.dist
+	for i := range dist {
+		dist[i] = Unreachable
 	}
 	if masked && r.vOff[src] == ep {
-		// Source itself disabled: nothing is reachable. The backfill sees an
-		// all-zero bitset and writes the full Unreachable table.
-		r.backfill()
 		return
 	}
-	r.dist[src] = 0
+	dist[src] = 0
 	r.parent[src] = -1
-	visited[uint(src)>>6] |= 1 << (uint(src) & 63)
 	r.queue[0] = int32(src)
 	if !masked {
 		r.scanFast()
 	} else {
 		r.scanMasked(ep)
 	}
-	r.backfill()
 }
 
-// scanFast is the unmasked scan loop of the bitset regime: each arc costs
-// one dense 4-byte neighbor read plus one visited-bit test-and-set. The
-// loop is level-synchronous — the level counter is the distance, so claims
-// touch only the bitset, the parent array, and the queue; each level's
-// distances land in one pass over the newly appended queue span.
+// scanFast is the unmasked scan loop: each arc costs one dense 4-byte
+// neighbor read and one probe of the dist entry the claim writes.
 //
 //ftbfs:hotpath
 func (r *Runner) scanFast() {
-	dist, parent, queue, visited := r.dist, r.parent, r.queue, r.visited
-	off, tos := r.g.ArcHeads()
-	tail := 1
-	du := int32(0)
-	for head, levelEnd := 0, 1; head < tail; levelEnd = tail {
-		du++
-		for ; head < levelEnd; head++ {
-			v := queue[head]
-			for i, end := off[v], off[v+1]; i < end; i++ {
-				to := uint(tos[i])
-				w, bit := to>>6, uint64(1)<<(to&63)
-				if visited[w]&bit == 0 {
-					visited[w] |= bit
-					parent[to] = v
-					queue[tail] = int32(to)
-					tail++
-				}
-			}
-		}
-		for i := levelEnd; i < tail; i++ {
-			dist[queue[i]] = du
-		}
-	}
-}
-
-// scanMasked is the masked scan loop of the bitset regime: the same
-// level-synchronous shape as scanFast, with the visited bit probed first so
-// the mask lookups only run for frontier candidates. It reads the full
-// []Arc stream because the edge mask is keyed by arc ID.
-//
-//ftbfs:hotpath
-func (r *Runner) scanMasked(ep uint32) {
-	dist, parent, queue, visited := r.dist, r.parent, r.queue, r.visited
-	eOff, vOff := r.eOff, r.vOff
-	off, arcs := r.g.ArcData()
-	tail := 1
-	du := int32(0)
-	for head, levelEnd := 0, 1; head < tail; levelEnd = tail {
-		du++
-		for ; head < levelEnd; head++ {
-			v := queue[head]
-			for i, end := off[v], off[v+1]; i < end; i++ {
-				a := arcs[i]
-				to := uint(a.To)
-				w, bit := to>>6, uint64(1)<<(to&63)
-				if visited[w]&bit != 0 || eOff[a.ID] == ep || vOff[to] == ep {
-					continue
-				}
-				visited[w] |= bit
-				parent[to] = v
-				queue[tail] = int32(to)
-				tail++
-			}
-		}
-		for i := levelEnd; i < tail; i++ {
-			dist[queue[i]] = du
-		}
-	}
-}
-
-// backfill writes Unreachable into the dist entries of every vertex whose
-// visited bit is still clear — the per-run reset the bitset scan loops
-// skipped. On full words (the common case once a component is swept) it
-// costs one compare per 64 vertices.
-//
-//ftbfs:hotpath
-func (r *Runner) backfill() {
-	dist, visited := r.dist, r.visited
-	n := len(dist)
-	for w, word := range visited {
-		base := w << 6
-		for z := ^word; z != 0; z &= z - 1 {
-			i := base + bits.TrailingZeros64(z)
-			if i >= n {
-				break
-			}
-			dist[i] = Unreachable
-		}
-	}
-}
-
-// scanFastCompact is the unmasked scan loop of the dist-probe regime: the
-// probe reads the same line the claim writes, which beats the bitset while
-// the dist array is cache-resident.
-//
-//ftbfs:hotpath
-func (r *Runner) scanFastCompact() {
 	dist, parent, queue := r.dist, r.parent, r.queue
 	off, tos := r.g.ArcHeads()
 	tail := 1
@@ -255,10 +122,12 @@ func (r *Runner) scanFastCompact() {
 	}
 }
 
-// scanMaskedCompact is the masked scan loop of the dist-probe regime.
+// scanMasked is the masked scan loop: the dist probe runs first, so the
+// mask lookups only run for candidates not yet reached. It reads the full
+// []Arc stream because the edge mask is keyed by arc ID.
 //
 //ftbfs:hotpath
-func (r *Runner) scanMaskedCompact(ep uint32) {
+func (r *Runner) scanMasked(ep uint32) {
 	dist, parent, queue := r.dist, r.parent, r.queue
 	eOff, vOff := r.eOff, r.vOff
 	off, arcs := r.g.ArcData()
@@ -313,22 +182,4 @@ func Distances(g *graph.Graph, src int, disabledEdges []int) []int32 {
 	out := make([]int32, g.N())
 	copy(out, r.dist)
 	return out
-}
-
-// Eccentricity returns the maximum finite distance from src, and whether all
-// vertices are reachable.
-func Eccentricity(g *graph.Graph, src int) (int32, bool) {
-	d := Distances(g, src, nil)
-	var ecc int32
-	all := true
-	for _, dv := range d {
-		if dv == Unreachable {
-			all = false
-			continue
-		}
-		if dv > ecc {
-			ecc = dv
-		}
-	}
-	return ecc, all
 }

@@ -62,18 +62,6 @@ func TestRunnerPathTo(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := gen.PathGraph(6)
-	ecc, all := Eccentricity(g, 0)
-	if ecc != 5 || !all {
-		t.Fatalf("ecc = %d all=%v", ecc, all)
-	}
-	ecc, all = Eccentricity(g, 2)
-	if ecc != 3 || !all {
-		t.Fatalf("ecc from middle = %d", ecc)
-	}
-}
-
 func TestEpochWraparound(t *testing.T) {
 	g := gen.PathGraph(4)
 	r := NewRunner(g)

@@ -1,64 +1,16 @@
 package bfs
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// TestBitsetRegimeEquivalence pins the bitset scan loops against the
-// compact dist-probe loops: on identical graphs, identical fault sets, both
-// regimes must produce identical distance tables AND identical parent
-// choices (claim order is first-wins in arc order in both, so even
-// tie-breaks must agree). This is what lets the regime threshold be a pure
-// performance knob.
-func TestBitsetRegimeEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		g := gen.SparseGNP(300, 6, seed)
-		compact := NewRunner(g)
-		bitset := NewRunner(g)
-		bitset.ForceBitset()
-		rng := rand.New(rand.NewSource(seed * 13))
-		for trial := 0; trial < 30; trial++ {
-			var faults []int
-			for k := rng.Intn(4); k > 0; k-- {
-				faults = append(faults, rng.Intn(g.M()))
-			}
-			var offV []int
-			if rng.Intn(4) == 0 {
-				offV = []int{rng.Intn(g.N())}
-			}
-			src := rng.Intn(g.N())
-			compact.Run(src, faults, offV)
-			bitset.Run(src, faults, offV)
-			cd, bd := compact.Dists(), bitset.Dists()
-			for v := range cd {
-				if cd[v] != bd[v] {
-					t.Fatalf("seed %d trial %d: dist[%d] = %d compact vs %d bitset (src %d faults %v off %v)",
-						seed, trial, v, cd[v], bd[v], src, faults, offV)
-				}
-			}
-			for v := range cd {
-				cp, bp := compact.PathTo(v), bitset.PathTo(v)
-				if len(cp) != len(bp) {
-					t.Fatalf("seed %d trial %d: path to %d has %d vs %d vertices", seed, trial, v, len(cp), len(bp))
-				}
-				for i := range cp {
-					if cp[i] != bp[i] {
-						t.Fatalf("seed %d trial %d: path to %d differs at %d: %v vs %v", seed, trial, v, i, cp, bp)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBitsetRegimeDisconnected checks the backfill on graphs where whole
-// bitset words stay untouched: a disconnected graph must report Unreachable
-// for every vertex outside the source component, including when the source
-// itself is disabled.
+// TestBitsetRegimeDisconnected checks the per-run reset on a graph most of
+// whose vertices no run reaches: a disconnected graph must report
+// Unreachable for every vertex outside the source component, including
+// when the source itself is disabled.
 func TestBitsetRegimeDisconnected(t *testing.T) {
 	// A path on vertices 0..9; vertices 10..199 isolated.
 	b := graph.NewBuilder(200)
@@ -67,7 +19,6 @@ func TestBitsetRegimeDisconnected(t *testing.T) {
 	}
 	g := b.Freeze()
 	r := NewRunner(g)
-	r.ForceBitset()
 	r.Run(0, nil, nil)
 	for v := 0; v < 10; v++ {
 		if r.Dist(v) != int32(v) {
@@ -115,19 +66,15 @@ func refBFS(g *graph.Graph, src int, disabledEdges []int) []int32 {
 	return dist
 }
 
-// TestBitsetRegimeThreshold checks that the real constructor picks the
-// bitset regime above compactLimit, and that both the unmasked and masked
-// scans over such a graph match an independent reference BFS.
+// TestBitsetRegimeThreshold checks the unmasked and masked scans over a
+// graph of more than 64k vertices against an independent reference BFS.
 func TestBitsetRegimeThreshold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large graph generation in -short mode")
 	}
-	n := CompactLimit + 1024
+	n := 1<<16 + 1024
 	g := gen.TreePlusChords(n, 500, 7)
 	r := NewRunner(g)
-	if r.visited == nil {
-		t.Fatalf("runner over n=%d picked the compact regime", n)
-	}
 	r.Run(0, nil, nil)
 	want := refBFS(g, 0, nil)
 	for v := 0; v < n; v++ {

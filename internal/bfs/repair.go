@@ -142,9 +142,7 @@ func (s *Subtrees) Detach(g *graph.Graph, region []int32, inR []uint32, ep uint3
 // arcs (whose far endpoints keep their exact base distance), and repairs R
 // level-synchronously. When R's arc volume exceeds the graph's — repairing
 // would cost more than starting over — it falls back to the full Runner,
-// which keeps the compact/bitset scan regime split; tree builds and
-// fallback runs inherit that split too, so large graphs still scan via the
-// bitset.
+// which also builds the repairer-owned tree.
 //
 // There is one kernel and two ways to name its base. RunFrom repairs
 // against a caller-held Tree, typically one shared by many repairers —

@@ -26,44 +26,37 @@ func compareDists(t *testing.T, rep *Repairer, ref *Runner, tag string) {
 }
 
 // TestRepairRegimeEquivalence drives the repairer through random fault
-// sequences in both scan regimes (the fallback runs and tree builds inherit
-// the runner's compact/bitset split) and pins every distance table against
-// a from-scratch BFS. Sources move mid-sequence to exercise the rebuild of
-// the repairer-owned tree.
+// sequences and pins every distance table against a from-scratch BFS.
+// Sources move mid-sequence to exercise the rebuild of the repairer-owned
+// tree.
 func TestRepairRegimeEquivalence(t *testing.T) {
-	for _, bitset := range []bool{false, true} {
-		for seed := int64(1); seed <= 3; seed++ {
-			g := gen.SparseGNP(300, 6, seed)
-			rep := NewRepairer(g)
-			ref := NewRunner(g)
-			if bitset {
-				rep.r.ForceBitset()
-				ref.ForceBitset()
+	for seed := int64(1); seed <= 3; seed++ {
+		g := gen.SparseGNP(300, 6, seed)
+		rep := NewRepairer(g)
+		ref := NewRunner(g)
+		rng := rand.New(rand.NewSource(seed * 29))
+		src := rng.Intn(g.N())
+		for trial := 0; trial < 60; trial++ {
+			var faults []int
+			for k := rng.Intn(4); k > 0; k-- {
+				faults = append(faults, rng.Intn(g.M()))
 			}
-			rng := rand.New(rand.NewSource(seed * 29))
-			src := rng.Intn(g.N())
-			for trial := 0; trial < 60; trial++ {
-				var faults []int
-				for k := rng.Intn(4); k > 0; k-- {
-					faults = append(faults, rng.Intn(g.M()))
+			if rng.Intn(10) == 0 {
+				src = rng.Intn(g.N())
+			}
+			rep.Run(src, faults)
+			ref.Run(src, faults, nil)
+			compareDists(t, rep, ref, "trial")
+			if ch, ok := rep.Changed(); ok {
+				// The changed list must cover every vertex whose
+				// distance actually moved.
+				moved := map[int32]bool{}
+				for _, v := range ch {
+					moved[v] = true
 				}
-				if rng.Intn(10) == 0 {
-					src = rng.Intn(g.N())
-				}
-				rep.Run(src, faults)
-				ref.Run(src, faults, nil)
-				compareDists(t, rep, ref, "trial")
-				if ch, ok := rep.Changed(); ok {
-					// The changed list must cover every vertex whose
-					// distance actually moved.
-					moved := map[int32]bool{}
-					for _, v := range ch {
-						moved[v] = true
-					}
-					for v := 0; v < g.N(); v++ {
-						if rep.Dist(v) != rep.t.dist[v] && !moved[int32(v)] {
-							t.Fatalf("trial %d: dist[%d] changed but not in Changed()", trial, v)
-						}
+				for v := 0; v < g.N(); v++ {
+					if rep.Dist(v) != rep.t.dist[v] && !moved[int32(v)] {
+						t.Fatalf("trial %d: dist[%d] changed but not in Changed()", trial, v)
 					}
 				}
 			}
@@ -219,8 +212,8 @@ func TestRepairVolumeFallback(t *testing.T) {
 }
 
 // FuzzRepairEquivalence fuzzes (graph seed, source, fault selection) and
-// demands the repaired table equal the from-scratch table bit for bit, in
-// both scan regimes, through Run and through RunFrom on shared trees.
+// demands the repaired table equal the from-scratch table bit for bit,
+// through Run and through RunFrom on shared trees.
 func FuzzRepairEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint64(0x1234), uint8(2))
 	f.Add(int64(2), uint16(7), uint64(0xffff_ffff), uint8(4))
@@ -233,42 +226,31 @@ func FuzzRepairEquivalence(f *testing.F) {
 		for i := 0; i < k; i++ {
 			faults = append(faults, int((faultBits>>(i*13))&0x1fff)%g.M())
 		}
-		for _, bitset := range []bool{false, true} {
-			rep := NewRepairer(g)
-			ref := NewRunner(g)
-			if bitset {
-				rep.r.ForceBitset()
-				ref.ForceBitset()
-			}
-			rep.Run(src, faults)
-			ref.Run(src, faults, nil)
-			compareDists(t, rep, ref, "fuzz")
-			// Second run over the same base exercises the undo path.
-			rep.Run(src, faults[:k/2])
-			ref.Run(src, faults[:k/2], nil)
-			compareDists(t, rep, ref, "fuzz-undo")
+		rep := NewRepairer(g)
+		ref := NewRunner(g)
+		rep.Run(src, faults)
+		ref.Run(src, faults, nil)
+		compareDists(t, rep, ref, "fuzz")
+		// Second run over the same base exercises the undo path.
+		rep.Run(src, faults[:k/2])
+		ref.Run(src, faults[:k/2], nil)
+		compareDists(t, rep, ref, "fuzz-undo")
 
-			// The same input through RunFrom on a tree shared with a
-			// second repairer that alternates between it and another
-			// source's tree.
-			other := (src + g.N()/2) % g.N()
-			tr, otr := NewTree(g, src), NewTree(g, other)
-			a, b := NewRepairer(g), NewRepairer(g)
-			if bitset {
-				a.r.ForceBitset()
-				b.r.ForceBitset()
-			}
-			for round := 0; round < 2; round++ {
-				a.RunFrom(tr, faults)
-				ref.Run(src, faults, nil)
-				compareDists(t, a, ref, "fuzz-shared")
-				b.RunFrom(otr, faults)
-				ref.Run(other, faults, nil)
-				compareDists(t, b, ref, "fuzz-shared-other")
-				b.RunFrom(tr, faults[:k/2])
-				ref.Run(src, faults[:k/2], nil)
-				compareDists(t, b, ref, "fuzz-shared-switch")
-			}
+		// The same input through RunFrom on a tree shared with a second
+		// repairer that alternates between it and another source's tree.
+		other := (src + g.N()/2) % g.N()
+		tr, otr := NewTree(g, src), NewTree(g, other)
+		a, b := NewRepairer(g), NewRepairer(g)
+		for round := 0; round < 2; round++ {
+			a.RunFrom(tr, faults)
+			ref.Run(src, faults, nil)
+			compareDists(t, a, ref, "fuzz-shared")
+			b.RunFrom(otr, faults)
+			ref.Run(other, faults, nil)
+			compareDists(t, b, ref, "fuzz-shared-other")
+			b.RunFrom(tr, faults[:k/2])
+			ref.Run(src, faults[:k/2], nil)
+			compareDists(t, b, ref, "fuzz-shared-switch")
 		}
 	})
 }

@@ -22,36 +22,10 @@ import (
 	"repro/internal/graph"
 )
 
-// LenientStats counts the lines ReadLenient skipped instead of rejecting.
-type LenientStats struct {
-	// SelfLoops is the number of "u u" lines dropped.
-	SelfLoops int
-	// Duplicates is the number of lines repeating an already-seen edge
-	// (in either orientation) that were dropped.
-	Duplicates int
-}
-
-// Skipped returns the total number of dropped edge lines.
-func (s LenientStats) Skipped() int { return s.SelfLoops + s.Duplicates }
-
 // Read parses a graph from r. Malformed lines, out-of-range endpoints,
 // self-loops and duplicate edges are errors reported with the offending
 // line number.
 func Read(r io.Reader) (*graph.Graph, error) {
-	g, _, err := parse(r, false)
-	return g, err
-}
-
-// ReadLenient parses a graph from r, skipping self-loop and duplicate-edge
-// lines instead of failing — real-world edge lists frequently contain both.
-// The returned stats count what was dropped. Malformed lines and
-// out-of-range endpoints remain errors.
-func ReadLenient(r io.Reader) (*graph.Graph, LenientStats, error) {
-	return parse(r, true)
-}
-
-func parse(r io.Reader, lenient bool) (*graph.Graph, LenientStats, error) {
-	var stats LenientStats
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var n = -1
@@ -71,22 +45,22 @@ func parse(r io.Reader, lenient bool) (*graph.Graph, LenientStats, error) {
 		fields := strings.Fields(line)
 		if fields[0] == "n" {
 			if len(fields) != 2 {
-				return nil, stats, fmt.Errorf("edgelist: line %d: want \"n <count>\"", lineNo)
+				return nil, fmt.Errorf("edgelist: line %d: want \"n <count>\"", lineNo)
 			}
 			v, err := strconv.Atoi(fields[1])
 			if err != nil || v < 0 {
-				return nil, stats, fmt.Errorf("edgelist: line %d: bad vertex count %q", lineNo, fields[1])
+				return nil, fmt.Errorf("edgelist: line %d: bad vertex count %q", lineNo, fields[1])
 			}
 			n = v
 			continue
 		}
 		if len(fields) != 2 {
-			return nil, stats, fmt.Errorf("edgelist: line %d: want \"<u> <v>\", got %q", lineNo, line)
+			return nil, fmt.Errorf("edgelist: line %d: want \"<u> <v>\", got %q", lineNo, line)
 		}
 		u, err1 := strconv.Atoi(fields[0])
 		v, err2 := strconv.Atoi(fields[1])
 		if err1 != nil || err2 != nil {
-			return nil, stats, fmt.Errorf("edgelist: line %d: bad endpoints %q", lineNo, line)
+			return nil, fmt.Errorf("edgelist: line %d: bad endpoints %q", lineNo, line)
 		}
 		edges = append(edges, pair{u, v, lineNo})
 		if u > maxV {
@@ -97,7 +71,7 @@ func parse(r io.Reader, lenient bool) (*graph.Graph, LenientStats, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, stats, fmt.Errorf("edgelist: %w", err)
+		return nil, fmt.Errorf("edgelist: %w", err)
 	}
 	if n < 0 {
 		n = maxV + 1
@@ -105,27 +79,19 @@ func parse(r io.Reader, lenient bool) (*graph.Graph, LenientStats, error) {
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		if e.u < 0 || e.u >= n || e.v < 0 || e.v >= n {
-			return nil, stats, fmt.Errorf("edgelist: line %d: edge (%d,%d) out of range [0,%d)", e.line, e.u, e.v, n)
+			return nil, fmt.Errorf("edgelist: line %d: edge (%d,%d) out of range [0,%d)", e.line, e.u, e.v, n)
 		}
 		if e.u == e.v {
-			if lenient {
-				stats.SelfLoops++
-				continue
-			}
-			return nil, stats, fmt.Errorf("edgelist: line %d: self-loop at %d", e.line, e.u)
+			return nil, fmt.Errorf("edgelist: line %d: self-loop at %d", e.line, e.u)
 		}
 		if b.HasEdge(e.u, e.v) {
-			if lenient {
-				stats.Duplicates++
-				continue
-			}
-			return nil, stats, fmt.Errorf("edgelist: line %d: duplicate edge (%d,%d)", e.line, e.u, e.v)
+			return nil, fmt.Errorf("edgelist: line %d: duplicate edge (%d,%d)", e.line, e.u, e.v)
 		}
-		// Range, self-loop and duplicate rejections all happened above (so
-		// they could carry line numbers / be skipped leniently).
+		// Range, self-loop and duplicate rejections all happened above, so
+		// they carry line numbers.
 		b.MustAddEdge(e.u, e.v)
 	}
-	return b.Freeze(), stats, nil
+	return b.Freeze(), nil
 }
 
 // ReadSubset parses a structure file: a graph in the package format on

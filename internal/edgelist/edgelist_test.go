@@ -123,40 +123,6 @@ func TestReadErrorLineNumbers(t *testing.T) {
 	}
 }
 
-func TestReadLenientSkipsAndCounts(t *testing.T) {
-	in := `n 4
-0 1
-1 1   # self-loop: skipped
-1 2
-2 1   # duplicate (reversed): skipped
-0 1   # duplicate: skipped
-2 3
-3 3   # self-loop: skipped
-`
-	g, stats, err := ReadLenient(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 4 || g.M() != 3 {
-		t.Fatalf("n=%d m=%d, want 4/3", g.N(), g.M())
-	}
-	if stats.SelfLoops != 2 || stats.Duplicates != 2 || stats.Skipped() != 4 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		if !g.HasEdge(e[0], e[1]) {
-			t.Fatalf("edge %v missing", e)
-		}
-	}
-}
-
-func TestReadLenientStillRejectsOutOfRange(t *testing.T) {
-	_, _, err := ReadLenient(strings.NewReader("n 2\n0 1\n0 9\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("out-of-range not rejected with position: %v", err)
-	}
-}
-
 func TestReadSubset(t *testing.T) {
 	g, err := Read(strings.NewReader("n 4\n0 1\n1 2\n2 3\n0 3\n"))
 	if err != nil {

@@ -29,15 +29,7 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Read(bytes.NewReader(data))
 		if err != nil {
-			// The lenient reader must never panic either.
-			_, _, _ = ReadLenient(bytes.NewReader(data))
 			return
-		}
-		// Whatever the strict reader accepts, the lenient reader must
-		// accept identically, with nothing skipped.
-		lg, stats, lerr := ReadLenient(bytes.NewReader(data))
-		if lerr != nil || stats.Skipped() != 0 || lg.N() != g.N() || lg.M() != g.M() {
-			t.Fatalf("lenient diverged on strict-valid input: %v %+v", lerr, stats)
 		}
 		if g.N() > 1<<22 {
 			return // writing giant headers is pointless

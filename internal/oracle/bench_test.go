@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,47 +70,6 @@ func BenchmarkOracleSetParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// BenchmarkCacheShardScaling contrasts a single-mutex memo (shards=1) with
-// the sharded memo on the concurrent cached-dist path.
-// Run with -cpu 8 to measure the contention at 8 goroutines; the sharded
-// variant must scale ≥ 2× over the single mutex there (EXPERIMENTS.md).
-func BenchmarkCacheShardScaling(b *testing.B) {
-	g := gen.SparseGNP(400, 8, 1)
-	st, err := core.BuildSingle(g, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := [][]int{{3}, {9}, {21}, {30}, {44}, {61}, {75}, {90}}
-	for _, shards := range []int{1, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			set, err := newSet(st, DefaultCacheBytes, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := set.Handle()
-			for _, f := range events {
-				if _, err := warm.Dist(0, 1, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				o := set.Acquire()
-				defer set.Release(o)
-				i := 0
-				for pb.Next() {
-					if _, err := o.Dist(0, i%g.N(), events[i%len(events)]); err != nil {
-						b.Error(err) // Fatal must not be called off the main goroutine
-						return
-					}
-					i++
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkDeltaLookup contrasts the two cached point-lookup paths: a

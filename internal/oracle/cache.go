@@ -1,22 +1,21 @@
 package oracle
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 )
 
 // The shared memo: a two-tier store of per-failure-event distance tables.
 //
-// Tier 1 — this file — is an LRU of per-event entries, sharded by key hash
-// into independently-locked sub-caches so concurrent clients on different
-// failure events never contend on one mutex. Keys are (source,
-// canonicalized fault set), hashed to a uint64 with the full key retained
-// per entry, so lookups compare against the stored key and a 64-bit hash
-// collision degrades to a miss, never to a wrong answer. Entries come in
-// two encodings: a FULL table (4 bytes × n) or a DELTA against the
-// distance table of the source's pinned fault-free tree — sorted
-// changed-vertex IDs plus their new distances (8 bytes × changed
+// Tier 1 — this file — is one LRU of per-event entries behind one mutex,
+// bounded by the whole byte budget, so what it evicts depends only on the
+// query stream and the budget, not on the host's core count. Keys are
+// (source, canonicalized fault set), hashed to a uint64 with the full key
+// retained per entry, so lookups compare against the stored key and a
+// 64-bit hash collision degrades to a miss, never to a wrong answer.
+// Entries come in two encodings: a FULL table (4 bytes × n) or a DELTA
+// against the distance table of the source's pinned fault-free tree —
+// sorted changed-vertex IDs plus their new distances (8 bytes × changed
 // vertices), chosen when the incremental repairer proves the event touched
 // at most n/deltaDenom vertices. A typical fault detaches a tiny subtree,
 // so most entries cost a few hundred bytes instead of 4n, and a fixed byte
@@ -87,13 +86,12 @@ const deltaDenom = 8
 // entry counts stay comparable across measurements.
 const entryOverheadBytes = 128
 
-// CacheStats is a snapshot of the shared memo's counters, aggregated
-// across every shard plus the set's pinned tier-0 trees. It is also the
-// wire form of the memo counters: ftbfsd serves it as the "cache" object of
-// build info and GET /v1/stats.
+// CacheStats is a snapshot of the shared memo's counters: the tier-1 LRU
+// plus the set's pinned tier-0 trees. It is also the wire form of the memo
+// counters: ftbfsd serves it as the "cache" object of build info and GET
+// /v1/stats.
 type CacheStats struct {
 	Len       int   `json:"len"`       // tier-1 entries currently cached
-	Shards    int   `json:"shards"`    // independently-locked sub-caches
 	Hits      int64 `json:"hits"`      // lookups answered from the memo (either tier)
 	Misses    int64 `json:"misses"`    // lookups that ran a repair
 	Evictions int64 `json:"evictions"` // tier-1 entries dropped to stay within the budget
@@ -109,7 +107,6 @@ type CacheStats struct {
 // add sums o into s, field by field.
 func (s *CacheStats) add(o CacheStats) {
 	s.Len += o.Len
-	s.Shards += o.Shards
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
@@ -121,8 +118,7 @@ func (s *CacheStats) add(o CacheStats) {
 	s.TableBytes += o.TableBytes
 }
 
-// TotalCacheStats sums the counters of several sets, Shards included, so
-// the total reads as "shards serving queries".
+// TotalCacheStats sums the counters of several sets.
 func TotalCacheStats(sets []*OracleSet) CacheStats {
 	var out CacheStats
 	for _, s := range sets {
@@ -390,85 +386,4 @@ func (c *lruCache) stats() CacheStats {
 		DeltaEntries:  c.deltaN,
 		FullEntries:   c.fullN,
 	}
-}
-
-// ---- sharding ----
-
-// minShardBytes keeps each shard's slice of the budget useful: it must
-// hold at least a few full tables (or hundreds of deltas) before sharding
-// pays, so the default shard count is halved until this floor holds.
-const minShardBytes = 64 << 10
-
-// shardedCache splits the memo into power-of-two many lruCache shards
-// selected by the low bits of the key hash. Shards are independently
-// locked, so lookups of distinct failure events proceed without
-// contention; within one shard the LRU semantics are unchanged.
-type shardedCache struct {
-	shards  []*lruCache
-	mask    uint64
-	enabled bool // immutable: memoization on at all
-}
-
-// defaultShardCount rounds GOMAXPROCS up to a power of two, then halves
-// until every shard's slice of the budget holds at least minShardBytes
-// (one shard for small or disabled caches, preserving strict global LRU
-// order).
-func defaultShardCount(bytes int64) int {
-	if bytes <= 0 {
-		return 1
-	}
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n *= 2
-	}
-	for n > 1 && bytes/int64(n) < minShardBytes {
-		n /= 2
-	}
-	return n
-}
-
-// newShardedCache builds a memo bounded by a byte budget split
-// base+remainder over `shards` sub-caches, a power of two. bytes ≤ 0
-// disables caching: one inert shard.
-func newShardedCache(bytes int64, shards int) *shardedCache {
-	enabled := bytes > 0
-	if !enabled {
-		bytes, shards = 0, 1
-	}
-	c := &shardedCache{
-		shards:  make([]*lruCache, shards),
-		mask:    uint64(shards - 1),
-		enabled: enabled,
-	}
-	base, rem := bytes/int64(shards), bytes%int64(shards)
-	for i := range c.shards {
-		sb := base
-		if int64(i) < rem {
-			sb++
-		}
-		c.shards[i] = newLRUCache(sb)
-	}
-	return c
-}
-
-//ftbfs:hotpath
-func (c *shardedCache) shard(hash uint64) *lruCache {
-	return c.shards[hash&c.mask]
-}
-
-//ftbfs:hotpath
-func (c *shardedCache) get(hash uint64, src int32, canon []int32) (DistView, bool) {
-	return c.shard(hash).get(hash, src, canon)
-}
-
-func (c *shardedCache) add(e *cacheEntry) DistView {
-	return c.shard(e.hash).add(e)
-}
-
-func (c *shardedCache) stats() CacheStats {
-	out := CacheStats{Shards: len(c.shards)}
-	for _, sh := range c.shards {
-		out.add(sh.stats())
-	}
-	return out
 }

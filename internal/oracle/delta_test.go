@@ -109,7 +109,7 @@ func TestCacheByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 4096
-	set, err := newSet(st, budget, 1) // one shard: exact global accounting
+	set, err := NewSet(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +187,8 @@ func TestDeltaCapacityGain(t *testing.T) {
 }
 
 // TestCacheBudgetAccessor pins the configured budget as CacheStats
-// reports it: the shards' byte budgets sum to exactly what NewSet was
-// given, 0 reads as DefaultCacheBytes and a negative budget as the memo
-// off.
+// reports it: exactly what NewSet was given, 0 reads as DefaultCacheBytes
+// and a negative budget as the memo off.
 func TestCacheBudgetAccessor(t *testing.T) {
 	g := gen.PathGraph(6)
 	st, err := core.BuildSingle(g, 0, nil)
@@ -210,9 +209,8 @@ func TestCacheBudgetAccessor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs := set.CacheStats(); cs.BytesCapacity != tc.want || cs.Shards != defaultShardCount(tc.want) {
-			t.Errorf("%s: CacheStats budget %d over %d shards, want %d over %d",
-				tc.name, cs.BytesCapacity, cs.Shards, tc.want, defaultShardCount(tc.want))
+		if cs := set.CacheStats(); cs.BytesCapacity != tc.want {
+			t.Errorf("%s: CacheStats budget %d, want %d", tc.name, cs.BytesCapacity, tc.want)
 		}
 	}
 }
@@ -235,9 +233,8 @@ func TestNewSetBudgetAdapter(t *testing.T) {
 			t.Fatal(err)
 		}
 		gs, ws := got.CacheStats(), want.CacheStats()
-		if gs.BytesCapacity != ws.BytesCapacity || gs.Shards != ws.Shards {
-			t.Errorf("NewSetBudget(0, %d, 0): budget %d over %d shards, NewSet gives %d over %d",
-				b, gs.BytesCapacity, gs.Shards, ws.BytesCapacity, ws.Shards)
+		if gs.BytesCapacity != ws.BytesCapacity {
+			t.Errorf("NewSetBudget(0, %d, 0): budget %d, NewSet gives %d", b, gs.BytesCapacity, ws.BytesCapacity)
 		}
 	}
 	for _, b := range []int64{0, -1} {
@@ -245,7 +242,7 @@ func TestNewSetBudgetAdapter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs := set.CacheStats(); set.cache.enabled || cs.BytesCapacity != 0 || cs.Shards != 1 {
+		if cs := set.CacheStats(); set.cache.maxBytes > 0 || cs.BytesCapacity != 0 {
 			t.Errorf("NewSetBudget(0, %d, 0): memo on (%+v), want off", b, cs)
 		}
 	}
@@ -318,7 +315,7 @@ func TestConstructorPinsTrees(t *testing.T) {
 // TestConcurrentTierMix runs concurrent clients mixing tier-0 (fault-free),
 // tier-1 (cached events), and uncached queries — with concurrent
 // CacheStats readers — under a small byte budget that keeps eviction hot.
-// Run with -race this exercises the shared pinned trees, the shard locks
+// Run with -race this exercises the shared pinned trees, the memo's lock
 // and the set-level atomics together; every answer is checked
 // against precomputed ground truth.
 func TestConcurrentTierMix(t *testing.T) {
@@ -369,7 +366,7 @@ func TestConcurrentTierMix(t *testing.T) {
 			}
 		}(c)
 	}
-	// Concurrent stats readers cross the shard locks and atomics while the
+	// Concurrent stats readers cross the memo's lock and atomics while the
 	// clients churn.
 	statsDone := make(chan struct{})
 	go func() {

@@ -85,7 +85,7 @@ type OracleSet struct {
 	st     *core.Structure
 	sub    *graph.Graph
 	gToSub []int32 // G edge ID -> sub edge ID, -1 when absent from H
-	cache  *shardedCache
+	cache  *lruCache
 	pool   sync.Pool
 
 	// Tier 0: one fault-free BFS tree per structure source (indexed like
@@ -109,13 +109,31 @@ type OracleSet struct {
 // only for what the fault actually changed, so a budget typically holds
 // 10–100× more events than full tables would. The pinned fault-free base
 // trees are accounted separately (CacheStats.PinnedBytes) and never
-// evicted. The memo is sharded by key hash across ~GOMAXPROCS
-// independently-locked shards (see defaultShardCount).
+// evicted. The memo is one LRU behind one mutex.
 func NewSet(st *core.Structure, cacheBytes int64) (*OracleSet, error) {
+	if len(st.Sources) == 0 {
+		return nil, fmt.Errorf("oracle: structure has no sources")
+	}
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
 	}
-	return newSet(st, cacheBytes, defaultShardCount(cacheBytes))
+	s := &OracleSet{
+		st:    st,
+		cache: newLRUCache(max(cacheBytes, 0)),
+		trees: make([]*bfs.Tree, len(st.Sources)),
+	}
+	for _, t := range st.Tables {
+		s.tableBytes += t.Bytes()
+	}
+	// Materialize H directly in CSR form; sub edge IDs are assigned in
+	// increasing G-edge-ID order, no per-edge hashing involved.
+	s.sub, s.gToSub = st.G.SubgraphMapped(st.Edges)
+	for i, src := range st.Sources {
+		s.trees[i] = bfs.NewTree(s.sub, src)
+		s.pinnedBytes += s.trees[i].Bytes()
+	}
+	s.pool.New = func() any { return s.Handle() }
+	return s, nil
 }
 
 // NewSetBudget keeps the former general constructor's signature for its
@@ -133,36 +151,11 @@ func NewSetBudget(st *core.Structure, cacheEntries int, cacheBytes int64, shards
 	return NewSet(st, cacheBytes)
 }
 
-// newSet is NewSet with an explicit shard count, a power of two; a budget
-// ≤ 0 turns the memo off. Tests use it to pin the shard count.
-func newSet(st *core.Structure, cacheBytes int64, shards int) (*OracleSet, error) {
-	if len(st.Sources) == 0 {
-		return nil, fmt.Errorf("oracle: structure has no sources")
-	}
-	s := &OracleSet{
-		st:    st,
-		cache: newShardedCache(cacheBytes, shards),
-		trees: make([]*bfs.Tree, len(st.Sources)),
-	}
-	for _, t := range st.Tables {
-		s.tableBytes += t.Bytes()
-	}
-	// Materialize H directly in CSR form; sub edge IDs are assigned in
-	// increasing G-edge-ID order, no per-edge hashing involved.
-	s.sub, s.gToSub = st.G.SubgraphMapped(st.Edges)
-	for i, src := range st.Sources {
-		s.trees[i] = bfs.NewTree(s.sub, src)
-		s.pinnedBytes += s.trees[i].Bytes()
-	}
-	s.pool.New = func() any { return s.Handle() }
-	return s, nil
-}
-
 // Structure returns the underlying structure.
 func (s *OracleSet) Structure() *core.Structure { return s.st }
 
 // CacheStats returns a snapshot of the shared memo's counters: the tier-1
-// shard sums plus the tier-0 tree hits and bytes.
+// LRU's plus the tier-0 tree hits and bytes.
 func (s *OracleSet) CacheStats() CacheStats {
 	cs := s.cache.stats()
 	cs.Hits += s.baseHits.Load()
@@ -307,7 +300,7 @@ func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 	set := o.set
 	t := set.trees[srcIdx]
 	if len(canon) == 0 {
-		if set.cache.enabled {
+		if set.cache.maxBytes > 0 {
 			set.baseHits.Add(1)
 		}
 		return DistView{Full: t.Dists()}

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"errors"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -282,22 +281,22 @@ func TestDuplicateFaultsDeduped(t *testing.T) {
 	}
 }
 
-// TestShardedCacheCorrectness drives many failure events through an
-// explicitly multi-shard memo and checks answers, aggregated counters and
-// the per-shard split of the byte budget.
+// TestShardedCacheCorrectness drives two rounds of every failure event
+// through a memo whose budget holds only some of them, and checks answers,
+// counters and the byte budget.
 func TestShardedCacheCorrectness(t *testing.T) {
 	g := gen.GNP(20, 0.25, 9)
 	st, err := core.BuildSingle(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 4 * 512 // each shard holds two full tables of n = 20
-	set, err := newSet(st, budget, 4)
+	const budget = 4 * 512 // about nine full tables of n = 20
+	set, err := NewSet(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := set.CacheStats(); cs.Shards != 4 || cs.BytesCapacity != budget {
-		t.Fatalf("want 4 shards of total budget %d, got %+v", budget, cs)
+	if cs := set.CacheStats(); cs.BytesCapacity != budget {
+		t.Fatalf("want budget %d, got %+v", budget, cs)
 	}
 	o := set.Handle()
 	truth := bfs.NewRunner(g)
@@ -315,19 +314,17 @@ func TestShardedCacheCorrectness(t *testing.T) {
 			}
 		}
 	}
-	for i, sh := range set.cache.shards {
-		if cs := sh.stats(); cs.BytesUsed > cs.BytesCapacity {
-			t.Fatalf("shard %d holds %d bytes over its budget %d", i, cs.BytesUsed, cs.BytesCapacity)
-		}
-	}
 	cs := set.CacheStats()
+	if cs.BytesUsed > cs.BytesCapacity {
+		t.Fatalf("memo holds %d bytes over its budget %d", cs.BytesUsed, cs.BytesCapacity)
+	}
 	if cs.Misses == 0 || cs.Evictions == 0 {
 		t.Fatalf("expected misses and evictions from scanning over the budget: %+v", cs)
 	}
 	if cs.Hits+cs.Misses != int64(2*g.M()) {
 		t.Fatalf("lookup accounting off: %+v for %d lookups", cs, 2*g.M())
 	}
-	// A back-to-back repeat is a guaranteed hit in its shard.
+	// A back-to-back repeat is a guaranteed hit.
 	if _, err := o.Dists(0, []int{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -337,57 +334,6 @@ func TestShardedCacheCorrectness(t *testing.T) {
 	}
 	if got := set.CacheStats().Hits; got != before+1 {
 		t.Fatalf("repeat lookup did not hit: %d -> %d", before, got)
-	}
-}
-
-// TestShardCountClamps pins the shard policy NewSet runs, at GOMAXPROCS 1,
-// 2 and 8: GOMAXPROCS rounded up to a power of two, halved until each
-// shard's slice holds at least minShardBytes — so a budget under 128 KiB
-// and a disabled memo get one shard — and a base+remainder split that sums
-// to the budget with no zero-byte shard.
-func TestShardCountClamps(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	cases := []struct {
-		procs int
-		bytes int64
-		want  int
-	}{
-		{1, DefaultCacheBytes, 1},
-		{2, DefaultCacheBytes, 2},
-		{8, DefaultCacheBytes, 8},
-		{8, 8<<20 + 5, 8}, // the remainder goes to the first shards
-		{8, 4 * minShardBytes, 4},
-		{8, 4*minShardBytes - 1, 2},
-		{2, 2 * minShardBytes, 2},
-		{8, 2*minShardBytes - 1, 1}, // under 128 KiB: one shard
-		{2, 4096, 1},
-		{1, 1, 1},
-		{8, 0, 1},  // disabled
-		{2, -1, 1}, // disabled
-	}
-	for _, tc := range cases {
-		runtime.GOMAXPROCS(tc.procs)
-		n := defaultShardCount(tc.bytes)
-		if n != tc.want || n&(n-1) != 0 {
-			t.Errorf("GOMAXPROCS %d, budget %d: %d shards, want %d", tc.procs, tc.bytes, n, tc.want)
-		}
-		if n > 1 && tc.bytes/int64(n) < minShardBytes {
-			t.Errorf("GOMAXPROCS %d, budget %d: %d shards of under minShardBytes", tc.procs, tc.bytes, n)
-		}
-		c := newShardedCache(tc.bytes, n)
-		if len(c.shards) != n || c.enabled != (tc.bytes > 0) {
-			t.Errorf("budget %d: newShardedCache built %d shards (enabled %v), want %d", tc.bytes, len(c.shards), c.enabled, n)
-		}
-		var total int64
-		for _, sh := range c.shards {
-			if tc.bytes > 0 && sh.maxBytes == 0 {
-				t.Errorf("budget %d over %d shards: a zero-byte shard", tc.bytes, n)
-			}
-			total += sh.maxBytes
-		}
-		if total != max(tc.bytes, 0) {
-			t.Errorf("budget %d over %d shards: shard budgets sum to %d", tc.bytes, n, total)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 	"repro/internal/gen"
 )
 
-// TestCacheEviction drives more distinct failure events than a one-shard
-// byte budget holds and checks LRU bookkeeping plus answer correctness
+// TestCacheEviction drives more distinct failure events than the byte
+// budget holds and checks LRU bookkeeping plus answer correctness
 // throughout; then, white-box on equal-cost entries, the strict LRU order
 // and the exact eviction count.
 func TestCacheEviction(t *testing.T) {
@@ -21,7 +22,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 1 << 10 // about five full tables of n = 16
-	set, err := newSet(st, budget, 1)
+	set, err := NewSet(st, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +135,49 @@ func TestCacheHashCollision(t *testing.T) {
 	}
 	if _, ok := small.get(7, 0, []int32{1}); !ok {
 		t.Fatal("an oversized colliding insert dropped the incumbent")
+	}
+}
+
+// TestCacheIndependentOfHost drives one fixed event stream, whose entries
+// overflow a 256 KiB budget, through NewSet at GOMAXPROCS 1 and 4: the
+// memo's hits, misses, evictions, entries and bytes must not depend on the
+// host's core count.
+func TestCacheIndependentOfHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := gen.SparseGNP(1000, 6, 7)
+	st, err := core.BuildSingle(g, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 256 << 10
+	run := func(procs int) CacheStats {
+		runtime.GOMAXPROCS(procs)
+		set, err := NewSet(st, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := set.Handle()
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 4*g.M(); i++ {
+			// Every edge once, then a skew toward low edge IDs so some
+			// events come back while held and some after eviction.
+			a := i
+			if i >= g.M() {
+				a = rng.Intn(1 + rng.Intn(g.M()))
+			}
+			if _, err := o.Dists(0, []int{a}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return set.CacheStats()
+	}
+	one, four := run(1), run(4)
+	if one.Evictions == 0 {
+		t.Fatalf("the stream fits the %d-byte budget: %+v", budget, one)
+	}
+	if one.Hits != four.Hits || one.Misses != four.Misses || one.Evictions != four.Evictions ||
+		one.Len != four.Len || one.BytesUsed != four.BytesUsed {
+		t.Fatalf("memo depends on GOMAXPROCS:\n  1: %+v\n  4: %+v", one, four)
 	}
 }
 

@@ -161,7 +161,7 @@ func BenchmarkServerBatch1000(b *testing.B) {
 }
 
 // BenchmarkServerBatch1000Parallel runs concurrent 1000-item batches —
-// the multi-core serving shape (sharded cache + one handle per request).
+// the multi-core serving shape (shared memo + one handle per request).
 func BenchmarkServerBatch1000Parallel(b *testing.B) {
 	h, prefix := benchServer(b)
 	body := batchBody(1000)

@@ -145,6 +145,46 @@ func TestBuildCancelE2E(t *testing.T) {
 	}
 }
 
+// TestBuildParallelismBounded posts a dual build asking for 64 workers and
+// checks, while it runs its fan-out, that the server started at most
+// GOMAXPROCS of them: each worker holds its own repair scratch, so a
+// client's parallelism must not set the daemon's memory.
+func TestBuildParallelismBounded(t *testing.T) {
+	s := New(&Config{MaxConcurrentBuilds: 1})
+	h := s.Handler()
+	if code, body := doJSON(t, h, "POST", "/v1/graphs", slowGraph); code != http.StatusCreated {
+		t.Fatalf("create graph: %d %s", code, body)
+	}
+	baseline := runtime.NumGoroutine()
+	code, body := doJSON(t, h, "POST", "/v1/graphs/slow/builds", `{"mode":"dual","sources":[0],"parallelism":64}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("create build: %d %s", code, body)
+	}
+	var created buildInfo
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/graphs/slow/builds/" + created.ID
+	waitFor(t, h, path, 30*time.Second, func(i buildInfo) bool {
+		return i.Status != StatusQueued && (i.Status != StatusBuilding || i.Progress != nil && i.Progress.Dijkstras > 0)
+	})
+	peak := 0
+	for i := 0; i < 20; i++ {
+		peak = max(peak, runtime.NumGoroutine())
+		time.Sleep(time.Millisecond)
+	}
+	// The build goroutine and the pool's workers beyond the inline one,
+	// plus slack for runtime helpers.
+	if limit := baseline + runtime.GOMAXPROCS(0) + 4; peak > limit {
+		t.Errorf("goroutines rose from %d to %d during the build, want at most %d (GOMAXPROCS %d)",
+			baseline, peak, limit, runtime.GOMAXPROCS(0))
+	}
+	t.Logf("goroutines %d before the build, at most %d during it (GOMAXPROCS %d)", baseline, peak, runtime.GOMAXPROCS(0))
+	if code, body := doJSON(t, h, "DELETE", path, ""); code != http.StatusOK && code != http.StatusNoContent {
+		t.Fatalf("DELETE: %d %s", code, body)
+	}
+}
+
 func TestQueuedBuildCancelledNeverStarts(t *testing.T) {
 	s := New(&Config{MaxConcurrentBuilds: 1})
 	if err := s.RegisterGraph("q", &GenSpec{Family: "path", N: 6}); err != nil {
@@ -416,7 +456,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Builds[StatusReady] != 1 || stats.BuildSlots.InUse != 0 {
 		t.Fatalf("ready stats: %+v", stats)
 	}
-	if stats.Cache == nil || stats.Cache.Misses == 0 || stats.Cache.Shards < 1 || stats.Cache.TableBytes == 0 {
+	if stats.Cache == nil || stats.Cache.Misses == 0 || stats.Cache.TableBytes == 0 {
 		t.Fatalf("cache aggregate missing: %+v", stats.Cache)
 	}
 }

@@ -29,9 +29,8 @@
 // lock (a slot the table leaves open falls back to the memo). Routes,
 // whole tables, and every query on a build without a table (other modes,
 // restored or uploaded snapshots) go through the set's failure-event
-// memo, sharded by key hash, so concurrent clients asking about one
-// failure event share a single repair of H∖F without contending on a
-// global lock.
+// memo, so concurrent clients asking about one failure event share a
+// single repair of H∖F.
 package server
 
 import (
@@ -473,7 +472,10 @@ func (s *Server) handleCreateBuild(w http.ResponseWriter, r *http.Request) {
 	s.builds.Add(1)
 	s.mu.Unlock()
 
-	go s.runBuild(ctx, name, gg, be, build, req.Parallelism)
+	// Every worker allocates its own repair scratch, and builds are
+	// identical at every worker count, so workers past the cores only cost
+	// memory: the client's parallelism is capped at GOMAXPROCS.
+	go s.runBuild(ctx, name, gg, be, build, min(req.Parallelism, runtime.GOMAXPROCS(0)))
 	writeJSON(w, http.StatusAccepted, buildInfo{
 		ID: be.id, Graph: name, Mode: be.mode, Sources: be.sources,
 		Seed: be.seed, Status: StatusQueued,

@@ -21,9 +21,8 @@ type statsResponse struct {
 	// by running builds, Capacity is MaxConcurrentBuilds, and Queued
 	// counts builds waiting for a slot.
 	BuildSlots buildSlotsInfo `json:"buildSlots"`
-	// Cache sums CacheStats over every ready build's oracle set (Shards
-	// too, so it reads as "total shards serving queries"). Omitted when no
-	// build is ready.
+	// Cache sums CacheStats over every ready build's oracle set. Omitted
+	// when no build is ready.
 	Cache *oracle.CacheStats `json:"cache,omitempty"`
 }
 
