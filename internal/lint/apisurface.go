@@ -12,8 +12,8 @@ import (
 // in the root package (the ftbfs.go facade) is rendered with its full
 // type signature and diffed against the committed apisurface.lock, so a
 // signature change, a removal, or a new export shows up as a lint
-// finding and — after `ftbfslint -update-locks` — as an ordinary
-// reviewable diff of the lock file.
+// finding and — after regenerating the lock (regenerateCmd) — as an
+// ordinary reviewable diff of the lock file.
 //
 // The analyzer anchors on the package whose import path equals
 // Config.ModulePath and needs Config.LockDir; elsewhere it is inert.
@@ -39,7 +39,7 @@ func runAPISurface(pass *Pass) error {
 	}
 	pkgPos := packageClausePos(pass)
 	if !exists {
-		pass.Reportf(pkgPos, "apisurface.lock missing from %s; run `ftbfslint -update-locks` to record the exported surface", cfg.LockDir)
+		pass.Reportf(pkgPos, "apisurface.lock missing from %s; run `%s` to record the exported surface", cfg.LockDir, regenerateCmd)
 		return nil
 	}
 	reportSurfaceDrift(pass, surface, locked, pkgPos)
@@ -49,11 +49,11 @@ func runAPISurface(pass *Pass) error {
 var apiLockHeader = []string{
 	"ftbfslint apisurface lock file.",
 	"Exported surface of the module facade, one declaration per line.",
-	"Regenerate with `ftbfslint -update-locks` after an intentional API",
+	"Regenerate with `" + regenerateCmd + "` after an intentional API",
 	"change so the diff shows up in review (see DESIGN.md §7).",
 }
 
-const surfaceAdvice = "; run `ftbfslint -update-locks` if the API change is intentional"
+const surfaceAdvice = "; run `" + regenerateCmd + "` if the API change is intentional"
 
 // reportSurfaceDrift diffs by declaration name so findings anchor on the
 // drifted object — or, for removals, on the package clause.

@@ -1,12 +1,13 @@
 // Package lint is ftbfslint: a repo-specific static-analysis suite for
 // the invariants no compiler check or test can hold on its own — hot
-// paths that must not allocate, a mutex acquisition order with no cycles
-// across packages, and the snapshot wire schema and public facade held
-// against committed lock files. It is organized like
+// paths that must not allocate, at most one long-lived mutex held at a
+// time, and the snapshot wire schema and public facade held against
+// committed lock files. It is organized like
 // golang.org/x/tools/go/analysis (an Analyzer with a Run func over a
 // Pass), but implemented on the standard library alone so the module
-// stays dependency-free; cmd/ftbfslint runs the suite as a
-// `go vet -vettool` backend.
+// stays dependency-free. The Loader type-checks packages from source,
+// and TestLintTree runs the suite over every package of the module from
+// `go test`.
 //
 // Two function annotations drive the analyzers:
 //
@@ -14,7 +15,7 @@
 //	//                          constructs
 //	//ftbfs:holds mu            (func) callers are documented to hold `mu`
 //	//ftbfs:holds Server.mu     (or another package-local type's mutex);
-//	//                          the lock-order walk starts with it held
+//	//                          the lockheld walk starts with it held
 //
 // Findings are suppressed staticcheck-style with
 //
@@ -44,15 +45,15 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// A Config carries the whole-program context shared by one RunAnalyzers
-// call: the lock-order facts of the package's dependencies (read from the
-// vetx side channel under `go vet`, or computed in-process by the
-// Loader), the location of the committed lock files, and the regenerate
-// switch. The zero value is valid: hotalloc ignores it entirely, and the
-// whole-program analyzers degrade to single-package scope.
+// A Config carries the module context shared by one Analyze call: the
+// module path, the location of the committed lock files, and the
+// regenerate switch. The zero value is valid: hotalloc ignores it
+// entirely, lockheld skips its cross-package rule, and the lock-file
+// analyzers are inert.
 type Config struct {
 	// ModulePath is the import path of the module root package. The
-	// apisurface analyzer anchors on it; "" disables that analyzer.
+	// apisurface analyzer anchors on it, and lockheld's cross-package
+	// rule covers the packages under it; "" disables both.
 	ModulePath string
 	// LockDir is the directory holding snapschema.lock/apisurface.lock.
 	// "" disables the lock-file analyzers.
@@ -60,13 +61,6 @@ type Config struct {
 	// UpdateLocks rewrites the lock files from the observed state instead
 	// of diffing against them.
 	UpdateLocks bool
-	// Deps holds the lock-order facts of (transitive) dependencies.
-	Deps []*PackageFacts
-
-	// Facts receives the lock-order facts computed for this package
-	// (set by the lockorder analyzer; pass-through of Deps when the
-	// package is out of lock scope).
-	Facts *PackageFacts
 }
 
 // A Pass hands one type-checked package to an analyzer.
@@ -101,24 +95,23 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Suite returns the ftbfslint analyzers in stable order: the
-// intraprocedural hotalloc first, then the whole-program tier.
+// Suite returns the ftbfslint analyzers in stable order: the code
+// checks hotalloc and lockheld first, then the lock-file analyzers.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc,
-		LockOrder,
+		LockHeld,
 		SnapSchema,
 		APISurface,
 	}
 }
 
-// RunAnalyzers runs the analyzers over one type-checked package and
+// runAnalyzers runs the analyzers over one type-checked package and
 // returns the surviving diagnostics: findings suppressed by a well-formed
 // //lint:ignore are dropped, malformed or unused ignore directives are
 // reported as findings of the pseudo-analyzer "ignore", and the result is
-// sorted by position. cfg may be nil (single-package scope, no lock
-// files).
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
+// sorted by position. cfg may be nil (the zero Config).
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
 	if cfg == nil {
 		cfg = &Config{}
 	}
@@ -251,22 +244,6 @@ func hasDirective(doc *ast.CommentGroup, name string) bool {
 	return false
 }
 
-// packageHasDirective reports whether any comment in the package carries
-// the bare //ftbfs:<name> directive.
-func packageHasDirective(files []*ast.File, name string) bool {
-	want := "//ftbfs:" + name
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if c.Text == want {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // ---- shared type helpers ----
 
 // deref strips one level of pointer.
@@ -332,20 +309,6 @@ func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
 	return ok && fn.Pkg() != nil && isPkgPathSuffix(fn.Pkg(), pkgPath)
 }
 
-// nonTestFiles drops _test.go files: the whole-program analyzers check
-// long-lived production invariants (lock order, wire schemas), and test
-// processes are bounded by definition.
-func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
-	out := make([]*ast.File, 0, len(files))
-	for _, f := range files {
-		if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
 // funcDecls yields every function declaration in the pass's files.
 func funcDecls(files []*ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
@@ -379,4 +342,14 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// sortedMapKeys returns m's keys in sorted order.
+func sortedMapKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -27,20 +27,22 @@ func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, fixtureLoader(), lint.HotAlloc, "hotalloctest")
 }
 
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.LockOrder, "lockordertest")
+func TestLockHeld(t *testing.T) {
+	linttest.Run(t, fixtureLoader(), lint.LockHeld, "lockheldtest")
 }
 
-// TestLockOrderCrossPackage pins the facts side channel: the cycle spans
-// liba and libb and is only visible in the merged edge graph.
-func TestLockOrderCrossPackage(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.LockOrder, "lockorderx/libb")
+// TestLockHeldCrossPackage pins rule (b): libb calls liba.Lock1 while
+// holding liba's M2.Mu, and liba declares a mutex.
+func TestLockHeldCrossPackage(t *testing.T) {
+	linttest.RunConfig(t, fixtureLoader(), lint.LockHeld, "lockheldx/libb",
+		&lint.Config{ModulePath: "lockheldx"})
 }
 
-// TestLockOrderHalfCycleSilent: liba alone holds only one direction of
-// the cycle and must not report.
-func TestLockOrderHalfCycleSilent(t *testing.T) {
-	linttest.Run(t, fixtureLoader(), lint.LockOrder, "lockorderx/liba")
+// TestLockHeldCalleePackage: liba's own nesting (Both) is reported in
+// liba, and nothing else there is.
+func TestLockHeldCalleePackage(t *testing.T) {
+	linttest.RunConfig(t, fixtureLoader(), lint.LockHeld, "lockheldx/liba",
+		&lint.Config{ModulePath: "lockheldx"})
 }
 
 func TestSnapSchema(t *testing.T) {
@@ -73,7 +75,7 @@ func TestAPISurfaceDrift(t *testing.T) {
 // TestSuiteOnSeedbed double-checks that the seeded-bug baseline package is
 // clean under the full suite (the seeded test depends on it).
 func TestSuiteOnSeedbed(t *testing.T) {
-	diags, err := fixtureLoader().Analyze("seedbed", lint.Suite())
+	diags, err := fixtureLoader().Analyze("seedbed", lint.Suite(), nil)
 	if err != nil {
 		t.Fatalf("analyzing seedbed: %v", err)
 	}

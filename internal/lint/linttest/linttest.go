@@ -34,16 +34,14 @@ func Run(t *testing.T, l *lint.Loader, a *lint.Analyzer, pkgPath string) {
 	RunConfig(t, l, a, pkgPath, nil)
 }
 
-// RunConfig is Run with an explicit whole-program Config (lock dirs,
-// dependency facts — facts are computed from the loader when cfg leaves
-// Deps nil).
+// RunConfig is Run with an explicit Config (module path, lock dir).
 func RunConfig(t *testing.T, l *lint.Loader, a *lint.Analyzer, pkgPath string, cfg *lint.Config) {
 	t.Helper()
 	p, err := l.Load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	diags, err := l.AnalyzeWP(pkgPath, []*lint.Analyzer{a}, cfg)
+	diags, err := l.Analyze(pkgPath, []*lint.Analyzer{a}, cfg)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
 	}

@@ -14,20 +14,20 @@ import (
 	"sync"
 )
 
-// Loader type-checks packages from source for in-process analysis (tests,
-// the seeded-bug harness). Import resolution order:
+// Loader type-checks packages from source for in-process analysis. It is
+// the suite's one front end: TestLintTree lints the module through it,
+// and the analyzer fixtures and seeded-bug harness load through it.
+// Import resolution order:
 //
 //  1. GOPATH-style SrcDirs roots (<root>/<importpath>/*.go) — the
 //     analysistest convention, so fixtures can stub repro/internal/...
 //  2. the module mapping (ModulePath -> ModuleDir)
 //  3. the standard library, type-checked from GOROOT source via
 //     go/importer's source importer (works offline, no export data
-//     needed)
+//     needed), once per process for all Loaders
 //
-// Production linting does not go through the Loader: cmd/ftbfslint runs
-// under `go vet -vettool`, which supplies compiler export data per
-// package (see unit.go). The Loader exists so analyzer tests need neither
-// a go toolchain subprocess nor network.
+// Only non-test files are loaded: the analyzers check production code,
+// and test processes are bounded by definition.
 type Loader struct {
 	Fset       *token.FileSet
 	SrcDirs    []string
@@ -37,8 +37,22 @@ type Loader struct {
 	mu      sync.Mutex
 	pkgs    map[string]*LoadedPackage
 	loading map[string]bool
-	std     types.ImporterFrom
 }
+
+// Every Loader shares one FileSet and one standard library: the lint
+// tests build a Loader for the module and several for fixtures, and the
+// standard packages they import are the bulk of the type-checking. The
+// source importer is not safe for concurrent use, and it rereads a
+// package's directory on every call, so calls are serialized and their
+// results memoized by import path.
+var (
+	sharedFset = token.NewFileSet()
+	std        struct {
+		sync.Mutex
+		imp  types.ImporterFrom
+		pkgs map[string]*types.Package
+	}
+)
 
 // LoadedPackage is one type-checked package with its syntax retained.
 type LoadedPackage struct {
@@ -52,15 +66,13 @@ type LoadedPackage struct {
 // NewLoader returns a loader over the given fixture roots (searched in
 // order before the module mapping).
 func NewLoader(modulePath, moduleDir string, srcDirs ...string) *Loader {
-	fset := token.NewFileSet()
 	return &Loader{
-		Fset:       fset,
+		Fset:       sharedFset,
 		SrcDirs:    srcDirs,
 		ModulePath: modulePath,
 		ModuleDir:  moduleDir,
 		pkgs:       make(map[string]*LoadedPackage),
 		loading:    make(map[string]bool),
-		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
 }
 
@@ -91,7 +103,26 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.Types, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return importStd(path, dir, mode)
+}
+
+// importStd imports a standard-library package through the shared
+// source importer.
+func importStd(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	std.Lock()
+	defer std.Unlock()
+	if std.imp == nil {
+		std.imp = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+		std.pkgs = make(map[string]*types.Package)
+	}
+	if p, ok := std.pkgs[path]; ok {
+		return p, nil
+	}
+	p, err := std.imp.ImportFrom(path, dir, mode)
+	if err == nil {
+		std.pkgs[path] = p
+	}
+	return p, err
 }
 
 // resolveDir maps an import path to a source directory.
@@ -193,61 +224,12 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// Analyze loads the package and runs the given analyzers over it.
-func (l *Loader) Analyze(path string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return l.AnalyzeWP(path, analyzers, nil)
-}
-
-// AnalyzeWP is Analyze with a Config: it additionally computes lock-order
-// facts for every source-resolvable dependency of the target (transitively,
-// so facts propagate through neutral import hops the way vet's vetx chain
-// does in production) and hands them to the whole-program analyzers.
-func (l *Loader) AnalyzeWP(path string, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
+// Analyze loads the package and runs the given analyzers over it with
+// cfg (nil means the zero Config).
+func (l *Loader) Analyze(path string, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
 	p, err := l.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	if cfg == nil {
-		cfg = &Config{}
-	}
-	if cfg.Deps == nil {
-		memo := make(map[string]*PackageFacts)
-		for _, imp := range p.Types.Imports() {
-			if f := l.lockFacts(imp.Path(), memo); f != nil {
-				cfg.Deps = append(cfg.Deps, f)
-			}
-		}
-	}
-	return RunAnalyzers(l.Fset, p.Files, p.Types, p.Info, analyzers, cfg)
-}
-
-// lockFacts computes (memoized) lock-order facts for a dependency, or a
-// passthrough record when the package is outside the lock scope. Std
-// packages that don't resolve through SrcDirs/module mapping yield nil.
-func (l *Loader) lockFacts(path string, memo map[string]*PackageFacts) *PackageFacts {
-	if f, ok := memo[path]; ok {
-		return f
-	}
-	memo[path] = nil // break cycles
-	if _, ok := l.resolveDir(path); !ok {
-		return nil
-	}
-	p, err := l.Load(path)
-	if err != nil {
-		return nil
-	}
-	var deps []*PackageFacts
-	for _, imp := range p.Types.Imports() {
-		if f := l.lockFacts(imp.Path(), memo); f != nil {
-			deps = append(deps, f)
-		}
-	}
-	var facts *PackageFacts
-	if lockOrderInScope(p.Files, p.Types) {
-		facts = ComputeLockFacts(l.Fset, p.Files, p.Types, p.Info, deps)
-	} else {
-		facts = PassthroughFacts(path, deps)
-	}
-	memo[path] = facts
-	return facts
+	return runAnalyzers(l.Fset, p.Files, p.Types, p.Info, analyzers, cfg)
 }

@@ -8,13 +8,15 @@ import (
 // Lock files are committed fingerprints of state that must not drift
 // silently: the snapshot wire schema and the exported facade surface.
 // They live in the directory Config.LockDir names (in this repo,
-// internal/lint/testdata) and are regenerated with
-// `ftbfslint -update-locks`. Generation is deterministic, so two
-// consecutive regenerations are byte-identical — which is what lets CI
-// diff them and reviewers see schema changes as ordinary file diffs.
+// internal/lint/testdata) and are regenerated with regenerateCmd, run
+// from the module root. Generation is deterministic, so two consecutive
+// regenerations are byte-identical — which is what lets a test diff them
+// and reviewers see schema changes as ordinary file diffs.
 const (
 	SnapSchemaLockFile = "snapschema.lock"
 	APISurfaceLockFile = "apisurface.lock"
+
+	regenerateCmd = "go test ./internal/lint -run TestLintTree -update-locks"
 )
 
 // readLockLines loads a lock file's content lines, dropping '#' comment

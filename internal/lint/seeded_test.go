@@ -79,7 +79,7 @@ func analyzeSeed(t *testing.T, src string) []lint.Diagnostic {
 		t.Fatal(err)
 	}
 	l := lint.NewLoader("", "", filepath.Dir(dir), "testdata/src")
-	diags, err := l.Analyze("seedbed", lint.Suite())
+	diags, err := l.Analyze("seedbed", lint.Suite(), nil)
 	if err != nil {
 		t.Fatalf("analyzing mutated seedbed: %v", err)
 	}

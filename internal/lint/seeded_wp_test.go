@@ -10,13 +10,15 @@ import (
 )
 
 // TestSeededWholeProgramViolations is the seeded-bug harness for the
-// whole-program analyzers: each case plants exactly one violation into a
-// clean fixture (an inverted lock pair, a reordered snapshot field, a
-// deleted facade export) and asserts the suite reports
-// it — the right analyzer, the exact planted line, and nothing else.
+// analyzers that need module context: each case plants exactly one
+// violation into a clean fixture (a nested acquisition, a call into a
+// package with a mutex under a lock, a reordered snapshot field, a
+// deleted facade export) and asserts the suite reports it — the right
+// analyzer, the exact planted line, and nothing else.
 func TestSeededWholeProgramViolations(t *testing.T) {
 	cases := []struct {
-		name       string // also the analyzer expected to fire
+		name       string
+		analyzer   string // the analyzer expected to fire
 		fixture    string // testdata/src-relative package dir to mutate
 		pkg        string // import path of the mutated package
 		cfg        *lint.Config
@@ -26,33 +28,45 @@ func TestSeededWholeProgramViolations(t *testing.T) {
 		pkgClause  bool // finding anchors at the package clause instead
 	}{
 		{
-			name:    "lockorder",
-			fixture: "wpseed",
-			pkg:     "wpseed",
-			// Invert sweep: R.mu before S.mu, against the package order
-			// established by drain. The cycle is reported at its
-			// lexically-first own edge — the planted s.mu.Lock, one line
-			// below the start of the mutation.
-			old:        "\ts.mu.Lock()\n\tr.mu.Lock()\n\tr.mu.Unlock()\n\ts.mu.Unlock()\n",
-			new:        "\tr.mu.Lock()\n\ts.mu.Lock()\n\ts.mu.Unlock()\n\tr.mu.Unlock()\n",
-			wantMsg:    "lock-order cycle (potential deadlock): wpseed.R.mu -> wpseed.S.mu -> wpseed.R.mu",
+			name:     "lockheld-nested",
+			analyzer: "lockheld",
+			fixture:  "wpseed",
+			pkg:      "wpseed",
+			cfg:      &lint.Config{ModulePath: "wpseed"},
+			// Take S.mu before releasing R.mu in drain.
+			old:     "\tr.mu.Unlock()\n\ts.mu.Lock()\n",
+			new:     "\ts.mu.Lock()\n\tr.mu.Unlock()\n",
+			wantMsg: "s.mu.Lock() acquires lock wpseed.S.mu while holding wpseed.R.mu",
+		},
+		{
+			name:     "lockheld-call",
+			analyzer: "lockheld",
+			fixture:  "wpseed",
+			pkg:      "wpseed",
+			cfg:      &lint.Config{ModulePath: "wpseed"},
+			// Read the store under R.mu in record.
+			old:        "\tn := st.Len()\n\tr.mu.Lock()\n",
+			new:        "\tr.mu.Lock()\n\tn := st.Len()\n",
+			wantMsg:    "call to store.Store.Len while holding wpseed.R.mu",
 			lineOffset: 1,
 		},
 		{
-			name:    "snapschema",
-			fixture: "snapschematest/internal/snap",
-			pkg:     "snapschematest/internal/snap",
-			cfg:     &lint.Config{LockDir: "testdata/src/snapschematest"},
+			name:     "snapschema",
+			analyzer: "snapschema",
+			fixture:  "snapschematest/internal/snap",
+			pkg:      "snapschematest/internal/snap",
+			cfg:      &lint.Config{LockDir: "testdata/src/snapschematest"},
 			// Reorder Meta's fields: same data, different wire layout.
 			old:     "\tName string `json:\"name\"`\n\tSeed int64  `json:\"seed,omitempty\"`\n",
 			new:     "\tSeed int64  `json:\"seed,omitempty\"`\n\tName string `json:\"name\"`\n",
 			wantMsg: "snapshot schema drift in struct internal/snap.Meta",
 		},
 		{
-			name:    "apisurface",
-			fixture: "apisurfacetest",
-			pkg:     "apisurfacetest",
-			cfg:     &lint.Config{ModulePath: "apisurfacetest", LockDir: "testdata/src/apisurfacetest"},
+			name:     "apisurface",
+			analyzer: "apisurface",
+			fixture:  "apisurfacetest",
+			pkg:      "apisurfacetest",
+			cfg:      &lint.Config{ModulePath: "apisurfacetest", LockDir: "testdata/src/apisurfacetest"},
 			// Delete an exported constructor; the removal is anchored at
 			// the package clause (the declaration no longer exists).
 			old:       "func New() *Counter { return &Counter{} }\n",
@@ -80,8 +94,8 @@ func TestSeededWholeProgramViolations(t *testing.T) {
 					tc.name, len(diags), formatDiags(diags))
 			}
 			d := diags[0]
-			if d.Analyzer != tc.name {
-				t.Errorf("seeded %s violation reported by %q: %s", tc.name, d.Analyzer, d)
+			if d.Analyzer != tc.analyzer {
+				t.Errorf("seeded %s violation reported by %q, want %q: %s", tc.name, d.Analyzer, tc.analyzer, d)
 			}
 			if !strings.Contains(d.Message, tc.wantMsg) {
 				t.Errorf("finding %q does not mention %q", d.Message, tc.wantMsg)
@@ -128,7 +142,7 @@ func readFixture(t *testing.T, fixture string) string {
 // analyzeWPSeed writes src as the fixture package into a temp source root
 // shadowing testdata/src (sibling fixture packages and lock dirs still
 // resolve from the committed tree) and runs the full suite with the
-// case's whole-program config.
+// case's config.
 func analyzeWPSeed(t *testing.T, fixture, pkg, src string, cfg *lint.Config) []lint.Diagnostic {
 	t.Helper()
 	root := t.TempDir()
@@ -140,12 +154,7 @@ func analyzeWPSeed(t *testing.T, fixture, pkg, src string, cfg *lint.Config) []l
 		t.Fatal(err)
 	}
 	l := lint.NewLoader("", "", root, "testdata/src")
-	var runCfg *lint.Config
-	if cfg != nil {
-		c := *cfg
-		runCfg = &c
-	}
-	diags, err := l.AnalyzeWP(pkg, lint.Suite(), runCfg)
+	diags, err := l.Analyze(pkg, lint.Suite(), cfg)
 	if err != nil {
 		t.Fatalf("analyzing mutated %s: %v", fixture, err)
 	}

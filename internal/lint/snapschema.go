@@ -20,7 +20,7 @@ import (
 // snapschema.lock. Any drift is a finding unless the fingerprint's
 // format version differs from the locked one: bumping snap.Version is
 // the declared way to change the wire format, and regenerating the lock
-// with `ftbfslint -update-locks` is the declared way to bless a change
+// (regenerateCmd) is the declared way to bless a change
 // that provably leaves the encoding alone (a comment-only tag edit, a
 // rename that no section serializes).
 //
@@ -54,7 +54,7 @@ func runSnapSchema(pass *Pass) error {
 	}
 	pkgPos := packageClausePos(pass)
 	if !exists {
-		pass.Reportf(pkgPos, "snapschema.lock missing from %s; run `ftbfslint -update-locks` to record the wire schema", pass.Cfg.LockDir)
+		pass.Reportf(pkgPos, "snapschema.lock missing from %s; run `%s` to record the wire schema", pass.Cfg.LockDir, regenerateCmd)
 		return nil
 	}
 	// A differing Version constant IS the wire-format bump: every other
@@ -70,7 +70,7 @@ var snapLockHeader = []string{
 	"ftbfslint snapschema lock file.",
 	"Structural fingerprint of the snapshot wire contract: Magic/Version,",
 	"the section-ID table, and every struct reachable from Meta/Snapshot.",
-	"Regenerate with `ftbfslint -update-locks` — and bump snap.Version",
+	"Regenerate with `" + regenerateCmd + "` — and bump snap.Version",
 	"first if the change alters the encoding (see DESIGN.md §7).",
 }
 
@@ -113,7 +113,7 @@ func reportSchemaDrift(pass *Pass, fp []fpLine, locked []string, pkgPos token.Po
 	}
 }
 
-const schemaAdvice = "; bump snap.Version for a wire-format change, or run `ftbfslint -update-locks` if the encoding is provably unchanged"
+const schemaAdvice = "; bump snap.Version for a wire-format change, or run `" + regenerateCmd + "` if the encoding is provably unchanged"
 
 // fpBlock groups fingerprint lines under their header ("" for the
 // consts/sections preamble, otherwise the struct/type line itself).
@@ -178,11 +178,7 @@ func lineTexts(fp []fpLine) []string {
 }
 
 func packageClausePos(pass *Pass) token.Pos {
-	files := nonTestFiles(pass.Fset, pass.Files)
-	if len(files) == 0 {
-		files = pass.Files
-	}
-	return files[0].Name.Pos()
+	return pass.Files[0].Name.Pos()
 }
 
 // ---- fingerprint computation ----
@@ -298,7 +294,7 @@ func walkFieldType(t types.Type, push func(*types.Named)) {
 // on-wire section IDs — sorted by name.
 func sectionTable(pass *Pass) []fpLine {
 	var secs []fpLine
-	for _, f := range nonTestFiles(pass.Fset, pass.Files) {
+	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
 			if !ok || gd.Tok != token.VAR {

@@ -1,10 +1,9 @@
-// Package lockordertest pins the lockorder analyzer: cycle detection over
-// direct acquisitions, //ftbfs:holds seeding, call-summary propagation,
-// self-acquisition, and the shapes that must stay silent (consistent
-// order, release-before-acquire, TryLock, branches, function literals).
-//
-//ftbfs:lockorder
-package lockordertest
+// Package lockheldtest pins the lockheld analyzer: a second acquisition
+// while a long-lived mutex is held — direct, under //ftbfs:holds, through
+// a call summary, or of the held lock itself — and the shapes that must
+// stay silent (release-before-acquire, TryLock, branches, function
+// literals, function-local mutexes).
+package lockheldtest
 
 import "sync"
 
@@ -12,20 +11,19 @@ type A struct{ mu sync.Mutex }
 
 type B struct{ mu sync.Mutex }
 
-// lockAB and lockBA inverted: classic two-lock deadlock. The cycle is
-// reported once, at the sorted-first own edge (A.mu -> B.mu), which is
-// the inner acquisition below.
+// lockAB and lockBA inverted: the classic two-lock deadlock. Each nested
+// acquisition is reported on its own.
 func lockAB(a *A, b *B) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b.mu.Lock() // want `lock-order cycle \(potential deadlock\): lockordertest\.A\.mu -> lockordertest\.B\.mu -> lockordertest\.A\.mu`
+	b.mu.Lock() // want `b\.mu\.Lock\(\) acquires lock lockheldtest\.B\.mu while holding lockheldtest\.A\.mu \(a\.mu\.Lock\(\) at lockheldtest\.go:17\)`
 	defer b.mu.Unlock()
 }
 
 func lockBA(a *A, b *B) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	a.mu.Lock()
+	a.mu.Lock() // want `acquires lock lockheldtest\.A\.mu while holding lockheldtest\.B\.mu`
 	defer a.mu.Unlock()
 }
 
@@ -35,32 +33,31 @@ type C struct{ mu sync.Mutex }
 
 //ftbfs:holds mu
 func (c *C) reenter() {
-	c.mu.Lock() // want `lock lockordertest\.C\.mu acquired while already held`
+	c.mu.Lock() // want `acquires lock lockheldtest\.C\.mu while already held \(//ftbfs:holds\)`
 	c.mu.Unlock()
 }
 
-// Holds-seeded cycle: F.mu -> G.mu comes from the annotation, the inverse
-// from gThenF. Reported at the sorted-first own edge, inside fLocked.
+// Holds-seeded pair: fLocked starts with F.mu held; gThenF nests the
+// other way round.
 type F struct{ mu sync.Mutex }
 
 type G struct{ mu sync.Mutex }
 
 //ftbfs:holds mu
 func (f *F) fLocked(g *G) {
-	g.mu.Lock() // want `lock-order cycle \(potential deadlock\): lockordertest\.F\.mu -> lockordertest\.G\.mu -> lockordertest\.F\.mu`
+	g.mu.Lock() // want `acquires lock lockheldtest\.G\.mu while holding lockheldtest\.F\.mu \(//ftbfs:holds\)`
 	defer g.mu.Unlock()
 }
 
 func gThenF(f *F, g *G) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	f.mu.Lock()
+	f.mu.Lock() // want `acquires lock lockheldtest\.F\.mu while holding lockheldtest\.G\.mu`
 	f.mu.Unlock()
 }
 
-// Cycle through a call summary: dThenCallE acquires D.mu then calls
-// lockE (which acquires E.mu), eThenD inverts. The via-call edge closes
-// the cycle, anchored on the call site.
+// Acquisition through a call summary: dThenCallE holds D.mu and calls
+// lockE, which acquires E.mu; the finding anchors on the call site.
 type D struct{ mu sync.Mutex }
 
 type E struct{ mu sync.Mutex }
@@ -73,39 +70,39 @@ func lockE(e *E) {
 func dThenCallE(d *D, e *E) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	lockE(e) // want `lock-order cycle \(potential deadlock\): lockordertest\.D\.mu -> lockordertest\.E\.mu -> lockordertest\.D\.mu`
+	lockE(e) // want `call to lockE acquires lock lockheldtest\.E\.mu while holding lockheldtest\.D\.mu`
 }
 
 func eThenD(d *D, e *E) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d.mu.Lock()
+	d.mu.Lock() // want `acquires lock lockheldtest\.D\.mu while holding lockheldtest\.E\.mu`
 	d.mu.Unlock()
 }
-
-// ---- shapes that must stay silent ----
 
 type P struct{ mu sync.Mutex }
 
 type Q struct{ mu sync.Mutex }
 
-// Consistent order everywhere: no cycle, no finding.
+// Consistent nesting is nested all the same: one long-lived mutex at a
+// time, so both are reported.
 func pThenQ(p *P, q *Q) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q.mu.Lock()
+	q.mu.Lock() // want `acquires lock lockheldtest\.Q\.mu while holding lockheldtest\.P\.mu`
 	defer q.mu.Unlock()
 }
 
 func pThenQAgain(p *P, q *Q) {
 	p.mu.Lock()
-	q.mu.Lock()
+	q.mu.Lock() // want `acquires lock lockheldtest\.Q\.mu while holding lockheldtest\.P\.mu`
 	q.mu.Unlock()
 	p.mu.Unlock()
 }
 
-// Release before the second acquire: never held together, so the
-// inverted textual order is fine.
+// ---- shapes that must stay silent ----
+
+// Release before the second acquire: never held together.
 func qAfterP(p *P, q *Q) {
 	q.mu.Lock()
 	q.mu.Unlock()
@@ -113,8 +110,7 @@ func qAfterP(p *P, q *Q) {
 	p.mu.Unlock()
 }
 
-// TryLock cannot block: no edge even while P.mu is held (but a cycle
-// through it would still need the inverse, which does not exist).
+// TryLock cannot block: no finding even while P.mu is held.
 func tryUnderP(p *P, q *Q) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -135,7 +131,7 @@ func branchScoped(p *P, q *Q) {
 }
 
 // Function literals run on their own schedule: the held set does not
-// leak into them, and their acquisitions do not order against ours.
+// leak into them.
 func literalIsolated(p *P, q *Q) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/server/batchcodec"
+	"repro/internal/snap"
 )
 
 // postBinary sends one binary batch frame to a build's query endpoint.
@@ -300,7 +301,8 @@ func TestOrderedBuildSourceNumbering(t *testing.T) {
 // BFS-renumbered copy) on top of a plain registration of the same graph.
 // The restored build must report the registered source, answer a binary
 // batch byte for byte like a plain build of the graph made here, and
-// serve its snapshot as stored. A PUT of the same file installs too.
+// serve its snapshot as the version-1 encoding of the stored file under
+// this registry's names. A PUT of the same file installs too.
 func TestOrderedSnapshotRestart(t *testing.T) {
 	legacy, err := os.ReadFile("../../testdata/golden-v2-ordered-dual-sparse-gnp-80.ftbfs")
 	if err != nil {
@@ -345,8 +347,17 @@ func TestOrderedSnapshotRestart(t *testing.T) {
 		t.Fatalf("restored legacy build answered differently (%d vs %d bytes)", len(got), len(want))
 	}
 
-	if code, body := c.do("GET", "/v1/graphs/g/builds/b1/snapshot", nil); code != http.StatusOK || !bytes.Equal(body, legacy) {
-		t.Fatalf("GET snapshot: %d, %d bytes; want the stored %d-byte file", code, len(body), len(legacy))
+	sn, err := snap.Decode(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn.Meta.Graph, sn.Meta.Build = "g", "b1"
+	var enc bytes.Buffer
+	if err := snap.Encode(&enc, sn); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := c.do("GET", "/v1/graphs/g/builds/b1/snapshot", nil); code != http.StatusOK || !bytes.Equal(body, enc.Bytes()) {
+		t.Fatalf("GET snapshot: %d, %d bytes; want the %d-byte version-1 encoding of the stored file", code, len(body), enc.Len())
 	}
 	req, err := http.NewRequest("PUT", c.srv.URL+"/v1/graphs/g/builds/b9/snapshot", bytes.NewReader(legacy))
 	if err != nil {

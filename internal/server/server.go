@@ -419,6 +419,21 @@ type buildInfo struct {
 	// pending → saved | failed (SnapshotError holds the failure).
 	Snapshot      string `json:"snapshot,omitempty"`
 	SnapshotError string `json:"snapshotError,omitempty"`
+
+	// set is a ready build's oracle set, read under Server.mu; withCache
+	// fills Cache from it once the lock is released.
+	set *oracle.OracleSet
+}
+
+// withCache returns info with its memo counters filled in. Call it after
+// releasing Server.mu: CacheStats takes the memo's own mutex, and a ready
+// build's set never changes, so it needs no server lock.
+func (info buildInfo) withCache() buildInfo {
+	if info.set != nil {
+		cs := info.set.CacheStats()
+		info.Cache = &cs
+	}
+	return info
 }
 
 func (s *Server) handleCreateBuild(w http.ResponseWriter, r *http.Request) {
@@ -694,8 +709,9 @@ func durationMS(d time.Duration) float64 {
 	return float64(d.Microseconds()) / 1000
 }
 
-// buildInfoLocked renders one build's wire info. Callers must hold s.mu
-// (read suffices).
+// buildInfoLocked renders one build's wire info but for its memo
+// counters. Callers must hold s.mu (read suffices) and call withCache on
+// the result after releasing it.
 //
 //ftbfs:holds Server.mu
 func (s *Server) buildInfoLocked(graphName string, be *buildEntry) buildInfo {
@@ -738,8 +754,7 @@ func (s *Server) buildInfoLocked(graphName string, be *buildEntry) buildInfo {
 			MaxE2:        be.st.Stats.MaxE2,
 			NewEndingPiD: be.st.Stats.NewEndingPiD,
 		}
-		cs := be.set.CacheStats()
-		info.Cache = &cs
+		info.set = be.set
 		info.Restored = be.restored
 		info.Snapshot = be.snapState
 		info.SnapshotError = be.snapErr
@@ -759,7 +774,7 @@ func (s *Server) handleGetBuild(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, info.withCache())
 }
 
 // cancelWaitMax bounds how long DELETE on a running build waits for the
@@ -798,7 +813,7 @@ func (s *Server) handleDeleteBuild(w http.ResponseWriter, r *http.Request) {
 		s.mu.RLock()
 		info := s.buildInfoLocked(g.name, be)
 		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, info)
+		writeJSON(w, http.StatusOK, info.withCache())
 		return
 	}
 	if err == nil {

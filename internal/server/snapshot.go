@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -163,26 +162,22 @@ func graphsEqual(a, b *graph.Graph) bool {
 	return true
 }
 
-// handleGetSnapshot streams a ready build as one snapshot file. When the
-// store already holds the encoded bytes they are copied straight through;
-// otherwise (no store, or persistence still pending) the snapshot is
-// encoded from live state on the fly. The response is identical either
-// way, because the encoding is deterministic, with one exception: a
-// legacy version-2 file restored from the store is served as stored,
-// while a live encoding of the same build is its version-1 equivalent.
+// handleGetSnapshot streams a ready build as one snapshot file, encoded
+// from live state. The encoding is deterministic, so this is byte for
+// byte the copy a Store holds for the build, without trusting that copy:
+// a torn or pruned stored file is never served. A build restored from a
+// legacy version-2 file is served as its version-1 equivalent.
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	g, be, err := s.resolveLocked(r)
 	var (
 		sn     *snap.Snapshot
 		status string
-		saved  bool
 	)
 	if err == nil {
 		status = be.status
 		if status == StatusReady {
 			sn = snapshotOf(g.name, be)
-			saved = be.snapState == SnapSaved
 		}
 	}
 	s.mu.RUnlock()
@@ -193,16 +188,6 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	if status != StatusReady {
 		writeErr(w, http.StatusConflict, "build is %s, not ready", status)
 		return
-	}
-	if saved {
-		if rc, err := s.cfg.Store.Open(sn.Meta.Graph, sn.Meta.Build); err == nil {
-			defer rc.Close()
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = io.Copy(w, rc)
-			return
-		}
-		// Store read failed after a recorded save (file pruned by an
-		// operator?): fall through to live encoding, which needs no store.
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_ = snap.Encode(w, sn)
@@ -253,5 +238,5 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	info := s.buildInfoLocked(graphName, be)
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusCreated, info)
+	writeJSON(w, http.StatusCreated, info.withCache())
 }

@@ -406,6 +406,27 @@ func TestDiskStoreAtomicityAndListing(t *testing.T) {
 	if string(got) != "data" {
 		t.Fatalf("Open read %q", got)
 	}
+	// A failing replace leaves the old snapshot readable, and no failed
+	// write leaves its temp file behind.
+	err = s.Put("g", "b1", func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of the new")); err != nil {
+			return err
+		}
+		return fmt.Errorf("boom again")
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom again") {
+		t.Fatalf("failed replace: Put error = %v", err)
+	}
+	rc, err = s.Open("g", "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ = io.ReadAll(rc)
+	rc.Close()
+	if string(got) != "data" {
+		t.Fatalf("after a failed replace Open read %q, want the old bytes", got)
+	}
+	noTempFiles(t, filepath.Join(dir, "g"))
 	// Path traversal attempts are rejected outright.
 	if err := s.Put("../evil", "b1", func(io.Writer) error { return nil }); err == nil {
 		t.Fatal("traversal graph name accepted")

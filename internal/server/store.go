@@ -14,11 +14,12 @@ import (
 )
 
 // A Store persists encoded build snapshots keyed by (graph, build). The
-// server snapshots completed builds into it in the background and warm-
-// starts from it on boot; the GET/PUT snapshot endpoints stream through
-// it. Implementations must be safe for concurrent use. Keys must satisfy
-// the registry name grammar (see nameRe); stores reject anything else, so
-// a hostile build ID can never become a path traversal.
+// server snapshots completed and PUT builds into it (ready builds in the
+// background, PUT ones before answering) and warm-starts from it on boot;
+// GET snapshot encodes live state and never reads it. Implementations
+// must be safe for concurrent use. Keys must satisfy the registry name
+// grammar (see nameRe); stores reject anything else, so a hostile build
+// ID can never become a path traversal.
 type Store interface {
 	// Put atomically replaces the snapshot under the key with whatever
 	// write produces: a reader must never observe a partial write.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -147,7 +149,7 @@ func TestStoreFaultFailedPut(t *testing.T) {
 }
 
 // TestStoreFaultOpen: when the store cannot open a saved snapshot, GET
-// snapshot falls back to the live encoding, and a warm start names the
+// snapshot still answers the live encoding, and a warm start names the
 // key and registers nothing.
 func TestStoreFaultOpen(t *testing.T) {
 	fs := newFaultStore()
@@ -168,6 +170,105 @@ func TestStoreFaultOpen(t *testing.T) {
 	c2 := newStoreClient(t, srv2)
 	if code, body := c2.do("GET", "/v1/graphs/net/builds/"+info.ID, nil); code != http.StatusNotFound {
 		t.Fatalf("unopenable snapshot registered: %d %s", code, body)
+	}
+}
+
+// TestStoreFaultTornCopyNotServed: the store keeps only the first half of
+// a PUT's persisted copy while reporting success, so the build reads
+// "snapshot":"saved". GET snapshot must still answer the whole live
+// encoding, never the torn stored copy.
+func TestStoreFaultTornCopyNotServed(t *testing.T) {
+	src := newStoreClient(t, New(&Config{Store: NewMemStore()}))
+	info := buildReady(t, src, "net", true)
+	_, up := src.do("GET", "/v1/graphs/net/builds/"+info.ID+"/snapshot", nil)
+
+	fs := newFaultStore()
+	fs.set(func(f *faultStore) { f.tear = func(_ StoreKey, b []byte) int { return len(b) / 2 } })
+	c := newStoreClient(t, New(&Config{Store: fs}))
+	resp, err := c.srv.Client().Do(mustRequest(t, "PUT",
+		c.srv.URL+"/v1/graphs/net/builds/"+info.ID+"/snapshot", up))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var put buildInfo
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(body, &put) != nil || put.Snapshot != SnapSaved {
+		t.Fatalf("PUT snapshot onto a tearing store: %d %s", resp.StatusCode, body)
+	}
+	rc, err := fs.Open("net", info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := io.ReadAll(rc)
+	rc.Close()
+	if len(stored) != len(up)/2 {
+		t.Fatalf("store holds %d bytes, want the torn %d of %d", len(stored), len(up)/2, len(up))
+	}
+
+	code, got := c.do("GET", "/v1/graphs/net/builds/"+info.ID+"/snapshot", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET snapshot: %d %s", code, got)
+	}
+	sn, err := snap.Decode(bytes.NewReader(got))
+	if err != nil {
+		t.Fatalf("GET snapshot served %d bytes that do not decode: %v", len(got), err)
+	}
+	var live bytes.Buffer
+	if err := snap.Encode(&live, sn); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, live.Bytes()) || !bytes.Equal(got, up) {
+		t.Fatalf("GET snapshot: %d bytes, want the %d-byte live encoding", len(got), len(up))
+	}
+}
+
+// TestDiskStoreRenameFails: a non-empty directory squats on the snapshot's
+// final name, so the rename in snap.AtomicWriteFile fails. Put returns the
+// rename error and leaves no temp file or listed key. A build on that
+// store stays ready, answers queries, and reports "snapshot":"failed".
+func TestDiskStoreRenameFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "net", "b1"+snapExt, "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := mustDiskStore(t, dir)
+	err := s.Put("net", "b1", func(w io.Writer) error { _, err := w.Write([]byte("data")); return err })
+	if err == nil || !strings.Contains(err.Error(), "file exists") {
+		t.Fatalf("Put onto a squatted name returned %v, want the rename error", err)
+	}
+	noTempFiles(t, filepath.Join(dir, "net"))
+	if keys, err := s.List(); err != nil || len(keys) != 0 {
+		t.Fatalf("List after a failed rename = %v, %v", keys, err)
+	}
+
+	c := newStoreClient(t, New(&Config{Store: s}))
+	info := buildReady(t, c, "net", false)
+	info = c.waitSnapshot("net", info.ID)
+	if info.ID != "b1" || info.Status != StatusReady || info.Snapshot != SnapFailed ||
+		!strings.Contains(info.SnapshotError, "file exists") {
+		t.Fatalf("build over a failing rename: %+v", info)
+	}
+	var got distResponse
+	c.decode("GET", "/v1/graphs/net/builds/b1/dist?source=0&target=17&faults=3,9", nil, http.StatusOK, &got)
+	if want := bfs.Distances(gen.GNP(90, 0.08, 7), 0, []int{3, 9})[17]; got.Dist != want {
+		t.Fatalf("dist to 17 with faults [3 9] = %d, want %d", got.Dist, want)
+	}
+	noTempFiles(t, filepath.Join(dir, "net"))
+}
+
+// noTempFiles fails the test if a snap.AtomicWriteFile temporary
+// (.<build>.ftbfs.tmp-*) is left in dir.
+func noTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), snapExt+".tmp-") {
+			t.Errorf("temp file %s left in %s", e.Name(), dir)
+		}
 	}
 }
 
