@@ -57,7 +57,7 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		builds     = fs.Int("builds", 0, "max concurrent structure builds (0 = GOMAXPROCS)")
-		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build; delta-compressed events are charged what the fault changed, pinned per-source base trees (~16 B × n each) sit outside it (0 = default 256 MiB, <0 = no memo)")
+		cacheBytes = fs.Int64("cache-bytes", 0, "memo byte budget per build, for builds without distance tables (restored or uploaded snapshots, single, f=3, approx, exhaustive; dual and multi builds made here answer from their tables); delta-compressed events are charged what the fault changed, pinned per-source base trees (~16 B × n each) sit outside it (0 = default 256 MiB, <0 = no memo)")
 		maxBatch   = fs.Int("max-batch", 0, "max queries per batch request (0 = default 65536)")
 		snapDir    = fs.String("snapshot-dir", "", "persist completed builds under this directory and warm-start from it")
 		demo       = fs.Bool("demo", false, "register a demo graph (gnp n=200 p=0.05 seed=7) at startup")

@@ -161,13 +161,16 @@ func VerifySampled(g *Graph, st *Structure, sources []int, f, trials int, seed i
 }
 
 // Oracle answers fault-tolerant distance and routing queries on a built
-// structure (one memoized BFS over H per distinct failure event). An
-// Oracle is a cheap per-goroutine handle; concurrent clients share an
-// OracleSet.
+// structure. On a dual or multi structure built in this process
+// (Structure.Tables set), every query with |F| ≤ 2 reads the distances
+// the build computed; otherwise each distinct failure event costs one
+// memoized BFS repair over H. An Oracle is a cheap per-goroutine handle;
+// concurrent clients share an OracleSet.
 type Oracle = oracle.Oracle
 
 // OracleSet is the shared immutable query state over one structure —
-// materialized subgraph, edge-ID translation and one byte-budgeted LRU of
+// its replacement-distance tables when it has them, materialized
+// subgraph, edge-ID translation and one byte-budgeted LRU of
 // per-failure-event distance tables behind one mutex — safe for concurrent
 // use through per-goroutine handles (Handle) or the built-in pool
 // (Acquire/Release).
@@ -177,8 +180,8 @@ type OracleSet = oracle.OracleSet
 type OracleCacheStats = oracle.CacheStats
 
 // OracleDistView is a read-only view of one failure event's distance
-// table in its stored representation — a full table, or a delta against
-// the source's pinned fault-free base (see Oracle.DistsView).
+// table without materializing it — a full table, or a delta against the
+// source's pinned fault-free base (see Oracle.DistsView).
 type OracleDistView = oracle.DistView
 
 // NewOracle wraps a structure for single-goroutine querying, with the

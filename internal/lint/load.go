@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -22,9 +22,9 @@ import (
 //  1. GOPATH-style SrcDirs roots (<root>/<importpath>/*.go) — the
 //     analysistest convention, so fixtures can stub repro/internal/...
 //  2. the module mapping (ModulePath -> ModuleDir)
-//  3. the standard library, type-checked from GOROOT source via
-//     go/importer's source importer (works offline, no export data
-//     needed), once per process for all Loaders
+//  3. the standard library, type-checked from GOROOT source with function
+//     bodies skipped (works offline, no export data needed), once per
+//     process for all Loaders
 //
 // Only non-test files are loaded: the analyzers check production code,
 // and test processes are bounded by definition.
@@ -41,18 +41,18 @@ type Loader struct {
 
 // Every Loader shares one FileSet and one standard library: the lint
 // tests build a Loader for the module and several for fixtures, and the
-// standard packages they import are the bulk of the type-checking. The
-// source importer is not safe for concurrent use, and it rereads a
-// package's directory on every call, so calls are serialized and their
-// results memoized by import path.
+// standard packages they import are the bulk of the type-checking.
 var (
 	sharedFset = token.NewFileSet()
-	std        struct {
-		sync.Mutex
-		imp  types.ImporterFrom
-		pkgs map[string]*types.Package
-	}
+	std        = &stdImporter{ctxt: build.Default, pkgs: make(map[string]*types.Package)}
 )
+
+func init() {
+	// The pure-Go build of every package: no cgo run, and the same files
+	// whether or not the host has a C toolchain. The exported API, which
+	// is all the module's packages see, is the same either way.
+	std.ctxt.CgoEnabled = false
+}
 
 // LoadedPackage is one type-checked package with its syntax retained.
 type LoadedPackage struct {
@@ -103,26 +103,81 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.Types, nil
 	}
-	return importStd(path, dir, mode)
-}
-
-// importStd imports a standard-library package through the shared
-// source importer.
-func importStd(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	std.Lock()
 	defer std.Unlock()
-	if std.imp == nil {
-		std.imp = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
-		std.pkgs = make(map[string]*types.Package)
+	return std.ImportFrom(path, dir, mode)
+}
+
+// stdImporter type-checks standard-library packages from GOROOT source,
+// as go/importer's source importer does, and imports among them through
+// itself. It finds an import's directory on every call, which vendored
+// paths make depend on the importing directory, but reads a directory's
+// file list and type-checks its package only once: the source importer
+// reads the build header of every file in the directory on every import
+// it resolves. It is not safe for concurrent use; callers hold its lock.
+type stdImporter struct {
+	sync.Mutex
+	ctxt build.Context
+	pkgs map[string]*types.Package // by directory; nil while it is being checked
+}
+
+// ImportFrom implements types.ImporterFrom.
+func (s *stdImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
 	}
-	if p, ok := std.pkgs[path]; ok {
+	found, err := s.ctxt.Import(path, dir, build.FindOnly)
+	if err != nil {
+		return nil, err
+	}
+	if p, ok := s.pkgs[found.Dir]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("lint: import cycle through %q", path)
+		}
 		return p, nil
 	}
-	p, err := std.imp.ImportFrom(path, dir, mode)
-	if err == nil {
-		std.pkgs[path] = p
+	s.pkgs[found.Dir] = nil
+	defer func() {
+		if s.pkgs[found.Dir] == nil {
+			delete(s.pkgs, found.Dir)
+		}
+	}()
+	bp, err := s.ctxt.ImportDir(found.Dir, 0)
+	if err != nil {
+		return nil, err
 	}
-	return p, err
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(sharedFset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	// Without function bodies an import used only inside them is unused:
+	// a soft error, ignored as the source importer ignores it.
+	var hard error
+	cfg := types.Config{
+		IgnoreFuncBodies: true,
+		Importer:         s,
+		Sizes:            types.SizesFor(s.ctxt.Compiler, s.ctxt.GOARCH),
+		Error: func(err error) {
+			if te, ok := err.(types.Error); hard == nil && (!ok || !te.Soft) {
+				hard = err
+			}
+		},
+	}
+	p, _ := cfg.Check(bp.ImportPath, sharedFset, files, nil)
+	if hard != nil {
+		return nil, fmt.Errorf("lint: type-checking %s: %w", bp.ImportPath, hard)
+	}
+	s.pkgs[found.Dir] = p
+	return p, nil
+}
+
+// Import implements types.Importer.
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, "", 0)
 }
 
 // resolveDir maps an import path to a source directory.

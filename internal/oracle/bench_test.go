@@ -312,6 +312,92 @@ func BenchmarkOracleTable(b *testing.B) {
 	}
 }
 
+// BenchmarkServingBuild times the two query kinds the serving build's
+// tables took over from the memo, each against the memo hit it replaces,
+// over ftbfsd's benchmark stream: the two-source dual build of a sparse
+// 1000-vertex graph, and Zipf-ranked (s = 1.2) failure events from a
+// universe of 4096 (80% two-edge, 20% one-edge), 10% of queries fault-free.
+// route appends each route into one reused buffer (AppendRoute), dists
+// lends each whole table (DistsLent). table reads the build's tables;
+// memo serves a copy without them, as a restored build is, from a memo
+// warmed with every event, so every query is a hit. Neither allocates.
+func BenchmarkServingBuild(b *testing.B) {
+	g := gen.SparseGNP(1000, 6, 1)
+	srcs := []int{0, 500}
+	st, err := core.BuildMultiSource(g, srcs, &core.Options{Parallelism: 2}, core.BuildDual)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		s, v   int
+		faults []int
+	}
+	rng := rand.New(rand.NewSource(1))
+	events := make([][]int, 4096)
+	for i := range events {
+		events[i] = []int{rng.Intn(g.M())}
+		if rng.Float64() >= 0.2 {
+			for f := events[i][0]; f == events[i][0]; {
+				f = rng.Intn(g.M())
+				events[i] = append(events[i][:1], f)
+			}
+		}
+	}
+	zsrc := rand.NewZipf(rng, 1.2, 1, uint64(len(srcs)-1))
+	zev := rand.NewZipf(rng, 1.2, 1, uint64(len(events)-1))
+	stream := make([]query, 1<<14)
+	for i := range stream {
+		q := &stream[i]
+		q.s, q.v = srcs[zsrc.Uint64()], rng.Intn(g.N())
+		if rng.Float64() >= 0.1 {
+			q.faults = events[zev.Uint64()]
+		}
+	}
+	for _, kind := range []string{"route", "dists"} {
+		for _, side := range []string{"table", "memo"} {
+			b.Run(kind+"/"+side, func(b *testing.B) {
+				serving := st
+				if side == "memo" {
+					serving = tableless(st)
+				}
+				set, err := NewSet(serving, 8<<20)
+				if err != nil {
+					b.Fatal(err)
+				}
+				o := set.Handle()
+				var path []int
+				ask := func(q query) {
+					if kind == "route" {
+						path, err = o.AppendRoute(path[:0], q.s, q.v, q.faults)
+					} else {
+						_, err = o.DistsLent(q.s, q.faults)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, q := range stream { // fill the memo and grow the buffers
+					ask(q)
+				}
+				before := set.CacheStats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ask(stream[i%len(stream)])
+				}
+				b.StopTimer()
+				cs := set.CacheStats()
+				if side == "table" && cs.Hits+cs.Misses != 0 {
+					b.Fatalf("%d queries reached the memo", cs.Hits+cs.Misses)
+				}
+				if side == "memo" && cs.Misses != before.Misses {
+					b.Fatalf("%d memo misses after the warm-up", cs.Misses-before.Misses)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkOracleSetBuild measures NewSet itself: materializing H as its
 // own graph plus the G→H edge map, and pinning the source's tree.
 func BenchmarkOracleSetBuild(b *testing.B) {

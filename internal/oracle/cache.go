@@ -129,11 +129,12 @@ func TotalCacheStats(sets []*OracleSet) CacheStats {
 
 // DistView is a read-only view of one failure event's distance table.
 // Exactly one representation is populated: Full is the complete table
-// (full-table entries, pinned bases and uncached computations), or
-// Base+Keys+Vals describe a delta — Keys holds the sorted vertex IDs whose
-// distance may differ from the fault-free Base, Vals their distances, and
-// every other vertex keeps Base's value. All slices are shared immutable
-// state; callers must not mutate them.
+// (full-table entries and uncached computations), or Base+Keys+Vals
+// describe a delta — Base is the source's fault-free table
+// (OracleSet.BaseDists), Keys holds the sorted vertex IDs whose distance
+// may differ from it, Vals their distances, and every other vertex keeps
+// Base's value. The fault-free table itself is the delta with no keys.
+// Callers must not mutate the slices.
 type DistView struct {
 	Full []int32
 	Base []int32

@@ -92,10 +92,11 @@ func TestFrozenGraphStaysFrozen(t *testing.T) {
 
 // TestPinnedTreesStayFrozen hashes the distance table and size of every
 // pinned tree of a two-source OracleSet, storms the set from several
-// goroutines with fault-free, cached and uncached Dists, Dist and Route
-// queries, and requires every tree unchanged: each miss repairs against
-// one of these shared trees, and every delta entry decodes against its
-// table. (The bfs and wsp packages hash their trees' parents and child
+// goroutines with fault-free, cached and uncached Dists, Dist, DistsView
+// and Route queries, and requires every tree unchanged: each miss repairs
+// against one of these shared trees, and every delta view — a memo entry
+// or a whole table read from the build's tables — decodes against its
+// table. It storms a set with the build's tables and one without. (The bfs and wsp packages hash their trees' parents and child
 // lists too, under the same kind of storm.)
 func TestPinnedTreesStayFrozen(t *testing.T) {
 	g := gen.SparseGNP(200, 5, 31)
@@ -103,55 +104,65 @@ func TestPinnedTreesStayFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := NewSet(st, 64<<10) // small: evictions and re-misses
-	if err != nil {
-		t.Fatal(err)
-	}
-	treeHash := func() [sha256.Size]byte {
-		h := sha256.New()
-		for _, tr := range set.trees {
-			fmt.Fprint(h, tr.Bytes(), tr.Dists())
+	// The build's tables answer every query without the memo; a copy
+	// without them, as a restored snapshot is, answers every query through
+	// it. Both read the same kind of pinned trees.
+	for _, tc := range []struct {
+		name string
+		st   *core.Structure
+	}{{"tables", st}, {"memo", tableless(st)}} {
+		set, err := NewSet(tc.st, 64<<10) // small: evictions and re-misses
+		if err != nil {
+			t.Fatal(err)
 		}
-		var sum [sha256.Size]byte
-		h.Sum(sum[:0])
-		return sum
-	}
-	want := treeHash()
-	var wg sync.WaitGroup
-	for worker := 0; worker < 4; worker++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			o := set.Acquire()
-			defer set.Release(o)
-			rng := rand.New(rand.NewSource(seed))
-			for q := 0; q < 400; q++ {
-				faults := make([]int, rng.Intn(st.Faults+1))
-				for i := range faults {
-					faults[i] = rng.Intn(g.M())
-				}
-				s := st.Sources[rng.Intn(len(st.Sources))]
-				var err error
-				switch q % 3 {
-				case 0:
-					_, err = o.Dists(s, faults)
-				case 1:
-					_, err = o.Dist(s, rng.Intn(g.N()), faults)
-				default:
-					_, err = o.Route(s, rng.Intn(g.N()), faults)
-				}
-				if err != nil {
-					t.Errorf("query %d (source %d, faults %v): %v", q, s, faults, err)
-					return
-				}
+		treeHash := func() [sha256.Size]byte {
+			h := sha256.New()
+			for _, tr := range set.trees {
+				fmt.Fprint(h, tr.Bytes(), tr.Dists())
 			}
-		}(int64(worker + 1))
-	}
-	wg.Wait()
-	if cs := set.CacheStats(); cs.Misses == 0 || cs.Hits == 0 {
-		t.Fatalf("storm did not mix hits and misses: %+v", cs)
-	}
-	if treeHash() != want {
-		t.Fatal("queries changed a pinned tree")
+			var sum [sha256.Size]byte
+			h.Sum(sum[:0])
+			return sum
+		}
+		want := treeHash()
+		var wg sync.WaitGroup
+		for worker := 0; worker < 4; worker++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				o := set.Acquire()
+				defer set.Release(o)
+				rng := rand.New(rand.NewSource(seed))
+				for q := 0; q < 400; q++ {
+					faults := make([]int, rng.Intn(st.Faults+1))
+					for i := range faults {
+						faults[i] = rng.Intn(g.M())
+					}
+					s := st.Sources[rng.Intn(len(st.Sources))]
+					var err error
+					switch q % 4 {
+					case 0:
+						_, err = o.Dists(s, faults)
+					case 1:
+						_, err = o.Dist(s, rng.Intn(g.N()), faults)
+					case 2:
+						_, err = o.DistsView(s, faults)
+					default:
+						_, err = o.Route(s, rng.Intn(g.N()), faults)
+					}
+					if err != nil {
+						t.Errorf("%s: query %d (source %d, faults %v): %v", tc.name, q, s, faults, err)
+						return
+					}
+				}
+			}(int64(worker + 1))
+		}
+		wg.Wait()
+		if cs := set.CacheStats(); tc.name == "memo" && (cs.Misses == 0 || cs.Hits == 0) {
+			t.Fatalf("storm did not mix hits and misses: %+v", cs)
+		}
+		if treeHash() != want {
+			t.Fatalf("%s: queries changed a pinned tree", tc.name)
+		}
 	}
 }

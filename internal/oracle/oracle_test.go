@@ -62,13 +62,14 @@ func TestOracleMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-// TestOracleRouteValid checks routes under each memo setup — the default
-// budget, a small budget that evicts, memo off — on the fault-free,
-// one-fault and two-fault
-// events: every route is a shortest path of G \ F whose every hop, walking
-// back from the target, takes the lowest-ID edge of H \ F to a vertex one
-// step closer (which also keeps it inside H and off F), and a route on an
-// event the memo already holds is a hit.
+// TestOracleRouteValid checks routes read from the build's tables and,
+// on a copy without tables, under each memo setup — the default budget, a
+// small budget that evicts, memo off — on the fault-free, one-fault and
+// two-fault events: every route is a shortest path of G \ F whose every
+// hop, walking back from the target, takes the lowest-ID edge of H \ F to
+// a vertex one step closer (which also keeps it inside H and off F). A
+// route on an event the memo already holds is a hit, and a route read
+// from the tables makes no memo lookup.
 func TestOracleRouteValid(t *testing.T) {
 	g := gen.Grid(4, 4)
 	st, err := core.BuildDual(g, 0, nil)
@@ -82,13 +83,15 @@ func TestOracleRouteValid(t *testing.T) {
 			events = append(events, []int{a, b})
 		}
 	}
+	memoOnly := tableless(st)
 	setups := []struct {
 		name string
 		new  func() (*OracleSet, error)
 	}{
-		{"default", func() (*OracleSet, error) { return NewSet(st, 0) }},
-		{"small", func() (*OracleSet, error) { return NewSet(st, 1<<10) }},
-		{"off", func() (*OracleSet, error) { return NewSet(st, -1) }},
+		{"tables", func() (*OracleSet, error) { return NewSet(st, 0) }},
+		{"default", func() (*OracleSet, error) { return NewSet(memoOnly, 0) }},
+		{"small", func() (*OracleSet, error) { return NewSet(memoOnly, 1<<10) }},
+		{"off", func() (*OracleSet, error) { return NewSet(memoOnly, -1) }},
 	}
 	truth := bfs.NewRunner(g)
 	for _, su := range setups {
@@ -97,7 +100,7 @@ func TestOracleRouteValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := set.Handle()
-		memo := su.name != "off"
+		memo := su.name != "off" && su.name != "tables"
 		for _, faults := range events {
 			truth.Run(0, faults, nil)
 			for v := 0; v < g.N(); v++ {
@@ -106,8 +109,12 @@ func TestOracleRouteValid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if after := set.CacheStats(); memo && v > 0 && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+				after := set.CacheStats()
+				if memo && v > 0 && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
 					t.Fatalf("%s: route on cached event %v: %+v -> %+v, want one hit, no miss", su.name, faults, before, after)
+				}
+				if su.name == "tables" && st.Stats.TieWarnings == 0 && after.Hits+after.Misses != 0 {
+					t.Fatalf("tables: route on event %v reached the memo: %+v", faults, after)
 				}
 				want := truth.Dist(v)
 				if want == bfs.Unreachable {

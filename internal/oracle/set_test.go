@@ -343,8 +343,9 @@ func TestReleaseForeignHandle(t *testing.T) {
 	s2.Release(s1.Handle())
 }
 
-// TestQueryPathAllocationFree proves the hot query path allocates nothing
-// once the failure event is cached, and nothing at all when a
+// TestQueryPathAllocationFree proves the hot query path — Dist, and
+// AppendRoute and DistsLent into warm buffers — allocates nothing once the
+// failure event is cached, and nothing at all, with no memo lookup, when a
 // replacement-distance table answers.
 func TestQueryPathAllocationFree(t *testing.T) {
 	g := gen.SparseGNP(200, 6, 2)
@@ -370,6 +371,24 @@ func TestQueryPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cached Dist allocates %.1f objects per query, want 0", allocs)
+	}
+	var route []int
+	for w := range g.N() { // grow the route buffer to the longest route
+		if route, err = o.AppendRoute(route[:0], 0, w, faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if route, err = o.AppendRoute(route[:0], 0, v%g.N(), faults); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.DistsLent(0, faults); err != nil {
+			t.Fatal(err)
+		}
+		v++
+	})
+	if allocs != 0 {
+		t.Fatalf("cached AppendRoute and DistsLent allocate %.1f objects per query, want 0", allocs)
 	}
 
 	dual, err := core.BuildDual(g, 0, &core.Options{CollectPaths: true})
@@ -412,6 +431,29 @@ func TestQueryPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("table-served Dist allocates %.1f objects per query, want 0", allocs)
+	}
+
+	// Routes into a caller's buffer and lent whole tables, over the same
+	// queries, once to grow the buffers and then counted.
+	var path []int
+	lent := func(q query) {
+		if path, err = to.AppendRoute(path[:0], 0, q.v, q.faults); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := to.DistsLent(0, q.faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range qs {
+		lent(q)
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(len(qs), func() {
+		lent(qs[i%len(qs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("table-served AppendRoute and DistsLent allocate %.1f objects per query, want 0", allocs)
 	}
 	if cs := tset.CacheStats(); cs.Misses != 0 || cs.Hits != 0 {
 		t.Fatalf("table-served queries reached the memo: %+v", cs)

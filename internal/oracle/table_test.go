@@ -24,9 +24,9 @@ func tableless(st *core.Structure) *core.Structure {
 	return &c
 }
 
-// TestDistTableMatchesBFS compares Dist on the table with BFS on G∖F for
-// every |F| ≤ 2, every source and every target, and checks that the
-// memo saw none of it: without residual ties no slot is marked.
+// TestDistTableMatchesBFS compares Dist and Dists on the table with BFS on
+// G∖F for every |F| ≤ 2, every source and every target, and checks that
+// the memo saw none of it: without residual ties no slot is marked.
 func TestDistTableMatchesBFS(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -60,7 +60,14 @@ func TestDistTableMatchesBFS(t *testing.T) {
 			for _, s := range tc.srcs {
 				check := func(faults []int) {
 					truth.Run(s, faults, nil)
+					table, err := o.Dists(s, faults)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for v := 0; v < g.N(); v++ {
+						if table[v] != truth.Dist(v) {
+							t.Fatalf("source %d faults %v target %d: whole table %d, BFS on G∖F %d", s, faults, v, table[v], truth.Dist(v))
+						}
 						d, err := o.Dist(s, v, faults)
 						if err != nil {
 							t.Fatal(err)
@@ -123,7 +130,8 @@ func markAll(t *testing.T, st *core.Structure, s int) *replace.DistTable {
 // TestDistTableMarkedSlotUsesMemo marks every (v, e_i) slot and checks,
 // for every |F| ≤ 2 and target, that exactly the queries {e_i, f} with f
 // off π(s,v) and v still reachable without e_i go to the memo, and that
-// every answer still equals BFS on G∖F.
+// every answer still equals BFS on G∖F. A whole table goes to the memo
+// whole exactly when one of its vertices is such a query.
 func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
 	g := gen.SparseGNP(40, 5, 1)
 	st, err := core.BuildDual(g, 0, &core.Options{CollectPaths: true})
@@ -144,6 +152,7 @@ func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
 	fellBack := 0
 	check := func(faults []int) {
 		want := bfs.Distances(g, 0, faults)
+		anySlot := false
 		for v := 0; v < g.N(); v++ {
 			var onPi []int
 			if tr := st.Targets[v]; tr != nil {
@@ -169,7 +178,20 @@ func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
 			}
 			if slot {
 				fellBack++
+				anySlot = true
 			}
+		}
+		before := set.CacheStats()
+		table, err := o.Dists(0, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := set.CacheStats()
+		if !slices.Equal(table, want) {
+			t.Fatalf("faults %v: Dists %v, BFS on G∖F %v", faults, table, want)
+		}
+		if memo := after.Hits+after.Misses != before.Hits+before.Misses; memo != anySlot {
+			t.Fatalf("faults %v: whole table: memo consulted %t, want %t", faults, memo, anySlot)
 		}
 	}
 	check(nil)
@@ -187,8 +209,11 @@ func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
 // FuzzDistTable builds a dual structure from its header — graph family,
 // size, seed, source and target — and picks up to two faults, each by a
 // selector byte: an edge of π(s,v), an edge of the detour of a π edge
-// already picked (or of the first π edge), or any edge. Dist must equal
-// BFS on G∖F, and, without residual ties, come from the table alone.
+// already picked (or of the first π edge), or any edge. Dist and every
+// entry of Dists must equal BFS on G∖F; Route must be a path of H∖F of
+// that length, avoiding F, and equal the route of a copy without tables,
+// which walks the memo. Without residual ties, all three come from the
+// table alone.
 func FuzzDistTable(f *testing.F) {
 	f.Add([]byte{0, 20, 1, 0, 7, 0, 1, 1, 0})
 	f.Add([]byte{1, 3, 0, 5, 40, 0, 2, 2, 9})
@@ -242,15 +267,52 @@ func FuzzDistTable(f *testing.F) {
 				faults = append(faults, k%g.M())
 			}
 		}
-		d, err := set.Handle().Dist(s, v, faults)
+		o := set.Handle()
+		d, err := o.Dist(s, v, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bfs.Distances(g, s, faults)[v]; d != want {
+		truth := bfs.Distances(g, s, faults)
+		if want := truth[v]; d != want {
 			t.Fatalf("source %d target %d faults %v: %d, BFS on G∖F %d", s, v, faults, d, want)
 		}
+		table, err := o.Dists(s, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(table, truth) {
+			t.Fatalf("source %d faults %v: Dists %v, BFS on G∖F %v", s, faults, table, truth)
+		}
+		route, err := o.Route(s, v, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truth[v] == bfs.Unreachable {
+			if route != nil {
+				t.Fatalf("source %d target %d faults %v: route %v to a cut-off target", s, v, faults, route)
+			}
+		} else if len(route) != int(truth[v])+1 || route[0] != s || route[len(route)-1] != v {
+			t.Fatalf("source %d target %d faults %v: route %v, BFS on G∖F %d", s, v, faults, route, truth[v])
+		}
+		for h := 1; h < len(route); h++ {
+			id, ok := g.EdgeID(route[h-1], route[h])
+			if !ok || !st.Edges.Has(id) || slices.Contains(faults, id) {
+				t.Fatalf("source %d target %d faults %v: hop %d-%d of route %v is not an edge of H∖F", s, v, faults, route[h-1], route[h], route)
+			}
+		}
 		if cs := set.CacheStats(); st.Stats.TieWarnings == 0 && cs.Hits+cs.Misses != 0 {
-			t.Fatalf("source %d target %d faults %v: the table left the query to the memo", s, v, faults)
+			t.Fatalf("source %d target %d faults %v: the table left a query to the memo", s, v, faults)
+		}
+		memo, err := NewSet(tableless(st), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memoRoute, err := memo.Handle().Route(s, v, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(route, memoRoute) {
+			t.Fatalf("source %d target %d faults %v: route %v from the table, %v through the memo", s, v, faults, route, memoRoute)
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package replace
 
-import "repro/internal/wsp"
+import (
+	"slices"
+
+	"repro/internal/wsp"
+)
 
 // DistTable is one source's replacement-distance table: dist(s,v,G∖F) for
 // every target v and every fault set |F| ≤ 2, read from the distances
@@ -23,8 +27,9 @@ import "repro/internal/wsp"
 // which T0's preorder intervals answer in O(1), and that vertex's depth
 // gives the edge's index on π.
 //
-// Layout: per-vertex arrays over T0 (pre, end, depth), an edge→child
-// array of length m, and one int32 run per target v, runs[off[v]:off[v+1]]
+// Layout: per-vertex arrays over T0 (pre, end, depth), T0's preorder
+// (order, the vertex at each preorder index), an edge→child array of
+// length m, and one int32 run per target v, runs[off[v]:off[v+1]]
 // (empty for the source and unreachable vertices). With l = depth[v] and
 // P = l(l−1)/2, a run holds
 //
@@ -45,6 +50,7 @@ type DistTable struct {
 	pre   []int32 // T0 preorder index of each vertex
 	end   []int32 // pre + subtree size: v's subtree is [pre[v], end[v])
 	depth []int32 // |π(s,v)|, -1 when v is unreachable from s
+	order []int32 // the vertex at each T0 preorder index (reachable ones only)
 	child []int32 // per edge: the vertex below it in T0, -1 off T0
 	off   []int32 // v's run is runs[off[v]:off[v+1]]
 	runs  []int32
@@ -102,13 +108,13 @@ func NewDistTable(t *wsp.Tree, runs [][]int32) *DistTable {
 		child: make([]int32, g.M()),
 		off:   make([]int32, n+1),
 	}
-	order := t.Preorder()
-	for k, v := range order {
+	tab.order = t.Preorder()
+	for k, v := range tab.order {
 		tab.pre[v] = int32(k)
 	}
 	// Subtree sizes, children before parents, then shifted to exits.
-	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
+	for k := len(tab.order) - 1; k >= 0; k-- {
+		v := tab.order[k]
 		tab.end[v]++
 		if p := t.ParentOf(int(v)); p >= 0 {
 			tab.end[p] += tab.end[v]
@@ -134,7 +140,7 @@ func NewDistTable(t *wsp.Tree, runs [][]int32) *DistTable {
 
 // Bytes returns the table's footprint.
 func (t *DistTable) Bytes() int64 {
-	return 4 * int64(len(t.pre)+len(t.end)+len(t.depth)+len(t.child)+len(t.off)+len(t.runs))
+	return 4 * int64(len(t.pre)+len(t.end)+len(t.depth)+len(t.order)+len(t.child)+len(t.off)+len(t.runs))
 }
 
 // Dist returns dist(s,v,G∖F) for the fault set F given as sorted, distinct
@@ -183,4 +189,56 @@ func (t *DistTable) Dist(v int, faults []int32) (d int32, ok bool) {
 		}
 	}
 	return d, true
+}
+
+// AppendChanged appends to keys, in increasing order, every vertex whose
+// distance under F differs from its fault-free distance, and to vals
+// those distances, for F given as in Dist. Only a vertex below a faulted
+// T0 edge can change, since every other vertex keeps its T0 path, which
+// avoids F; and the vertices below a T0 edge are one interval of T0's
+// preorder. So it looks up one interval per faulted T0 edge, or only the
+// outer one when the two nest. ok is false when a lookup hits a marked
+// slot: keys and vals then hold a partial answer, which the caller must
+// discard. It takes no lock and allocates only to grow keys and vals.
+//
+//ftbfs:hotpath
+func (t *DistTable) AppendChanged(keys, vals, faults []int32) ([]int32, []int32, bool) {
+	var lo, hi [2]int32
+	k := 0
+	for _, f := range faults {
+		c := t.child[f]
+		if c < 0 {
+			continue // off T0: it moves no vertex
+		}
+		a, b := t.pre[c], t.end[c]
+		switch {
+		case k == 1 && lo[0] <= a && b <= hi[0]:
+			// Inside the first interval.
+		case k == 1 && a <= lo[0] && hi[0] <= b:
+			lo[0], hi[0] = a, b
+		default:
+			lo[k], hi[k] = a, b
+			k++
+		}
+	}
+	start := len(keys)
+	for x := range k {
+		for _, w := range t.order[lo[x]:hi[x]] {
+			d, ok := t.Dist(int(w), faults)
+			if !ok {
+				return keys, vals, false
+			}
+			if d != t.depth[w] {
+				keys = append(keys, w)
+			}
+		}
+	}
+	// Sorting the vertices alone and looking their distances up again
+	// keeps keys and vals aligned without a scratch array of pairs.
+	slices.Sort(keys[start:])
+	for _, w := range keys[start:] {
+		d, _ := t.Dist(int(w), faults)
+		vals = append(vals, d)
+	}
+	return keys, vals, true
 }

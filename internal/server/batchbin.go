@@ -47,7 +47,7 @@ var binErrCodes = map[oracle.ErrCode]batchcodec.ErrCode{
 // errors — bad magic, truncation, CRC mismatch, length bombs — reject
 // the whole request with 400 and the byte offset of the failure.
 func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) {
-	set := s.readySet(w, r)
+	set, _ := s.readySet(w, r)
 	if set == nil {
 		return
 	}
@@ -73,6 +73,8 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 	rw := binRespPool.Get().(*batchcodec.ResponseWriter)
 	rw.Reset()
 	defer binRespPool.Put(rw)
+	path := pathPool.Get().(*[]int)
+	defer pathPool.Put(path)
 	ctx := r.Context()
 	values := 0
 	var faults [2]int
@@ -80,7 +82,7 @@ func (s *Server) handleBatchQueryBinary(w http.ResponseWriter, r *http.Request) 
 		it := req.Item(i)
 		if it.Valid() {
 			q := binQuery(it, &faults)
-			values += writeBinary(rw, q.op, answer(o, &q))
+			values += writeBinary(rw, q.op, answer(o, &q, path))
 		} else {
 			rw.Error(batchcodec.ErrBadItem)
 			values += 2
@@ -130,8 +132,10 @@ func writeBinary(rw *batchcodec.ResponseWriter, op queryOp, r reply) int {
 	case r.err != nil:
 		rw.Error(binErrCode(r.err))
 		return 2
+	case op == opDists && r.view.Full != nil:
+		rw.Dists(r.view.Full)
 	case op == opDists:
-		rw.Dists(r.dists)
+		rw.DistsPatched(r.view.Base, r.view.Keys, r.view.Vals)
 	case r.path != nil:
 		rw.Path(r.path)
 		return 2 + len(r.path)
@@ -139,7 +143,7 @@ func writeBinary(rw *batchcodec.ResponseWriter, op queryOp, r reply) int {
 		rw.Dist(r.dist, r.dist != bfs.Unreachable)
 		return 2
 	}
-	return 2 + len(r.dists)
+	return 2 + r.view.Len()
 }
 
 // binErrCode maps a query error to its in-band code.

@@ -440,11 +440,22 @@ func TestStatsEndpoint(t *testing.T) {
 	waitFor(t, h, "/v1/graphs/st/builds/"+info.ID, 30*time.Second, func(i buildInfo) bool {
 		return i.Status == StatusReady
 	})
-	// Touch the cache so the aggregate counters move: the dist item is
-	// answered from the build's replacement-distance table, the whole
-	// table of the same event through the memo.
-	for _, q := range []string{"dist?source=0&target=3&faults=1", "dists?source=0&faults=1"} {
-		if code, body := doJSON(t, h, "GET", "/v1/graphs/st/builds/"+info.ID+"/"+q, ""); code != http.StatusOK {
+	// Touch the cache so the aggregate counters move: the dual build
+	// answers from its replacement-distance table, a single build, which
+	// has none, through the memo.
+	code, body = doJSON(t, h, "POST", "/v1/graphs/st/builds", `{"mode":"single","sources":[0]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("create build: %d %s", code, body)
+	}
+	var single buildInfo
+	if err := json.Unmarshal(body, &single); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, h, "/v1/graphs/st/builds/"+single.ID, 30*time.Second, func(i buildInfo) bool {
+		return i.Status == StatusReady
+	})
+	for _, q := range []string{info.ID + "/dist?source=0&target=3&faults=1", single.ID + "/dists?source=0&faults=1"} {
+		if code, body := doJSON(t, h, "GET", "/v1/graphs/st/builds/"+q, ""); code != http.StatusOK {
 			t.Fatalf("query %s: %d %s", q, code, body)
 		}
 	}
@@ -453,7 +464,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Builds[StatusReady] != 1 || stats.BuildSlots.InUse != 0 {
+	if stats.Builds[StatusReady] != 2 || stats.BuildSlots.InUse != 0 {
 		t.Fatalf("ready stats: %+v", stats)
 	}
 	if stats.Cache == nil || stats.Cache.Misses == 0 || stats.Cache.TableBytes == 0 {

@@ -81,7 +81,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleBatchQueryBinary(w, r)
 		return
 	}
-	set := s.readySet(w, r)
+	set, texts := s.readySet(w, r)
 	if set == nil {
 		return
 	}
@@ -96,14 +96,15 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, bodyErrStatus(err), "bad request body: %v", err)
 		return
 	}
-	s.serveJSONBatch(w, r, set, sc, n, stream)
+	s.serveJSONBatch(w, r, set, texts, sc, n, stream)
 }
 
 // serveJSONBatch answers a decoded batch of n items, which sc.queries
-// holds unless n exceeds MaxBatchQueries: as one JSON document, or with
-// stream as NDJSON lines closed by a trailer.
+// holds unless n exceeds MaxBatchQueries, from a ready build's set and
+// table texts: as one JSON document, or with stream as NDJSON lines
+// closed by a trailer.
 func (s *Server) serveJSONBatch(w http.ResponseWriter, r *http.Request, set *oracle.OracleSet,
-	sc *jsonScratch, n int, stream bool) {
+	texts []tableText, sc *jsonScratch, n int, stream bool) {
 	if n == 0 {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
@@ -115,6 +116,8 @@ func (s *Server) serveJSONBatch(w http.ResponseWriter, r *http.Request, set *ora
 	}
 	o := set.Acquire()
 	defer set.Release(o)
+	path := pathPool.Get().(*[]int)
+	defer pathPool.Put(path)
 	ctx := r.Context()
 	b := sc.out[:0]
 	defer func() { sc.out = b[:0] }()
@@ -129,7 +132,7 @@ func (s *Server) serveJSONBatch(w http.ResponseWriter, r *http.Request, set *ora
 		defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
 		w.WriteHeader(http.StatusOK)
 		for i := range sc.queries {
-			b, _ = appendAnswer(b, o, &sc.queries[i])
+			b, _ = appendAnswer(b, o, &sc.queries[i], texts, path)
 			b = append(b, '\n')
 			// Re-arm on elapsed time, not item count: slow uncached
 			// queries must not let the window expire mid-batch while the
@@ -168,7 +171,7 @@ func (s *Server) serveJSONBatch(w http.ResponseWriter, r *http.Request, set *ora
 			b = append(b, ',')
 		}
 		var v int
-		b, v = appendAnswer(b, o, &sc.queries[i])
+		b, v = appendAnswer(b, o, &sc.queries[i], texts, path)
 		values += v
 		if values > maxBatchResultValues {
 			writeErr(w, http.StatusRequestEntityTooLarge,
@@ -186,14 +189,21 @@ func (s *Server) serveJSONBatch(w http.ResponseWriter, r *http.Request, set *ora
 }
 
 // appendAnswer answers one decoded JSON item and appends its result
-// object. It also returns the response values the result holds, counted
+// object, with the build's fault-free table texts and the request's route
+// buffer. It also returns the response values the result holds, counted
 // as the binary path counts them against maxBatchResultValues: two fixed
 // words plus the table or the path.
 //
 //ftbfs:hotpath
-func appendAnswer(b []byte, o *oracle.Oracle, q *query) ([]byte, int) {
-	r := answer(o, q)
-	return appendReply(b, q.op, r), 2 + len(r.dists) + len(r.path)
+func appendAnswer(b []byte, o *oracle.Oracle, q *query, texts []tableText, path *[]int) ([]byte, int) {
+	r := answer(o, q, path)
+	values := 2 + len(r.path)
+	var text *tableText
+	if r.view != nil {
+		values += r.view.Len()
+		text = textOf(texts, q.source)
+	}
+	return appendReply(b, q.op, r, text), values
 }
 
 // appendReply appends the JSON result object of one reply: {"error":…}
@@ -201,26 +211,31 @@ func appendAnswer(b []byte, o *oracle.Oracle, q *query) ([]byte, int) {
 // {"dist":d,"reachable":…} for a distance, and for a route
 // {"dist":d,"reachable":true,"path":[…]} or {"reachable":false}: the
 // bytes encoding/json writes for the omitempty fields of batchResult, key
-// order included.
+// order included. text is the fault-free table of the query's source,
+// which a delta view is spliced from; a full view is encoded number by
+// number.
 //
 //ftbfs:hotpath
-func appendReply(b []byte, op queryOp, r reply) []byte {
+func appendReply(b []byte, op queryOp, r reply, text *tableText) []byte {
 	switch {
 	case r.err != nil:
 		b = append(b, `{"error":`...)
 		b = appendString(b, r.err.Error())
 		return append(b, '}')
-	case op == opDists:
-		if len(r.dists) == 0 {
-			return append(b, "{}"...)
-		}
+	case op == opDists && r.view.Len() == 0:
+		return append(b, "{}"...)
+	case op == opDists && r.view.Full != nil:
 		b = append(b, `{"dists":[`...)
-		for i, d := range r.dists {
+		for i, d := range r.view.Full {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = appendInt(b, int(d))
 		}
+		return append(b, "]}"...)
+	case op == opDists:
+		b = append(b, `{"dists":[`...)
+		b = text.appendPatched(b, r.view.Keys, r.view.Vals)
 		return append(b, "]}"...)
 	case r.dist == bfs.Unreachable && op == opRoute:
 		return append(b, `{"reachable":false}`...)
@@ -243,6 +258,71 @@ func appendReply(b []byte, op queryOp, r reply) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// tableText is one source's fault-free distance table as appendReply
+// writes it: text holds the numbers of the JSON array, each followed by a
+// comma ("d0,d1,…,dn−1,"), and off[v] is the byte offset of dv in it, with
+// off[n] = len(text). A whole table that differs from the fault-free one
+// at a few vertices is written by copying the text between them instead of
+// encoding every number. A ready build keeps one per source, built once by
+// newTableTexts.
+type tableText struct {
+	src  int
+	text []byte
+	off  []int32
+}
+
+// newTableTexts encodes the fault-free table of each source of set,
+// indexed like its structure's sources.
+func newTableTexts(set *oracle.OracleSet) []tableText {
+	srcs := set.Structure().Sources
+	out := make([]tableText, len(srcs))
+	for i, s := range srcs {
+		out[i] = newTableText(s, set.BaseDists(i))
+	}
+	return out
+}
+
+// newTableText encodes base, the fault-free table of source src.
+func newTableText(src int, base []int32) tableText {
+	t := tableText{src: src, off: make([]int32, len(base)+1)}
+	for v, d := range base {
+		t.off[v] = int32(len(t.text))
+		t.text = append(appendInt(t.text, int(d)), ',')
+	}
+	t.off[len(base)] = int32(len(t.text))
+	return t
+}
+
+// textOf returns the text of source s among texts, or nil when s is not
+// one of them (the oracle then rejects the query).
+//
+//ftbfs:hotpath
+func textOf(texts []tableText, s int) *tableText {
+	for i := range texts {
+		if texts[i].src == s {
+			return &texts[i]
+		}
+	}
+	return nil
+}
+
+// appendPatched appends the numbers of the JSON array of the table that
+// equals t's except at keys (sorted, distinct), where it holds vals: the
+// text between two keys is copied and each value encoded. It writes
+// exactly what encoding the materialized table number by number writes.
+//
+//ftbfs:hotpath
+func (t *tableText) appendPatched(b []byte, keys, vals []int32) []byte {
+	from := int32(0)
+	for i, k := range keys {
+		b = append(b, t.text[from:t.off[k]]...)
+		b = append(appendInt(b, int(vals[i])), ',')
+		from = t.off[k+1]
+	}
+	b = append(b, t.text[from:]...)
+	return b[:len(b)-1] // the last number's comma
 }
 
 // appendInt appends v in decimal, as strconv.AppendInt does. One- and

@@ -40,7 +40,7 @@ func referenceResult(op queryOp, r reply) batchResult {
 	case r.err != nil:
 		return batchResult{Error: r.err.Error()}
 	case op == opDists:
-		return batchResult{Dists: slices.Clone(r.dists)}
+		return batchResult{Dists: r.view.AppendTo(nil)}
 	}
 	d, reachable := r.dist, r.dist != bfs.Unreachable
 	res := batchResult{Reachable: &reachable, Path: r.path}
@@ -86,9 +86,9 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 		{"route", opRoute, reply{dist: 5, path: []int{0, 9, 10, 99, 100, 123456}}},
 		{"route to the source", opRoute, reply{dist: 0, path: []int{0}}},
 		{"route unreachable", opRoute, reply{dist: bfs.Unreachable}},
-		{"table", opDists, reply{dists: []int32{0, 1, 9, 10, 42, 99, 100, 101, 999, bfs.Unreachable, -10, 1 << 30, -1 << 31}}},
-		{"empty table", opDists, reply{dists: []int32{}}},
-		{"nil table", opDists, reply{}},
+		{"table", opDists, reply{view: &oracle.DistView{Full: []int32{0, 1, 9, 10, 42, 99, 100, 101, 999, bfs.Unreachable, -10, 1 << 30, -1 << 31}}}},
+		{"empty table", opDists, reply{view: &oracle.DistView{Full: []int32{}}}},
+		{"nil table", opDists, reply{view: &oracle.DistView{}}},
 		{"route without target", opNoTarget, reply{err: errRouteNoTarget}},
 		{"html", opDist, reply{err: errors.New(`<script>alert("x") & 'y'</script>`)}},
 		{"backslash and quote", opRoute, reply{err: errors.New(`C:\path\"quoted"\`)}},
@@ -106,7 +106,7 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	} {
 		for _, op := range []queryOp{opDist, opRoute, opDists} {
 			q.op = op
-			r := answer(o, &q)
+			r := answer(o, &q, new([]int))
 			var qe *oracle.QueryError
 			if !errors.As(r.err, &qe) {
 				if op == opDists && q.target == 99 {
@@ -127,7 +127,7 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 	var batch []byte
 	var results []batchResult
 	for i, s := range shapes {
-		got := append(appendReply(nil, s.op, s.r), '\n')
+		got := append(appendReply(nil, s.op, s.r, nil), '\n')
 		ref := referenceResult(s.op, s.r)
 		// An NDJSON line and a GET answer are one encoded result each.
 		if want := encodeReference(t, ref); !bytes.Equal(got, want) {
@@ -142,12 +142,102 @@ func TestAppendReplyMatchesEncodingJSON(t *testing.T) {
 		if i > 0 {
 			batch = append(batch, ',')
 		}
-		batch = appendReply(batch, s.op, s.r)
+		batch = appendReply(batch, s.op, s.r, nil)
 		results = append(results, ref)
 	}
 	got := append(append([]byte(`{"results":[`), batch...), "]}\n"...)
 	if want := encodeReference(t, map[string]any{"results": results}); !bytes.Equal(got, want) {
 		t.Errorf("batch\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestTableTextSplice pins the spliced whole-table writer byte for byte to
+// the materialized table, encoded number by number and by encoding/json:
+// on a fixed base, overrides at vertex 0 and at n−1, adjacent overrides,
+// −1, values ≥ 100, every vertex and none; then every whole table of a
+// small dual build's one- and two-fault events, and its fault-free table,
+// as the build serves them from its tables and as a copy without tables,
+// as a restored build is, serves them from its memo's deltas.
+func TestTableTextSplice(t *testing.T) {
+	check := func(name string, v oracle.DistView, text *tableText) {
+		t.Helper()
+		got := append(appendReply(nil, opDists, reply{view: &v}, text), '\n')
+		table := v.AppendTo(nil)
+		if want := encodeReference(t, batchResult{Dists: table}); !bytes.Equal(got, want) {
+			t.Fatalf("%s: spliced\n got %q\nwant %q", name, got, want)
+		}
+		if full := append(appendReply(nil, opDists, reply{view: &oracle.DistView{Full: table}}, nil), '\n'); !bytes.Equal(got, full) {
+			t.Fatalf("%s: spliced\n got %q\nfull %q", name, got, full)
+		}
+	}
+	base := []int32{0, 1, 2, 9, 10, 99, 100, 101, bfs.Unreachable, 5, 7, 12345}
+	n := int32(len(base))
+	text := newTableText(0, base)
+	var every, everyVal []int32
+	for v := range n {
+		every, everyVal = append(every, v), append(everyVal, 1000-v)
+	}
+	for _, tc := range []struct {
+		name       string
+		keys, vals []int32
+	}{
+		{"no overrides", nil, nil},
+		{"vertex 0", []int32{0}, []int32{7}},
+		{"vertex n-1", []int32{n - 1}, []int32{bfs.Unreachable}},
+		{"both ends", []int32{0, n - 1}, []int32{bfs.Unreachable, 3}},
+		{"adjacent", []int32{3, 4, 5}, []int32{100, bfs.Unreachable, 1000}},
+		{"values of three digits and more", []int32{1, 6, 9}, []int32{100, 99999, 123}},
+		{"every vertex", every, everyVal},
+	} {
+		check(tc.name, oracle.DistView{Base: base, Keys: tc.keys, Vals: tc.vals}, &text)
+	}
+
+	srv := New(&Config{MaxConcurrentBuilds: 1})
+	if err := srv.RegisterGraph("s", &GenSpec{Family: "sparse", N: 80, AvgDeg: 4, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	_, st, set := readyBuild(t, srv, srv.Handler(), "s", `{"mode":"dual","sources":[0]}`)
+	noTables := *st
+	noTables.Tables = nil
+	memo, err := oracle.NewSet(&noTables, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []struct {
+		name string
+		set  *oracle.OracleSet
+	}{{"tables", set}, {"memo", memo}} {
+		o := sc.set.Handle()
+		text := textOf(newTableTexts(sc.set), 0)
+		deltas := 0
+		for a := -1; a < st.G.M(); a++ {
+			for b := a + 1; b < st.G.M() && b <= a+8; b++ {
+				faults := []int{a, b}
+				if a < 0 {
+					faults = faults[1:]
+				}
+				v, err := o.DistsLent(0, faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(v.Keys) > 0 {
+					deltas++
+				}
+				check(fmt.Sprintf("%s faults %v", sc.name, faults), *v, text)
+			}
+		}
+		v, err := o.DistsLent(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Full != nil || len(v.Keys) != 0 {
+			t.Fatalf("%s: the fault-free table is %+v, want the base alone", sc.name, v)
+		}
+		check(sc.name+" fault-free", *v, text)
+		if deltas == 0 {
+			t.Fatalf("%s: no delta view with an override", sc.name)
+		}
+		t.Logf("%s: %d delta views with overrides; %+v", sc.name, deltas, sc.set.CacheStats())
 	}
 }
 
@@ -184,7 +274,7 @@ func TestJSONWireMatchesReference(t *testing.T) {
 	var items []string
 	var results []batchResult
 	for _, q := range qs {
-		ref := referenceResult(q.op, answer(o, &q))
+		ref := referenceResult(q.op, answer(o, &q, new([]int)))
 		results = append(results, ref)
 
 		var item strings.Builder
@@ -268,7 +358,7 @@ func (fx *wireFixture) fallback(b wireBuild, body []byte) *httptest.ResponseReco
 			sc.queries = append(sc.queries, br.Queries[i].query())
 		}
 	}
-	fx.srv.serveJSONBatch(rec, req, b.set, sc, len(br.Queries), br.Stream)
+	fx.srv.serveJSONBatch(rec, req, b.set, newTableTexts(b.set), sc, len(br.Queries), br.Stream)
 	return rec
 }
 
@@ -414,7 +504,8 @@ func TestServerBatchBodyTooLarge(t *testing.T) {
 }
 
 // TestJSONBatchAllocationsPerItem: a common-shape batch of table-served
-// dist items allocates per request, never per item.
+// dist, route and whole-table items allocates per request, never per
+// item.
 func TestJSONBatchAllocationsPerItem(t *testing.T) {
 	srv := New(&Config{MaxConcurrentBuilds: 1})
 	if err := srv.RegisterGraph("a", &GenSpec{Family: "sparse", N: 24, AvgDeg: 4, Seed: 11}); err != nil {
@@ -429,7 +520,14 @@ func TestJSONBatchAllocationsPerItem(t *testing.T) {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, `{"source":0,"target":%d,"faults":[%d,%d]}`, i%24, i%7, 7+i%5)
+			switch i % 3 {
+			case 0:
+				fmt.Fprintf(&sb, `{"source":0,"target":%d,"faults":[%d,%d]}`, i%24, i%7, 7+i%5)
+			case 1:
+				fmt.Fprintf(&sb, `{"source":0,"target":%d,"faults":[%d,%d],"route":true}`, i%24, i%7, 7+i%5)
+			default:
+				fmt.Fprintf(&sb, `{"source":0,"faults":[%d,%d]}`, i%7, 7+i%5)
+			}
 		}
 		sb.WriteString(`]}`)
 		body := []byte(sb.String())

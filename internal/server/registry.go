@@ -130,6 +130,7 @@ type buildEntry struct {
 	elapsed time.Duration     // guarded by Server.mu; pure build time, excluding the queue wait
 	st      *core.Structure   // guarded by Server.mu
 	set     *oracle.OracleSet // guarded by Server.mu
+	texts   []tableText       // guarded by Server.mu; set's fault-free tables as JSON, per source
 	// cancel cancels the build's context; done is closed when the build
 	// goroutine has fully exited (slot released, status terminal);
 	// progress carries the builder's live counters. All three are nil for

@@ -24,13 +24,15 @@
 // running builds report live progress counters, and DELETE cancels them
 // cooperatively, normally within a few milliseconds). The query path is
 // served by a pool of per-goroutine oracles over one shared immutable
-// OracleSet. A dist on a dual or multi build made by this process is
-// read from the build's replacement-distance table, with no search and no
-// lock (a slot the table leaves open falls back to the memo). Routes,
-// whole tables, and every query on a build without a table (other modes,
-// restored or uploaded snapshots) go through the set's failure-event
+// OracleSet. On a dual or multi build made by this process, every dist,
+// route and whole table is read from the build's replacement-distance
+// tables, with no search and no lock (a slot the table leaves open falls
+// back to the memo). Every query on a build without tables (other modes,
+// restored or uploaded snapshots) goes through the set's failure-event
 // memo, so concurrent clients asking about one failure event share a
-// single repair of H∖F.
+// single repair of H∖F. A whole table goes out as JSON by copying the
+// build's pre-encoded fault-free table between the vertices the failure
+// event moves.
 package server
 
 import (
@@ -63,8 +65,12 @@ type Config struct {
 	MaxConcurrentBuilds int
 	// CacheBytes is each build's failure-event memo budget: 0 means
 	// oracle.DefaultCacheBytes (256 MiB), > 0 is the budget, < 0 turns
-	// the memo off. Entries are byte-accounted — delta-compressed events
-	// are charged only for what the fault actually changed — and
+	// the memo off. The memo serves builds without replacement-distance
+	// tables (restored or uploaded snapshots, single, f = 3, approximate
+	// and exhaustive builds); a dual or multi build made by this process
+	// answers every query from its tables and uses the memo only for the
+	// slots they leave open. Entries are byte-accounted — delta-compressed
+	// events are charged only for what the fault actually changed — and
 	// least-recently-used events are evicted to stay within the budget.
 	// Untrusted clients can force one entry per distinct fault set, so
 	// the bound must not scale with n; the pinned fault-free base trees
@@ -533,7 +539,7 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	be.queued = be.started.Sub(be.created)
 	s.mu.Unlock()
 	opts := &core.Options{Seed: be.seed, Parallelism: parallelism, Ctx: ctx, Progress: be.progress}
-	st, set, err := s.buildStructure(ctx, g2, build, opts)
+	st, set, texts, err := s.buildStructure(ctx, g2, build, opts)
 	s.mu.Lock()
 	be.elapsed = time.Since(be.started)
 	switch {
@@ -551,6 +557,7 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	default:
 		be.st = st
 		be.set = set
+		be.texts = texts
 		be.status = StatusReady
 		if s.cfg.Store != nil {
 			be.snapState = SnapPending
@@ -565,19 +572,22 @@ func (s *Server) runBuild(ctx context.Context, graphName string, g2 *graph.Graph
 	s.logBuild(graphName, be)
 }
 
-// buildStructure runs the builder and indexes its structure for queries.
-// A panic in either — on a pool worker (sched.Run) or here on the build
+// buildStructure runs the builder and indexes its structure for queries:
+// its oracle set and the JSON text of its fault-free tables. A panic in
+// any of them — on a pool worker (sched.Run) or here on the build
 // goroutine — becomes a *sched.PanicError, so a faulty builder fails its
 // build instead of the daemon.
 func (s *Server) buildStructure(ctx context.Context, g2 *graph.Graph,
 	build func(*graph.Graph, *core.Options) (*core.Structure, error),
-	opts *core.Options) (st *core.Structure, set *oracle.OracleSet, err error) {
+	opts *core.Options) (st *core.Structure, set *oracle.OracleSet, texts []tableText, err error) {
 	defer sched.Recover(&err)
 	st, err = build(g2, opts)
 	if err == nil && ctx.Err() == nil {
-		set, err = s.newOracleSet(st)
+		if set, err = s.newOracleSet(st); err == nil {
+			texts = newTableTexts(set)
+		}
 	}
-	return st, set, err
+	return st, set, texts, err
 }
 
 // logBuild reports a terminal build outcome to Config.BuildLog.
@@ -856,29 +866,31 @@ func (s *Server) resolveLocked(r *http.Request) (*graphEntry, *buildEntry, error
 	return g, be, nil
 }
 
-// readySet resolves the request's build and returns its oracle set, or
-// writes the error response and returns nil.
-func (s *Server) readySet(w http.ResponseWriter, r *http.Request) *oracle.OracleSet {
+// readySet resolves the request's build and returns its oracle set and
+// the JSON text of its fault-free tables, or writes the error response
+// and returns a nil set.
+func (s *Server) readySet(w http.ResponseWriter, r *http.Request) (*oracle.OracleSet, []tableText) {
 	s.mu.RLock()
 	_, be, err := s.resolveLocked(r)
 	var (
 		set    *oracle.OracleSet
+		texts  []tableText
 		status string
 	)
 	if err == nil {
 		status = be.status
-		set = be.set
+		set, texts = be.set, be.texts
 	}
 	s.mu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
-		return nil
+		return nil, nil
 	}
 	if status != StatusReady {
 		writeErr(w, http.StatusConflict, "build is %s, not ready", status)
-		return nil
+		return nil, nil
 	}
-	return set
+	return set, texts
 }
 
 // ---- queries ----
@@ -936,35 +948,43 @@ type query struct {
 // reply is the answer to one query, for the protocol encoders: err (a
 // *oracle.QueryError, or errRouteNoTarget) for a rejected query, else dist
 // for opDist and opRoute (bfs.Unreachable when cut off), path for a
-// reachable opRoute and dists for opDists (lent by the oracle until the
-// handle's next query, so each encoder writes it out at once). Four
-// fields, nine words: small enough to return in registers, which keeps
-// the per-item cost of both batch codecs flat.
+// reachable opRoute (in the request's route buffer) and view for opDists
+// (lent by the oracle until the handle's next query). Both are reused by
+// the next item, so each encoder writes a reply out at once. Four fields,
+// seven words: small enough to return in registers, which keeps the
+// per-item cost of both batch codecs flat.
 type reply struct {
-	err   error
-	dist  int32
-	path  []int
-	dists []int32
+	err  error
+	dist int32
+	path []int
+	view *oracle.DistView
 }
 
-// answer resolves one query with the request's pooled handle. It is this
-// package's only caller of the oracle's query methods, so it must not
-// allocate beyond what the oracle returns.
+// pathPool recycles the route buffer answer appends each route into. A
+// request's routes are encoded one at a time, so one buffer serves them
+// all; it grows to the longest route it has held.
+var pathPool = sync.Pool{New: func() any { return new([]int) }}
+
+// answer resolves one query with the request's pooled handle, appending a
+// route into *path, the request's route buffer (from pathPool). It is
+// this package's only caller of the oracle's query methods, and it
+// allocates only to grow that buffer (and on a memo miss).
 //
 //ftbfs:hotpath
-func answer(o *oracle.Oracle, q *query) reply {
+func answer(o *oracle.Oracle, q *query, path *[]int) reply {
 	switch q.op {
 	case opNoTarget:
 		return reply{err: errRouteNoTarget}
 	case opDists:
-		d, err := o.Dists(q.source, q.faults)
-		return reply{err: err, dists: d}
+		v, err := o.DistsLent(q.source, q.faults)
+		return reply{err: err, view: v}
 	case opRoute:
-		p, err := o.Route(q.source, q.target, q.faults)
-		if p == nil {
+		p, err := o.AppendRoute((*path)[:0], q.source, q.target, q.faults)
+		*path = p
+		if len(p) == 0 {
 			return reply{err: err, dist: bfs.Unreachable}
 		}
-		return reply{dist: int32(p.Len()), path: p}
+		return reply{dist: int32(len(p) - 1), path: p}
 	default:
 		d, err := o.Dist(q.source, q.target, q.faults)
 		return reply{err: err, dist: d}
@@ -977,7 +997,7 @@ func answer(o *oracle.Oracle, q *query) reply {
 // rejected query becomes a 400 carrying the item's error object.
 func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		set := s.readySet(w, r)
+		set, texts := s.readySet(w, r)
 		if set == nil {
 			return
 		}
@@ -988,14 +1008,16 @@ func (s *Server) handleGet(op queryOp) http.HandlerFunc {
 		}
 		o := set.Acquire()
 		defer set.Release(o)
-		rep := answer(o, &q)
+		path := pathPool.Get().(*[]int)
+		defer pathPool.Put(path)
+		rep := answer(o, &q, path)
 		code := http.StatusOK
 		if rep.err != nil {
 			code = http.StatusBadRequest
 		}
 		sc := jsonPool.Get().(*jsonScratch)
 		defer jsonPool.Put(sc)
-		sc.out = append(appendReply(sc.out[:0], op, rep), '\n')
+		sc.out = append(appendReply(sc.out[:0], op, rep, textOf(texts, q.source)), '\n')
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
 		_, _ = w.Write(sc.out)

@@ -372,10 +372,11 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentClients hammers one ready build with ≥ 8 concurrent
-// clients mixing dist, dists and route queries; under -race this
-// exercises the shared registry, oracle pool and LRU. Answers are checked
-// against precomputed ground truth.
+// TestServerConcurrentClients hammers one ready build and a restored copy
+// of it with ≥ 8 concurrent clients mixing dist and route queries; under
+// -race this exercises the shared registry, oracle pool, the build's
+// tables and the copy's LRU. Answers are checked against precomputed
+// ground truth.
 func TestServerConcurrentClients(t *testing.T) {
 	seed := int64(21)
 	g := gen.GNP(24, 0.2, seed)
@@ -385,6 +386,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	if info := c.waitReady("cc", id); info.Status != StatusReady {
 		t.Fatalf("build failed: %+v", info)
 	}
+	c.restoreCopy("cc", id, "r1")
 	events := make([][]int, 0, 40)
 	truth := make([][]int32, 0, 40)
 	for a := 0; a < g.M() && len(events) < 40; a += 2 {
@@ -396,20 +398,21 @@ func TestServerConcurrentClients(t *testing.T) {
 		truth = append(truth, bfs.Distances(g, 0, f))
 	}
 
-	// Round 0 asks for distances, which the build's replacement-distance
-	// table answers; rounds 1 and 2 ask for routes, which walk the memo.
+	// Rounds 0 and 1 ask the build for distances and routes, which its
+	// replacement-distance tables answer; rounds 2 and 3 ask the restored
+	// copy for routes, which walk the memo.
 	const clients = 10
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			for round, op := range []string{"dist", "route", "route"} {
+			for round, r := range []struct{ build, op string }{{id, "dist"}, {id, "route"}, {"r1", "route"}, {"r1", "route"}} {
 				for i := range events {
 					idx := (i + cl*7) % len(events)
 					target := (cl*5 + i) % g.N()
 					url := fmt.Sprintf("%s/v1/graphs/cc/builds/%s/%s?source=0&target=%d&faults=%s",
-						c.srv.URL, id, op, target, faultsParam(events[idx]))
+						c.srv.URL, r.build, r.op, target, faultsParam(events[idx]))
 					resp, err := c.srv.Client().Get(url)
 					if err != nil {
 						t.Errorf("client %d: %v", cl, err)
@@ -440,10 +443,13 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	// While queries ran, concurrent builds on the same graph must also be
-	// safe; verify the build is still inspectable and the cache saw traffic.
-	info := c.waitReady("cc", id)
-	if info.Cache == nil || info.Cache.Hits == 0 {
+	// Verify both builds are still inspectable, and that the copy's
+	// cache saw the traffic the build's tables kept from its own (they
+	// leave slots to it only on residual ties).
+	if info := c.waitReady("cc", id); info.Cache == nil || info.Stats.TieWarnings == 0 && info.Cache.Hits+info.Cache.Misses != 0 {
+		t.Fatalf("the build's tables left queries to the memo: %+v", info)
+	}
+	if info := c.waitReady("cc", "r1"); info.Cache == nil || info.Cache.Hits == 0 {
 		t.Fatalf("cache saw no traffic: %+v", info)
 	}
 }

@@ -118,6 +118,7 @@ func (s *Server) installSnapshot(graphName, buildID string, sn *snap.Snapshot, s
 		elapsed:   time.Duration(sn.Meta.ElapsedMS * float64(time.Millisecond)),
 		st:        st,
 		set:       set,
+		texts:     newTableTexts(set),
 		restored:  true,
 		origMeta:  sn.Meta,
 		snapState: snapState,

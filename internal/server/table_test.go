@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 
 	"repro/internal/bfs"
@@ -14,13 +15,35 @@ import (
 	"repro/internal/server/batchcodec"
 )
 
+// restoreCopy installs the snapshot of a ready build under the new build
+// ID as: PUT …/snapshot of what GET …/snapshot returned. The copy carries
+// no replacement-distance table, so it answers every query through the
+// memo.
+func (c *testClient) restoreCopy(graph, build, as string) {
+	c.t.Helper()
+	code, snapBytes := c.do("GET", "/v1/graphs/"+graph+"/builds/"+build+"/snapshot", nil)
+	if code != http.StatusOK {
+		c.t.Fatalf("GET snapshot: %d", code)
+	}
+	resp, err := c.srv.Client().Do(mustRequest(c.t, "PUT", c.srv.URL+"/v1/graphs/"+graph+"/builds/"+as+"/snapshot", snapBytes))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		c.t.Fatalf("PUT snapshot: %d", resp.StatusCode)
+	}
+}
+
 // TestTableAndSnapshotAnswerAlike serves one multi build twice: as built,
-// where Dist reads the build's replacement-distance tables, and restored
-// from its own snapshot through PUT …/snapshot, which carries no table,
-// so Dist repairs H∖F through the memo. A fixed stream of |F| ≤ 2 items —
-// faults on π(s,v), on its detours and anywhere — goes to both over GET
-// /dist, a JSON batch and a binary batch. The response bodies must be
-// byte-identical, and every distance must equal BFS on G∖F.
+// where every query is read from the build's replacement-distance tables,
+// and restored from its own snapshot through PUT …/snapshot, which carries
+// no table, so every query repairs H∖F through the memo. A fixed stream of
+// |F| ≤ 2 events — faults on π(s,v), on its detours and anywhere — goes to
+// both as dist, route and whole-table items, over GET, a JSON batch, an
+// NDJSON stream and a binary batch. The response bodies must be
+// byte-identical, and every distance, route length and table entry must
+// equal BFS on G∖F.
 func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 	const seed = 5
 	g := gen.GNP(40, 0.12, seed)
@@ -31,19 +54,8 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 	if info := c.waitReady("w", built); info.Status != StatusReady {
 		t.Fatalf("build failed: %+v", info)
 	}
-	code, snapBytes := c.do("GET", "/v1/graphs/w/builds/"+built+"/snapshot", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET snapshot: %d", code)
-	}
 	const restored = "r1"
-	resp, err := c.srv.Client().Do(mustRequest(t, "PUT", c.srv.URL+"/v1/graphs/w/builds/"+restored+"/snapshot", snapBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT snapshot: %d", resp.StatusCode)
-	}
+	c.restoreCopy("w", built, restored)
 
 	// The stream: per source and target, no fault, a π edge alone and
 	// with a second π edge, a detour edge of it, and any edge, then two
@@ -52,7 +64,7 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 	type item struct {
 		src, v int
 		faults []int
-		want   int32
+		want   []int32 // BFS on G∖F from src
 	}
 	rng := rand.New(rand.NewSource(1))
 	var items []item
@@ -72,34 +84,49 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 				}
 			}
 			for _, f := range sets {
-				items = append(items, item{s, v, f, bfs.Distances(g, s, f)[v]})
+				items = append(items, item{s, v, f, bfs.Distances(g, s, f)})
 			}
 		}
 	}
+	ops := [...]queryOp{opDist, opRoute, opDists}
 
-	bodies := map[string][3][]byte{}
+	// Per build: GET bodies per op, then the JSON batch, the NDJSON stream
+	// and the binary batch.
+	protos := []string{"GET /dist", "GET /route", "GET /dists", "JSON batch", "NDJSON", "binary batch"}
+	bodies := map[string][][]byte{}
 	for _, build := range []string{built, restored} {
-		var get bytes.Buffer
-		queries := make([]batchQuery, len(items))
+		var get [len(ops)]bytes.Buffer
+		var queries []batchQuery
 		var rb batchcodec.RequestBuilder
-		for k, it := range items {
-			code, body := c.do("GET", fmt.Sprintf("/v1/graphs/w/builds/%s/dist?source=%d&target=%d&faults=%s",
-				build, it.src, it.v, faultsParam(it.faults)), nil)
-			if code != http.StatusOK {
-				t.Fatalf("%s: GET dist %+v: %d %s", build, it, code, body)
-			}
-			var dr distResponse
-			if err := json.Unmarshal(body, &dr); err != nil {
-				t.Fatal(err)
-			}
-			if dr.Dist != it.want {
-				t.Fatalf("%s: GET dist source %d target %d faults %v: %d, BFS on G∖F %d", build, it.src, it.v, it.faults, dr.Dist, it.want)
-			}
-			get.Write(body)
-			v := it.v
-			queries[k] = batchQuery{Source: it.src, Target: &v, Faults: it.faults}
-			if err := rb.AddQuery(it.src, it.v, it.faults, false); err != nil {
-				t.Fatal(err)
+		for _, it := range items {
+			for k, op := range ops {
+				url := fmt.Sprintf("/v1/graphs/w/builds/%s/%s?source=%d&faults=%s",
+					build, [...]string{"dist", "dists", "route"}[op], it.src, faultsParam(it.faults))
+				q := batchQuery{Source: it.src, Faults: it.faults, Route: op == opRoute}
+				bi := batchcodec.Item{Source: int32(it.src), Target: int32(it.v), Flags: uint32(len(it.faults))}
+				if op == opDists {
+					bi.Flags |= batchcodec.FlagAllDists
+				} else {
+					url += fmt.Sprintf("&target=%d", it.v)
+					v := it.v
+					q.Target = &v
+				}
+				if op == opRoute {
+					bi.Flags |= batchcodec.FlagRoute
+				}
+				if len(it.faults) > 0 {
+					bi.Fault0 = uint32(it.faults[0])
+				}
+				if len(it.faults) > 1 {
+					bi.Fault1 = uint32(it.faults[1])
+				}
+				code, body := c.do("GET", url, nil)
+				if code != http.StatusOK {
+					t.Fatalf("%s: GET %s: %d %s", build, url, code, body)
+				}
+				get[k].Write(body)
+				queries = append(queries, q)
+				rb.Add(bi)
 			}
 		}
 		code, jsonBody := c.do("POST", "/v1/graphs/w/builds/"+build+"/query", batchRequest{Queries: queries})
@@ -112,6 +139,10 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 		if err := json.Unmarshal(jsonBody, &jr); err != nil {
 			t.Fatal(err)
 		}
+		code, streamBody := c.do("POST", "/v1/graphs/w/builds/"+build+"/query", batchRequest{Queries: queries, Stream: true})
+		if code != http.StatusOK {
+			t.Fatalf("%s: NDJSON: %d %s", build, code, streamBody)
+		}
 		code, binBody := c.postBinary("w", build, rb.Frame())
 		if code != http.StatusOK {
 			t.Fatalf("%s: binary batch: %d %s", build, code, binBody)
@@ -120,20 +151,45 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(jr.Results) != len(items) || bin.Len() != len(items) {
-			t.Fatalf("%s: %d JSON and %d binary results for %d items", build, len(jr.Results), bin.Len(), len(items))
+		if len(jr.Results) != len(queries) || bin.Len() != len(queries) {
+			t.Fatalf("%s: %d JSON and %d binary results for %d items", build, len(jr.Results), bin.Len(), len(queries))
 		}
-		for k, it := range items {
-			if res := jr.Results[k]; res.Dist == nil || *res.Dist != it.want {
-				t.Fatalf("%s: JSON item %d %+v: %+v", build, k, it, res)
+		for k := range queries {
+			it, op := items[k/len(ops)], ops[k%len(ops)]
+			want, res, rec := it.want[it.v], jr.Results[k], bin.Record(k)
+			if rec.Err() != batchcodec.ErrNone || res.Error != "" {
+				t.Fatalf("%s: item %d %+v: JSON %+v, binary %+v", build, k, it, res, rec)
 			}
-			if rec := bin.Record(k); rec.Dist != it.want || rec.Err() != batchcodec.ErrNone {
-				t.Fatalf("%s: binary item %d %+v: %+v", build, k, it, rec)
+			switch op {
+			case opDist:
+				if res.Dist == nil || *res.Dist != want || rec.Dist != want {
+					t.Fatalf("%s: dist item %d %+v: JSON %+v, binary %+v, BFS on G∖F %d", build, k, it, res, rec, want)
+				}
+			case opRoute:
+				if want == bfs.Unreachable {
+					if res.Path != nil || rec.Reachable() {
+						t.Fatalf("%s: route item %d %+v: JSON %+v, binary %+v, want unreachable", build, k, it, res, rec)
+					}
+					continue
+				}
+				p := res.Path
+				if len(p) != int(want)+1 || p[0] != it.src || p[want] != it.v || rec.Dist != want {
+					t.Fatalf("%s: route item %d %+v: JSON %+v, binary %+v, BFS on G∖F %d", build, k, it, res, rec, want)
+				}
+				for h := 1; h < len(p); h++ {
+					if id, ok := g.EdgeID(p[h-1], p[h]); !ok || slices.Contains(it.faults, id) || it.want[p[h]] != int32(h) {
+						t.Fatalf("%s: route item %d %+v: hop %d-%d is not a shortest-path edge of G∖F", build, k, it, p[h-1], p[h])
+					}
+				}
+			default:
+				if !slices.Equal(res.Dists, it.want) {
+					t.Fatalf("%s: table item %d %+v: %v, BFS on G∖F %v", build, k, it, res.Dists, it.want)
+				}
 			}
 		}
-		bodies[build] = [3][]byte{get.Bytes(), jsonBody, binBody}
+		bodies[build] = [][]byte{get[0].Bytes(), get[1].Bytes(), get[2].Bytes(), jsonBody, streamBody, binBody}
 	}
-	for k, proto := range []string{"GET /dist", "JSON batch", "binary batch"} {
+	for k, proto := range protos {
 		if !bytes.Equal(bodies[built][k], bodies[restored][k]) {
 			t.Fatalf("%s: the built and the restored build answer differently", proto)
 		}
@@ -144,11 +200,11 @@ func TestTableAndSnapshotAnswerAlike(t *testing.T) {
 	var a, b buildInfo
 	c.decode("GET", "/v1/graphs/w/builds/"+built, nil, http.StatusOK, &a)
 	c.decode("GET", "/v1/graphs/w/builds/"+restored, nil, http.StatusOK, &b)
-	if a.Cache.TableBytes == 0 || a.Cache.Hits+a.Cache.Misses != 0 {
+	if a.Cache.TableBytes == 0 || a.Cache.Hits+a.Cache.Misses != 0 || a.Cache.Len != 0 {
 		t.Fatalf("built: %+v, want table bytes and no memo traffic", a.Cache)
 	}
-	if b.Cache.TableBytes != 0 || b.Cache.Misses == 0 {
-		t.Fatalf("restored: %+v, want no table and memo misses", b.Cache)
+	if b.Cache.TableBytes != 0 || b.Cache.Misses == 0 || b.Cache.DeltaEntries == 0 {
+		t.Fatalf("restored: %+v, want no table and memo misses, deltas among them", b.Cache)
 	}
-	t.Logf("%d items; built %+v; restored %+v", len(items), *a.Cache, *b.Cache)
+	t.Logf("%d items; built %+v; restored %+v", len(items)*len(ops), *a.Cache, *b.Cache)
 }
