@@ -77,25 +77,38 @@ func BenchmarkBuildDual(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildServing times the build ftbfsd's benchmark serves from —
-// the two-source dual structure of SparseGNP(1000, 6, 1) — which is most
-// of bench/run.sh's setup_s, at one and two workers.
+// BenchmarkBuildServing times the builds ftbfsd's benchmark makes: the
+// two-source dual structure of SparseGNP(1000, 6, 1) it serves from —
+// most of bench/run.sh's setup_s — at one and two workers, and "load",
+// the single-source dual build of SparseGNP(1500, 6, 1) from vertex 0 at
+// one worker that build-under-load runs while traffic flows.
 func BenchmarkBuildServing(b *testing.B) {
+	bench := func(b *testing.B, build func() (*ftbfs.Structure, error)) {
+		b.ReportAllocs()
+		var edges int
+		for i := 0; i < b.N; i++ {
+			st, err := build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			edges = st.NumEdges()
+		}
+		b.ReportMetric(float64(edges), "edges")
+	}
 	g := ftbfs.SparseGNP(1000, 6, 1)
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			var edges int
-			for i := 0; i < b.N; i++ {
-				st, err := ftbfs.BuildMultiSourceDualFTBFS(g, []int{0, 500}, &ftbfs.Options{Parallelism: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				edges = st.NumEdges()
-			}
-			b.ReportMetric(float64(edges), "edges")
+			bench(b, func() (*ftbfs.Structure, error) {
+				return ftbfs.BuildMultiSourceDualFTBFS(g, []int{0, 500}, &ftbfs.Options{Parallelism: p})
+			})
 		})
 	}
+	load := ftbfs.SparseGNP(1500, 6, 1)
+	b.Run("load", func(b *testing.B) {
+		bench(b, func() (*ftbfs.Structure, error) {
+			return ftbfs.BuildDualFTBFS(load, 0, &ftbfs.Options{Parallelism: 1})
+		})
+	})
 }
 
 // BenchmarkBuildScale times single-source dual builds of SparseGNP(n, 6, 1)

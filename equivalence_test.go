@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	ftbfs "repro"
+	"repro/internal/core"
 )
 
 // fingerprintStructure hashes everything observable about a built structure:
@@ -76,12 +77,47 @@ func fingerprintOracle(t *testing.T, st *ftbfs.Structure, trials int) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
+// fingerprintTables hashes every field of a build's replacement-distance
+// tables, in source order ("" when the build has none).
+func fingerprintTables(st *ftbfs.Structure) string {
+	if st.Tables == nil {
+		return ""
+	}
+	h := sha256.New()
+	for _, tab := range st.Tables {
+		fmt.Fprintf(h, "%v;", *tab)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+// TestServingBuildIdentity pins the build ftbfsd's benchmark serves from,
+// the two-source dual structure of SparseGNP(1000, 6, 1) from [0, 500],
+// at three workers: its edge count, every BuildStats field and both
+// sources' replacement-distance tables.
+func TestServingBuildIdentity(t *testing.T) {
+	st, err := ftbfs.BuildMultiSourceDualFTBFS(ftbfs.SparseGNP(1000, 6, 1), []int{0, 500}, &ftbfs.Options{Parallelism: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.NumEdges(); got != 3446 {
+		t.Errorf("edges = %d, want 3446", got)
+	}
+	want := core.BuildStats{Dijkstras: 102180, MaxNewEdges: 3, MaxE1: 2, MaxE2: 1, NewEndingPiD: 1767}
+	if st.Stats != want {
+		t.Errorf("stats = %+v, want %+v", st.Stats, want)
+	}
+	if got := fingerprintTables(st); got != "6ce19e2430b4842d8340df12" {
+		t.Errorf("table fingerprint = %s, want 6ce19e2430b4842d8340df12", got)
+	}
+}
+
 func TestGoldenStructureFingerprints(t *testing.T) {
 	cases := []struct {
 		name       string
 		build      func(opts *ftbfs.Options) (*ftbfs.Structure, error)
 		structure  string
 		oracle     string
+		tables     string // "" for builds without tables
 		oracleRuns int
 	}{
 		{
@@ -91,6 +127,7 @@ func TestGoldenStructureFingerprints(t *testing.T) {
 			},
 			structure:  "b6397b093386326806032c0b",
 			oracle:     "717b6992aa8b4b3ccf7935a9",
+			tables:     "4f6094198104f22ea37e3582",
 			oracleRuns: 60,
 		},
 		{
@@ -100,6 +137,7 @@ func TestGoldenStructureFingerprints(t *testing.T) {
 			},
 			structure:  "29f3c7b0ed9c587e78cb23ed",
 			oracle:     "8614186653edb8c6d88a8bd7",
+			tables:     "d58fcb6d5bfd36595f8c7add",
 			oracleRuns: 60,
 		},
 		{
@@ -127,6 +165,7 @@ func TestGoldenStructureFingerprints(t *testing.T) {
 			},
 			structure:  "cd00e439ac8f174472efb8ba",
 			oracle:     "da103ef963bc35d07b87bf96",
+			tables:     "ad5d336d26bf8015c8411096",
 			oracleRuns: 40,
 		},
 	}
@@ -151,6 +190,9 @@ func TestGoldenStructureFingerprints(t *testing.T) {
 				}
 				if got := fingerprintOracle(t, st, c.oracleRuns); got != c.oracle {
 					t.Errorf("oracle fingerprint = %s, want %s", got, c.oracle)
+				}
+				if got := fingerprintTables(st); got != c.tables {
+					t.Errorf("table fingerprint = %s, want %s", got, c.tables)
 				}
 			})
 		}

@@ -108,8 +108,13 @@ type Stats struct {
 	// makes, whether it was run or answered without a run (a memoized
 	// single-fault search, a G_τ(v) check derived from the run before).
 	Dijkstras int
-	// KernelRuns counts the wsp.RepairSearch runs actually made.
-	KernelRuns  int
+	// KernelRuns counts the wsp.RepairSearch runs that swept: runs the
+	// base already answered count as logical searches only.
+	KernelRuns int
+	// BaseAnswers counts the unmasked two-fault searches of Steps 2–3
+	// that T_{e_i} answered without a run: f is not a T_{e_i} edge, or v
+	// lies outside R'.
+	BaseAnswers int
 	Fallbacks   int // selection-rule fallbacks
 	TieWarnings int // equal-weight path pairs observed (should stay 0)
 }
@@ -118,15 +123,17 @@ type Stats struct {
 // source, repairing against their shared canonical tree T0. It keeps the
 // Step-1 searches of the current target's π edges for the targets after
 // it (sfMemo), which pays when targets come in T0 preorder
-// (wsp.Tree.Preorder); the results never depend on the order. It is not
-// safe for concurrent use; create one per goroutine over one shared
-// wsp.Tree.
+// (wsp.Tree.Preorder); the results never depend on the order. Steps 2–3
+// repair each G∖{e_i, f} against T_{e_i}, the memo's search of G∖{e_i},
+// instead of T0 (runPair). It is not safe for concurrent use; create one
+// per goroutine over one shared wsp.Tree.
 type Engine struct {
 	g *graph.Graph
 	t *wsp.Tree // T0(s), shared and only read
 	s int
 
 	search *wsp.RepairSearch
+	base   *sfEntry // the memo entry search repairs against; nil: T0
 
 	stats Stats
 	// ties is the TieWarnings share not observed by search itself: each
@@ -204,9 +211,52 @@ func (e *Engine) TreeEdgesAt(v int) []int {
 // unreachable from s.
 func (e *Engine) PiTo(v int) path.Path { return e.t.PathTo(v) }
 
-// run wraps the underlying search, counting effort.
-func (e *Engine) run(src int, opt wsp.Options) {
-	e.search.Run(src, opt)
+// run makes one logical search and reports whether the kernel swept.
+func (e *Engine) run(src int, opt wsp.Options) bool {
 	e.stats.Dijkstras++
+	return e.sweep(src, opt)
+}
+
+// sweep runs the underlying search as part of a logical search already
+// counted, and counts a kernel run when it swept.
+func (e *Engine) sweep(src int, opt wsp.Options) bool {
+	if !e.search.Run(src, opt) {
+		return false
+	}
 	e.stats.KernelRuns++
+	return true
+}
+
+// onBase makes en's search the base of the following runs, or T0 when en
+// is nil. Every run on en must fault e_{en.i}.
+//
+//ftbfs:hotpath
+func (e *Engine) onBase(en *sfEntry) {
+	if en == e.base {
+		return
+	}
+	e.base = en
+	if en == nil {
+		e.search.SetBase(nil)
+	} else {
+		e.search.SetBase(&en.Delta)
+	}
+}
+
+// runPair makes the unmasked search G∖{e_i, f} to v for Steps 2–3, one
+// logical search, and reports whether the kernel swept. It repairs
+// against T_{e_i}, the memo's entry (i, i), when the memo still holds it,
+// and against T0 when the 8·n bound dropped it. Only the part of T_{e_i}
+// below f can change, so the run detaches just R', the subtree below f in
+// T_{e_i}: it makes no run at all when f is not a T_{e_i} edge, or when v
+// lies outside R', where v's T_{e_i} path avoids both faults.
+//
+//ftbfs:hotpath
+func (e *Engine) runPair(i, v int, faults []int) bool {
+	e.onBase(e.memo.slots[i].byK[i])
+	if e.run(e.s, wsp.Options{Target: v, DisabledEdges: faults}) {
+		return true
+	}
+	e.stats.BaseAnswers++
+	return false
 }

@@ -15,32 +15,31 @@ const memoBound = 8
 // e_i and the π vertices u_{k+1..i} masked, k = i being the unmasked
 // G∖{e_i}. Because π(s, u_{i+1}) is the T0 path, the masks depend on
 // (e_i, k) and not on the target, so every target below e_i asks the same
-// search. The entry is one full repair run, kept as a delta over T0: its
-// sorted detached region with the hops and parents found there, or a
+// search. The entry is one full repair run, kept as a wsp.Delta over T0:
+// its sorted detached region with the hops and parents found there, or a
 // dense copy of both when the run fell back. Vertices outside the region
-// keep their T0 values.
+// keep their T0 values. The unmasked entry is T_{e_i}, the canonical tree
+// of G∖{e_i}, which Steps 2–3 repair against; only it also keeps the tie
+// weights and parent edges that a base needs.
 type sfEntry struct {
-	i, k   int     // the key: π index of e_i, and the mask bound k
-	verts  []int32 // sorted detached region; unused when dense
-	hops   []int32 // per verts entry, or per vertex when dense; -1: unreachable
-	parent []int32
-	dense  bool
-	ties   int // TieWarnings the run observed, charged to every use
+	i, k int // the key: π index of e_i, and the mask bound k
+	wsp.Delta
+	ties int // TieWarnings the run observed, charged to every use
 
 	prev, next *sfEntry // LRU list, most recently used first
 }
 
 // captured is the number of vertices the entry holds.
-func (en *sfEntry) captured() int { return len(en.hops) }
+func (en *sfEntry) captured() int { return len(en.Hops) }
 
 // at returns v's hop distance (-1: unreachable) and parent in the entry's
 // search.
 func (en *sfEntry) at(t *wsp.Tree, v int) (int32, int) {
-	if en.dense {
-		return en.hops[v], int(en.parent[v])
+	if en.Dense {
+		return en.Hops[v], int(en.Parent[v])
 	}
-	if j, ok := slices.BinarySearch(en.verts, int32(v)); ok {
-		return en.hops[j], int(en.parent[j])
+	if j, ok := slices.BinarySearch(en.Verts, int32(v)); ok {
+		return en.Hops[j], int(en.Parent[j])
 	}
 	return t.HopDist(v), t.ParentOf(v)
 }
@@ -164,13 +163,13 @@ func (e *Engine) singleFault(tr *TargetResult, i, k int) *sfEntry {
 	return en
 }
 
-// fillSingleFault runs G(u_k, u_i)∖{e_i} as one full repair and captures
-// it as a delta over T0, in a recycled entry when one is free.
+// fillSingleFault runs G(u_k, u_i)∖{e_i} as one full repair of T0 and
+// captures it as a delta over T0, in a recycled entry when one is free.
 func (e *Engine) fillSingleFault(tr *TargetResult, i, k int) *sfEntry {
+	e.onBase(nil) // the free entries may include the base
 	e.disabledV = append(e.disabledV[:0], tr.Pi[k+1:i+1]...)
 	t0 := e.search.TieWarnings()
-	e.search.Run(e.s, wsp.Options{Target: -1, DisabledEdges: tr.PiEdgeIDs[i : i+1], DisabledVertices: e.disabledV})
-	e.stats.KernelRuns++
+	e.sweep(e.s, wsp.Options{Target: -1, DisabledEdges: tr.PiEdgeIDs[i : i+1], DisabledVertices: e.disabledV})
 	var en *sfEntry
 	if n := len(e.memo.free); n > 0 {
 		en = e.memo.free[n-1]
@@ -182,23 +181,33 @@ func (e *Engine) fillSingleFault(tr *TargetResult, i, k int) *sfEntry {
 	en.ties = e.search.TieWarnings() - t0
 	e.memoTies += en.ties
 	region, ok := e.search.Changed()
-	en.dense = !ok
+	en.Dense = !ok
 	n := len(region)
-	if en.dense {
+	if en.Dense {
 		n = e.g.N()
 	} else {
-		en.verts = append(en.verts[:0], region...)
-		slices.Sort(en.verts)
+		en.Verts = append(en.Verts[:0], region...)
+		slices.Sort(en.Verts)
 	}
-	en.hops = slices.Grow(en.hops[:0], n)[:n]
-	en.parent = slices.Grow(en.parent[:0], n)[:n]
+	nb := 0 // vertices with tie and parent edge: all of T_{e_i}'s, no others
+	if k == i {
+		nb = n
+	}
+	en.Hops = slices.Grow(en.Hops[:0], n)[:n]
+	en.Parent = slices.Grow(en.Parent[:0], n)[:n]
+	en.Tie = slices.Grow(en.Tie[:0], nb)[:nb]
+	en.ParentE = slices.Grow(en.ParentE[:0], nb)[:nb]
 	for j := range n {
 		v := j
-		if !en.dense {
-			v = int(en.verts[j])
+		if !en.Dense {
+			v = int(en.Verts[j])
 		}
-		en.hops[j] = e.search.HopDist(v)
-		en.parent[j] = int32(e.search.ParentOf(v))
+		en.Hops[j] = e.search.HopDist(v)
+		en.Parent[j] = int32(e.search.ParentOf(v))
+		if j < nb {
+			w, _ := e.search.Dist(v)
+			en.Tie[j], en.ParentE[j] = w.Tie, int32(e.search.ParentEdgeOf(v))
+		}
 	}
 	return en
 }

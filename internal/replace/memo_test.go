@@ -186,9 +186,11 @@ func TestTargetResultsOrderIndependent(t *testing.T) {
 }
 
 // TestKernelRunsBelowLogicalSearches pins the logical search count of a
-// full dual build to the count of an engine that ran every search, and
-// requires the memo and the derived G_τ(v) checks to leave at most 65% of
-// them as kernel runs.
+// full dual build to the count of an engine that ran every search. The
+// memo, the derived G_τ(v) checks, the bisections' confirmations taken
+// from their last probe, and the two-fault runs that T_{e_i} answers
+// without a run must leave at most 46% of them as kernel runs (45.1%
+// measured); some two-fault searches must be answered by T_{e_i} alone.
 func TestKernelRunsBelowLogicalSearches(t *testing.T) {
 	g := gen.SparseGNP(300, 6, 1)
 	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), 1), 0)
@@ -201,7 +203,10 @@ func TestKernelRunsBelowLogicalSearches(t *testing.T) {
 	if st.Dijkstras != logical {
 		t.Fatalf("Dijkstras = %d, want %d", st.Dijkstras, logical)
 	}
-	if st.KernelRuns*100 > 65*st.Dijkstras {
-		t.Fatalf("KernelRuns = %d, more than 65%% of %d logical searches", st.KernelRuns, st.Dijkstras)
+	if st.KernelRuns*100 > 46*st.Dijkstras {
+		t.Fatalf("KernelRuns = %d, more than 46%% of %d logical searches", st.KernelRuns, st.Dijkstras)
+	}
+	if st.BaseAnswers == 0 {
+		t.Fatal("T_{e_i} answered no two-fault search without a run")
 	}
 }

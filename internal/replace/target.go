@@ -295,7 +295,7 @@ func (e *Engine) piPiPair(tr *TargetResult, i, j int) Record {
 		CPos:       -1,
 	}
 	v := tr.V
-	e.run(e.s, wsp.Options{Target: v, DisabledEdges: rec.FaultIDs})
+	e.runPair(i, v, rec.FaultIDs)
 	d := e.search.HopDist(v)
 	if d < 0 {
 		rec.Unreachable = true
@@ -421,14 +421,14 @@ func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record 
 		CPos:       -1,
 	}
 	v := tr.V
-	e.run(e.s, wsp.Options{Target: v, DisabledEdges: rec.FaultIDs})
+	swept := e.runPair(f.eIdx, v, rec.FaultIDs)
 	d := e.search.HopDist(v)
 	if d < 0 {
 		rec.Unreachable = true
 		return rec
 	}
 	// Satisfied by the current structure G_{τ-1}(v)?
-	if p := e.gtauPath(v, d, rec.FaultIDs, inH); p != nil {
+	if p := e.gtauPath(v, d, rec.FaultIDs, inH, swept); p != nil {
 		rec.Path = p
 		if le, ok := rec.Path.LastEdge(); ok {
 			if id, ok := e.g.EdgeID(le.U, le.V); ok {
@@ -454,21 +454,28 @@ func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record 
 }
 
 // gtauPath answers the G_τ(v) check — is dist(s,v,G_τ(v)∖F) still d? —
-// from the unmasked G∖F run just made, which found d. G_τ(v) drops only
-// v's edges outside H(v). A shortest s–u path of length d−1 cannot pass
-// through v, so every vertex u at hop d−1 keeps its canonical G∖F path,
-// and the canonical G_τ(v)∖F path to v, if as short as d, is the least
-// (hops, tie) + w(u,v) over v's H(v) neighbours u at hop d−1 with (u,v)
-// ∉ F. The run settled all of them: when the last edge of v's own G∖F
-// path is not in H(v), v lies in the detached region (or the run fell
-// back), and then every vertex with fewer hops than v is valid. It
-// returns that path, or nil when G_τ(v)∖F is farther. The check counts
-// as one logical search; an exact tie between candidates keeps the first
-// in arc order and counts one tie warning.
-func (e *Engine) gtauPath(v int, d int32, faults []int, inH map[int]bool) path.Path {
+// from the unmasked G∖F run just made (runPair), which found d and
+// reported whether it swept. G_τ(v) drops only v's edges outside H(v). A
+// shortest s–u path of length d−1 cannot pass through v, so every vertex
+// u at hop d−1 keeps its canonical G∖F path, and the canonical G_τ(v)∖F
+// path to v, if as short as d, is the least (hops, tie) + w(u,v) over v's
+// H(v) neighbours u at hop d−1 with (u,v) ∉ F. The scan needs all of them
+// settled. When the run repaired v (v lies in the detached region, or the
+// run fell back), every vertex with fewer hops than v is valid. When it
+// did not sweep, v kept its base path and the detached region R' was
+// never settled; so if that path's last edge is not in H(v), R' is
+// repaired whole before the scan. On T0 that never happens: the last edge
+// of v's T0 path is in E(v, T0) ⊆ H(v). It returns the path, or nil when
+// G_τ(v)∖F is farther. The check counts as one logical search; an exact
+// tie between candidates keeps the first in arc order and counts one tie
+// warning.
+func (e *Engine) gtauPath(v int, d int32, faults []int, inH map[int]bool, swept bool) path.Path {
 	e.stats.Dijkstras++
 	if inH[e.search.ParentEdgeOf(v)] {
 		return e.search.PathTo(v)
+	}
+	if !swept {
+		e.sweep(e.s, wsp.Options{Target: -1, DisabledEdges: faults})
 	}
 	asg := e.t.Assignment()
 	best, tied := -1, false
@@ -503,6 +510,8 @@ func (e *Engine) newEndingPiD(tr *TargetResult, f piDFault, d int32, faults []in
 	v := tr.V
 	det := &tr.Detours[f.eIdx]
 	l := len(tr.Pi) - 1 // position of v on π
+	// The masked runs repair T0.
+	e.onBase(nil)
 
 	// G(u_k, v): disable π interior strictly between u_k and v.
 	pred := func(k int) bool {
@@ -513,16 +522,20 @@ func (e *Engine) newEndingPiD(tr *TargetResult, f piDFault, d int32, faults []in
 		e.run(e.s, wsp.Options{Target: v, DisabledEdges: faults, DisabledVertices: e.disabledV})
 		return e.search.HopDist(v) == d
 	}
-	lo, hi := 0, f.eIdx
+	// held: the last probe was at lo and held, so the search still holds
+	// pred(lo)'s run and confirming it needs no second run.
+	lo, hi, held := 0, f.eIdx, false
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if pred(mid) {
+		if held = pred(mid); held {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if !pred(lo) {
+	if held {
+		e.stats.Dijkstras++ // the confirmation, answered by that probe
+	} else if !pred(lo) {
 		// No divergence point above e_i realizes the distance — residual
 		// tie artifact. Canonical fallback keeps the structure correct.
 		e.stats.Fallbacks++
@@ -555,16 +568,18 @@ func (e *Engine) newEndingPiD(tr *TargetResult, f piDFault, d int32, faults []in
 		e.run(e.s, wsp.Options{Target: v, DisabledEdges: faults, DisabledVertices: e.disabledV})
 		return e.search.HopDist(v) == d
 	}
-	lo2, hi2 := 0, f.tIdx
+	lo2, hi2, held2 := 0, f.tIdx, false
 	for lo2 < hi2 {
 		mid := (lo2 + hi2) / 2
-		if predD(mid) {
+		if held2 = predD(mid); held2 {
 			hi2 = mid
 		} else {
 			lo2 = mid + 1
 		}
 	}
-	if !predD(lo2) {
+	if held2 {
+		e.stats.Dijkstras++ // the confirmation, answered by the last probe
+	} else if !predD(lo2) {
 		// The divergence from π at x_τ is realizable but no detour prefix
 		// works (tie artifact); fall back to the G(u_k,v) path.
 		e.stats.Fallbacks++

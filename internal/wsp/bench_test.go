@@ -2,6 +2,7 @@ package wsp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -13,8 +14,10 @@ import (
 // of the replacement path around it (the detour edge), with the target
 // drawn from the detached subtree. "target" runs stop at the target, as
 // the per-target builders do; "full" runs settle the whole region, as
-// unionTrees does. Cases are cycled after one warm pass, so allocs/op
-// reads the warm kernel. The scratch-* cases time the scratch sweep on the
+// unionTrees does; "base" runs are target runs repaired against T_{e1},
+// the canonical tree of G∖{e1}, as Steps 2–3 repair, with the events in
+// e1 order and the base switched when e1 changes. Cases are cycled after
+// one warm pass, so allocs/op reads the warm kernel. The scratch-* cases time the scratch sweep on the
 // same graph: "scratch-full" builds a tree (NewTree is one scratch run),
 // "scratch-target" runs from a source other than the tree's to a cycling
 // target, and "scratch-masked" runs from that source with two edges and
@@ -59,6 +62,34 @@ func BenchmarkRepairSearch(b *testing.B) {
 		e2, _ := g.EdgeID(p[i], p[i+1])
 		events = append(events, event{target: v, faults: []int{e1, e2}})
 	}
+	b.Run("base", func(b *testing.B) {
+		r := NewRepairSearch(NewTree(g, w, 0))
+		byE1 := slices.Clone(events)
+		slices.SortStableFunc(byE1, func(x, y event) int { return x.faults[0] - y.faults[0] })
+		bases := make([]*Delta, len(byE1))
+		for k, ev := range byE1 {
+			if k > 0 && byE1[k-1].faults[0] == ev.faults[0] {
+				bases[k] = bases[k-1]
+				continue
+			}
+			bases[k] = new(Delta)
+			captureDelta(r, bases[k], 0, ev.faults[0], false)
+		}
+		run := func(k int) {
+			if bases[k] != r.base {
+				r.SetBase(bases[k])
+			}
+			r.Run(0, Options{Target: byE1[k].target, DisabledEdges: byE1[k].faults})
+		}
+		for k := range byE1 {
+			run(k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(i % len(byE1))
+		}
+	})
 	for _, mode := range []string{"target", "full"} {
 		b.Run(mode, func(b *testing.B) {
 			r := NewRepairSearch(NewTree(g, w, 0))

@@ -24,9 +24,37 @@ type Options struct {
 	DisabledEdges []int
 }
 
+// Delta is a repair base other than T0: the canonical tree of G∖F0 for
+// some fault set F0, given as T0 overlaid with new values on a region.
+// Verts lists the region, in any order (unused when Dense: the region is
+// then all of V, indexed by vertex). Hops, Tie, Parent and ParentE hold,
+// per Verts entry, the vertex's hops (-1: unreachable), tie weight,
+// parent and parent edge (-1 at the source and at unreachable vertices).
+// One full run from the tree's source under F0, read through the
+// accessors over its Changed region (every vertex when it ran from
+// scratch), is such a delta. The zero Delta is T0 itself.
+type Delta struct {
+	Verts   []int32
+	Hops    []int32
+	Tie     []int64
+	Parent  []int32
+	ParentE []int32
+	Dense   bool
+}
+
+// vertex returns the vertex of entry j.
+func (d *Delta) vertex(j int) int {
+	if d.Dense {
+		return j
+	}
+	return int(d.Verts[j])
+}
+
 // RepairSearch computes the unique shortest paths under W from a source in
 // G restricted by per-run vertex and edge masks. From its tree's own source
-// it repairs the canonical base tree instead of searching from scratch.
+// it repairs a canonical base tree instead of searching from scratch: T0,
+// or the canonical tree of G∖F0 set with SetBase, which every run on it
+// must then fault F0 for.
 // The observation (arXiv:1505.00692 §2, shared with the Gupta–Khan
 // multi-source construction) is that under the isolation weight
 // assignment the canonical tree is the union of the unique weight-minimal
@@ -66,14 +94,22 @@ type Options struct {
 // share one.
 type RepairSearch struct {
 	g *graph.Graph
-	t *Tree // the shared frozen base; only ever read
+	t *Tree // the shared frozen T0; only ever read
+
+	// base is the Delta set over T0, nil for T0 itself. ovAt holds each
+	// vertex's entry in it (-1 outside it), and the base's children of a
+	// vertex are its T0 children outside the delta plus the delta
+	// vertices listed from ovKid[v] along ovSib.
+	base         *Delta
+	ovAt         []int32
+	ovKid, ovSib []int32
 
 	// full marks a scratch run: R was all of V, so every vertex may
-	// differ from the tree.
+	// differ from the base.
 	full bool
 
-	// Live view: the tree's values patched by the current run. Only
-	// vertices in R are ever patched; undo restores them from the tree at
+	// Live view: the base's values patched by the current run. Only
+	// vertices in R are ever patched; undo restores them from the base at
 	// the start of the next Run.
 	hops    []int32
 	tie     []int64
@@ -108,9 +144,16 @@ type RepairSearch struct {
 func NewRepairSearch(t *Tree) *RepairSearch {
 	g := t.g
 	n, m := g.N(), g.M()
+	none := make([]int32, 2*n)
+	for i := range none {
+		none[i] = -1
+	}
 	return &RepairSearch{
 		g:       g,
 		t:       t,
+		ovAt:    none[:n],
+		ovKid:   none[n:],
+		ovSib:   make([]int32, n),
 		hops:    slices.Clone(t.hops),
 		tie:     slices.Clone(t.tie),
 		parent:  slices.Clone(t.parent),
@@ -133,7 +176,7 @@ func NewRepairSearch(t *Tree) *RepairSearch {
 func (r *RepairSearch) TieWarnings() int { return r.ties }
 
 // Changed returns the detached region of the last Run — the only vertices
-// whose (hops, tie, parent, parentE) may differ from the base tree — and
+// whose (hops, tie, parent, parentE) may differ from the base — and
 // ok=true when the run was a repair. ok=false means the run was from
 // scratch and every vertex may differ. ok is meaningful after any Run,
 // the region only after a Run without a Target; the slice is valid until
@@ -145,43 +188,114 @@ func (r *RepairSearch) Changed() ([]int32, bool) {
 	return r.region, true
 }
 
-// undo restores the live arrays to the base tree for every vertex patched
-// (or merely detached) by the previous run.
-func (r *RepairSearch) undo() {
+// SetBase makes d the base the following runs repair against, or T0 when
+// d is nil or empty. d must be the canonical tree of G∖F0 for some fault
+// set F0 under the tree's assignment, and every run on it must fault F0
+// too: then a run detaches only what its other faults cut from d's tree.
+// The search reads d until the next SetBase, so d must not change
+// meanwhile. Switching costs O(|old region| + |new region|): the live
+// arrays, the entry index and the delta's child lists are patched in
+// place, and the level buckets grow once for a base deeper than any
+// before. Accessors then reflect the new base.
+//
+//ftbfs:hotpath
+func (r *RepairSearch) SetBase(d *Delta) {
+	r.undo()
+	r.nextEpoch()
 	t := r.t
+	if b := r.base; b != nil {
+		for j, p := range b.Parent {
+			v := b.vertex(j)
+			r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = t.hops[v], t.tie[v], t.parent[v], t.parentE[v]
+			r.ovAt[v] = -1
+			if p >= 0 {
+				r.ovKid[p] = -1
+			}
+		}
+		r.base = nil
+	}
+	if d == nil || len(d.Hops) == 0 {
+		return
+	}
+	r.base = d
+	r.overlay()
+	deepest := int32(0)
+	// Listing each parent's delta children from the last entry back keeps
+	// them in entry order.
+	for j := len(d.Parent) - 1; j >= 0; j-- {
+		v := d.vertex(j)
+		r.ovAt[v] = int32(j)
+		if p := d.Parent[j]; p >= 0 {
+			r.ovSib[v] = r.ovKid[p]
+			r.ovKid[p] = int32(v)
+		}
+		deepest = max(deepest, d.Hops[j])
+	}
+	// A seed's level is at most one past the deepest base level.
+	for len(r.levels) < int(deepest)+2 {
+		r.levels = append(r.levels, nil)
+	}
+}
+
+// overlay writes the base delta's values into the live arrays.
+func (r *RepairSearch) overlay() {
+	d := r.base
+	for j, h := range d.Hops {
+		v := d.vertex(j)
+		r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = h, d.Tie[j], d.Parent[j], d.ParentE[j]
+	}
+}
+
+// undo restores the live arrays to the base for every vertex patched (or
+// merely detached) by the previous run.
+//
+//ftbfs:hotpath
+func (r *RepairSearch) undo() {
+	t, d := r.t, r.base
 	if r.full {
 		copy(r.hops, t.hops)
 		copy(r.tie, t.tie)
 		copy(r.parent, t.parent)
 		copy(r.parentE, t.parentE)
+		if d != nil {
+			r.overlay()
+		}
 		r.full = false
 	}
 	for _, v := range r.region {
-		r.hops[v] = t.hops[v]
-		r.tie[v] = t.tie[v]
-		r.parent[v] = t.parent[v]
-		r.parentE[v] = t.parentE[v]
+		if j := r.ovAt[v]; j >= 0 {
+			r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = d.Hops[j], d.Tie[j], d.Parent[j], d.ParentE[j]
+		} else {
+			r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = t.hops[v], t.tie[v], t.parent[v], t.parentE[v]
+		}
 	}
 	r.region = r.region[:0]
 }
 
-// Run executes the query from src under the given restrictions: a repair
-// of the base tree when src is the tree's source and the detached region
-// stays under the volume cap, a scratch run otherwise. Results are valid
-// until the next Run (see the type comment for which accessors are valid
-// after a Target run).
-func (r *RepairSearch) Run(src int, opt Options) {
-	r.undo()
+// nextEpoch starts a new stamp epoch, so that no vertex reads as detached,
+// seen, settled or masked by an earlier run.
+func (r *RepairSearch) nextEpoch() {
 	r.ep++
 	if r.ep == 0 { // wrapped; reset stamps
-		for i := range r.inR {
-			r.inR[i], r.seen[i], r.done[i], r.vOff[i] = 0, 0, 0, 0
-		}
-		for i := range r.eOff {
-			r.eOff[i] = 0
-		}
+		clear(r.inR)
+		clear(r.seen)
+		clear(r.done)
+		clear(r.vOff)
+		clear(r.eOff)
 		r.ep = 1
 	}
+}
+
+// Run executes the query from src under the given restrictions: a repair
+// of the base when src is the tree's source and the detached region stays
+// under the volume cap, a scratch run otherwise. It reports whether the
+// kernel swept at all: false when every fault missed the base tree, or
+// the target's base path lies outside the detached region, so the base
+// already answers. Results are valid until the next Run or SetBase (see
+// the type comment for which accessors are valid after a Target run).
+func (r *RepairSearch) Run(src int, opt Options) bool {
+	r.undo()
+	r.nextEpoch()
 	ep := r.ep
 	for _, e := range opt.DisabledEdges {
 		r.eOff[e] = ep
@@ -198,30 +312,34 @@ func (r *RepairSearch) Run(src int, opt Options) {
 			r.inR[v] = ep
 		}
 	} else if len(r.region) == 0 {
-		return // exact no-op: every fault missed the tree
+		return false // exact no-op: every fault missed the tree
 	} else if opt.Target >= 0 && r.inR[opt.Target] != ep {
 		// The target and its whole base path lie outside R: the base view
 		// already answers everything the caller may ask.
-		return
+		return false
 	}
 	r.repair(src, opt.Target)
+	return true
 }
 
-// detach collects R for a run from the tree's source: the subtree of every
-// disabled vertex (including the vertex itself: it is masked and never
-// re-settled) and of the child endpoint of every faulted tree edge.
-// Faulted non-tree edges detach nothing — the canonical tree is the union
-// of the unique canonical paths, so removing a non-tree edge is an exact
-// no-op. It reports false when R's arc volume passes volLimit.
+// detach collects R for a run from the tree's source: the subtree in the
+// base of every disabled vertex (including the vertex itself: it is
+// masked and never re-settled) and of the child endpoint of every faulted
+// base edge. Faulted non-tree edges detach nothing — the canonical tree
+// is the union of the unique canonical paths, so removing a non-tree edge
+// is an exact no-op. It reports false as soon as R's arc volume passes
+// volLimit.
+//
+//ftbfs:hotpath
 func (r *RepairSearch) detach(opt Options) bool {
-	ep := r.ep
+	ep, inR := r.ep, r.inR
 	for _, v := range opt.DisabledVertices {
-		if r.inR[v] != ep {
-			r.inR[v] = ep
+		if inR[v] != ep {
+			inR[v] = ep
 			r.region = append(r.region, int32(v))
 		}
 	}
-	parentE := r.t.parentE
+	parentE := r.parentE // the base's: undo restored it
 	for _, id := range opt.DisabledEdges {
 		e := r.g.EdgeAt(id)
 		c := -1
@@ -230,14 +348,35 @@ func (r *RepairSearch) detach(opt Options) bool {
 		} else if int(parentE[e.U]) == id {
 			c = e.U
 		}
-		if c >= 0 && r.inR[c] != ep {
-			r.inR[c] = ep
+		if c >= 0 && inR[c] != ep {
+			inR[c] = ep
 			r.region = append(r.region, int32(c))
 		}
 	}
-	var ok bool
-	r.region, ok = r.t.kids.Detach(r.g, r.region, r.inR, ep, r.volLimit)
-	return ok
+	// Grow the roots by their base descendants: T0's children outside the
+	// delta, and the delta's own child lists.
+	ovAt, ovKid, ovSib := r.ovAt, r.ovKid, r.ovSib
+	vol := 0
+	for i := 0; i < len(r.region); i++ {
+		v := r.region[i]
+		vol += r.g.Degree(int(v))
+		if vol > r.volLimit {
+			return false
+		}
+		for _, c := range r.t.kids.Of(int(v)) {
+			if ovAt[c] < 0 && inR[c] != ep {
+				inR[c] = ep
+				r.region = append(r.region, c)
+			}
+		}
+		for c := ovKid[v]; c >= 0; c = ovSib[c] {
+			if inR[c] != ep {
+				inR[c] = ep
+				r.region = append(r.region, c)
+			}
+		}
+	}
+	return true
 }
 
 // repair re-settles R one hop level at a time. In a repair every vertex x
@@ -261,7 +400,6 @@ func (r *RepairSearch) repair(src, target int) {
 	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
 	seen, done := r.seen, r.done
 	inR, vOff, eOff := r.inR, r.vOff, r.eOff
-	bHops, bTie := r.t.hops, r.t.tie
 	wTie := r.t.w.tie
 	levels := r.levels
 	lo, hi := len(levels), -1
@@ -277,11 +415,12 @@ func (r *RepairSearch) repair(src, target int) {
 		}
 		for _, a := range r.g.Arcs(int(x)) {
 			u, eid := a.To, a.ID
-			if inR[u] == ep || eOff[eid] == ep || bHops[u] < 0 {
+			// u lies outside R, so it still holds its exact base values.
+			if inR[u] == ep || eOff[eid] == ep || hops[u] < 0 {
 				continue
 			}
-			nh := bHops[u] + 1
-			nt := bTie[u] + wTie[eid]
+			nh := hops[u] + 1
+			nt := tie[u] + wTie[eid]
 			if seen[x] != ep || nh < hops[x] || (nh == hops[x] && nt < tie[x]) {
 				seen[x] = ep
 				hops[x], tie[x] = nh, nt

@@ -3,6 +3,7 @@ package wsp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -270,25 +271,107 @@ func TestRepairSearchResidualTie(t *testing.T) {
 	}
 }
 
+// TestRepairSearchPatchedBase repairs against T_e, the canonical tree of
+// G∖{e}, on a 40-cycle with the chord (1, 3) from vertex 0: T0 is 20 hops
+// deep, but without e = (0, 1) the tree runs the long way round, 38 hops
+// deep to vertex 1, so a second fault re-seeds vertices at levels T0
+// never reaches and the level buckets must grow. Each base is checked
+// just after it is set, then under every second fault f, with and
+// without a target; the runs switch between T_e, T_{e'} for e' = (0, 39),
+// and T0, over the sparse delta and the dense one of a fallen-back run.
+// Another search over the same tree captures the deltas, so the buckets
+// of the one under test have never been deeper than T0.
+func TestRepairSearchPatchedBase(t *testing.T) {
+	b := graph.NewBuilder(40)
+	for v := range 40 {
+		b.MustAddEdge(v, (v+1)%40)
+	}
+	b.MustAddEdge(1, 3)
+	g := b.Freeze()
+	w := NewAssignment(g.M(), 3)
+	tree := NewTree(g, w, 0)
+	rep, capture := NewRepairSearch(tree), NewRepairSearch(tree)
+	ref := NewSearch(g, w)
+	e, _ := g.EdgeID(0, 1)
+	e2, _ := g.EdgeID(0, 39)
+	var d, d2 Delta
+	for _, dense := range []bool{false, true} {
+		rep.SetBase(nil)
+		captureDelta(capture, &d, 0, e, dense)
+		captureDelta(capture, &d2, 0, e2, false)
+		if dense != d.Dense {
+			t.Fatalf("dense = %v, delta dense = %v", dense, d.Dense)
+		}
+		for _, base := range []struct {
+			d *Delta
+			e []int
+		}{{&d, []int{e}}, {&d2, []int{e2}}, {nil, nil}, {&d, []int{e}}} {
+			rep.SetBase(base.d)
+			ref.Run(0, Options{Target: -1, DisabledEdges: base.e})
+			tag := fmt.Sprintf("dense %v, base %v", dense, base.e)
+			checkRepairMatchesScratch(t, rep, ref, 0, Options{Target: -1}, tag)
+			// below[f] counts the vertices whose base path uses edge f:
+			// exactly the region a run faulting f on top may detach.
+			below := make([]int, g.M())
+			for v := range g.N() {
+				for p := v; ref.ParentEdgeOf(p) >= 0; p = ref.ParentOf(p) {
+					below[ref.ParentEdgeOf(p)]++
+				}
+			}
+			for f := range g.M() {
+				for _, target := range []int{-1, 2, 20} {
+					opt := Options{Target: target, DisabledEdges: append(slices.Clone(base.e), f)}
+					swept := rep.Run(0, opt)
+					ref.Run(0, opt)
+					checkRepairMatchesScratch(t, rep, ref, 0, opt, tag)
+					if region, ok := rep.Changed(); target < 0 && ok && len(region) != below[f] {
+						t.Fatalf("%s, f %d: detached %d vertices, want the %d below f", tag, f, len(region), below[f])
+					}
+					if target < 0 && swept != (below[f] > 0) {
+						t.Fatalf("%s, f %d: swept = %v with %d vertices below f", tag, f, swept, below[f])
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzRepairSearchEquivalence holds RepairSearch to the Target contract the
-// builders rely on (see checkRepairMatchesScratch). The first three bytes
-// pick the graph (family, size, generator seed), the source, and whether
-// the volume cap is forced to 1, so that every run which detaches anything
-// takes the scratch sweep from the tree's own source. Every following
-// 5-byte group is one run: a target or -1, up to three faulted edges (the
-// first optionally an edge of the target's base path, as in Cons2FTBFS),
+// builders rely on (see checkRepairMatchesScratch). The first four bytes
+// pick the graph (family, size, generator seed), the source, whether the
+// volume cap is forced to 1, so that every run which detaches anything
+// takes the scratch sweep from the tree's own source, and whether the
+// runs repair patched bases. Every following 5-byte group is one run.
+//
+// On T0, a run has a target or -1, up to three faulted edges (the first
+// optionally an edge of the target's base path, as in Cons2FTBFS),
 // optionally the interior of a stretch of that path disabled — the
 // G(u_k, v) masks of the per-target selection rules — and now and then a
-// foreign source. Every run is compared against the heap reference Search.
+// foreign source.
+//
+// With patched bases, a run picks T0 or one of two bases T_e, the
+// canonical tree of G∖{e}: a full one-fault run on T0 captured as a Delta
+// over its Changed region, dense when that run fell back (forced now and
+// then). e is a random edge or an edge of the target's base path, as
+// Steps 2–3's e_i is. A run on T_e faults e and up to two more edges, has
+// a target or -1, and now and then a foreign source. The runs switch
+// between two deltas and T0, only when the pick changes, as Engine does,
+// and rebuild the first delta in place.
+// Every run is compared against the heap reference Search, and every
+// delta, just set, against a full reference run under its own fault.
 func FuzzRepairSearchEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 8; i++ {
-		seed := make([]byte, 3+5*48)
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 4+5*48)
 		rng.Read(seed)
+		if i >= 8 { // patched bases, with repairs rather than forced scratch runs
+			seed[2] &^= 0x80
+			seed[3] |= 0x01
+		}
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		n, seed := 16+int(data[1]&0x7f), int64(data[0])
@@ -307,10 +390,23 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 		if data[2]&0x80 != 0 {
 			rep.volLimit = 1
 		}
+		patched := data[3]&0x01 != 0
 		ref := NewSearch(g, w)
 		base := NewSearch(g, w)
 		base.Run(src, Options{Target: -1})
-		for runs, rest := 0, data[3:]; len(rest) >= 5 && runs < 64; runs, rest = runs+1, rest[5:] {
+		var deltas [2]struct {
+			e  int
+			d  Delta
+			ok bool
+		}
+		var on *Delta // the base set; switching only on a change, as Engine does
+		setBase := func(d *Delta) {
+			if d != on {
+				rep.SetBase(d)
+				on = d
+			}
+		}
+		for runs, rest := 0, data[4:]; len(rest) >= 5 && runs < 64; runs, rest = runs+1, rest[5:] {
 			c := rest[0]
 			opt := Options{Target: -1}
 			var pi path.Path
@@ -318,28 +414,87 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 				opt.Target = int(rest[1]) % g.N()
 				pi = base.PathTo(opt.Target)
 			}
-			for k := 0; k < int(c&0x03); k++ {
-				id := int(rest[2+k]) % g.M()
-				if k == 0 && c&0x80 != 0 && len(pi) >= 2 {
-					i := int(rest[2]) % (len(pi) - 1)
-					id, _ = g.EdgeID(pi[i], pi[i+1])
-				}
-				opt.DisabledEdges = append(opt.DisabledEdges, id)
-			}
-			if c&0x08 != 0 && len(pi) >= 3 {
-				// Disable π's interior strictly between u_k and u_j.
-				j := 1 + int(rest[3])%(len(pi)-1)
-				for x := 1 + int(rest[4])%j; x < j; x++ {
-					opt.DisabledVertices = append(opt.DisabledVertices, pi[x])
-				}
-			}
 			runSrc := src
-			if c&0x70 == 0 {
-				runSrc = (src + 1 + int(rest[1])) % g.N()
+			if patched {
+				if sel := (c >> 4) & 0x03; sel == 0 {
+					setBase(nil)
+				} else {
+					slot := &deltas[(sel-1)&1]
+					if sel == 3 || !slot.ok {
+						e := int(rest[2]) % g.M()
+						if c&0x80 != 0 && len(pi) >= 2 {
+							i := int(rest[2]) % (len(pi) - 1)
+							e, _ = g.EdgeID(pi[i], pi[i+1])
+						}
+						slot.e, slot.ok = e, true
+						captureDelta(rep, &slot.d, src, e, c&0x08 != 0)
+						ref.Run(src, Options{Target: -1, DisabledEdges: []int{e}})
+						rep.SetBase(&slot.d)
+						on = &slot.d
+						checkRepairMatchesScratch(t, rep, ref, src, Options{Target: -1}, fmt.Sprintf("run %d: base T_%d", runs, e))
+					}
+					setBase(&slot.d)
+					opt.DisabledEdges = append(opt.DisabledEdges, slot.e)
+				}
+				for k := 0; k < min(int(c&0x03), 2); k++ {
+					opt.DisabledEdges = append(opt.DisabledEdges, int(rest[3+k])%g.M())
+				}
+				if c&0x40 != 0 && rest[4]&0x01 != 0 {
+					runSrc = (src + 1 + int(rest[1])) % g.N()
+				}
+			} else {
+				for k := 0; k < int(c&0x03); k++ {
+					id := int(rest[2+k]) % g.M()
+					if k == 0 && c&0x80 != 0 && len(pi) >= 2 {
+						i := int(rest[2]) % (len(pi) - 1)
+						id, _ = g.EdgeID(pi[i], pi[i+1])
+					}
+					opt.DisabledEdges = append(opt.DisabledEdges, id)
+				}
+				if c&0x08 != 0 && len(pi) >= 3 {
+					// Disable π's interior strictly between u_k and u_j.
+					j := 1 + int(rest[3])%(len(pi)-1)
+					for x := 1 + int(rest[4])%j; x < j; x++ {
+						opt.DisabledVertices = append(opt.DisabledVertices, pi[x])
+					}
+				}
+				if c&0x70 == 0 {
+					runSrc = (src + 1 + int(rest[1])) % g.N()
+				}
 			}
 			rep.Run(runSrc, opt)
 			ref.Run(runSrc, opt)
 			checkRepairMatchesScratch(t, rep, ref, runSrc, opt, fmt.Sprintf("run %d (src %d, %+v)", runs, runSrc, opt))
 		}
 	})
+}
+
+// captureDelta fills d, reusing its buffers, with T_e: a full run of rep
+// from src on T0 with e faulted, read over its Changed region, or over
+// every vertex when the run fell back; dense forces that fallback. It
+// leaves rep on T0.
+func captureDelta(rep *RepairSearch, d *Delta, src, e int, dense bool) {
+	rep.SetBase(nil) // d may be the base
+	lim := rep.volLimit
+	if dense {
+		rep.volLimit = 1
+	}
+	rep.Run(src, Options{Target: -1, DisabledEdges: []int{e}})
+	rep.volLimit = lim
+	region, ok := rep.Changed()
+	d.Dense = !ok
+	d.Verts = append(d.Verts[:0], region...)
+	d.Hops, d.Tie, d.Parent, d.ParentE = d.Hops[:0], d.Tie[:0], d.Parent[:0], d.ParentE[:0]
+	n := len(region)
+	if d.Dense {
+		n = rep.g.N()
+	}
+	for j := range n {
+		v := d.vertex(j)
+		w, _ := rep.Dist(v)
+		d.Hops = append(d.Hops, rep.HopDist(v))
+		d.Tie = append(d.Tie, w.Tie)
+		d.Parent = append(d.Parent, int32(rep.ParentOf(v)))
+		d.ParentE = append(d.ParentE, int32(rep.ParentEdgeOf(v)))
+	}
 }
