@@ -44,11 +44,13 @@ type Structure struct {
 	// every |F| ≤ 2, from the distances Cons2FTBFS computed (see
 	// replace.DistTable). They are valid for the edge set the build
 	// produced, or any superset: H is an FT-BFS structure, so
-	// dist(s,v,H∖F) = dist(s,v,G∖F), and they answer point queries
+	// dist(s,v,H∖F) = dist(s,v,G∖F), and they answer every query
 	// without a search. BuildDual fills them, and BuildFullPaths and
 	// multi-source compositions of BuildDual keep them, in the process
 	// that built them only: other builders' structures, snapshot-restored
 	// and uploaded ones have none (nil), since tables are not persisted.
+	// A build that saw a residual tie (Stats.TieWarnings > 0) has none
+	// either, since its Step-1 paths may leave π twice.
 	Tables []*replace.DistTable
 }
 
@@ -272,10 +274,10 @@ func buildWithEngine(g *graph.Graph, s int, opts *Options, faults int,
 	if err != nil {
 		return nil, err
 	}
-	if tables {
-		st.Tables = []*replace.DistTable{distTable(tree, parts)}
-	}
 	st.union(parts, prog)
+	if tables {
+		st.keepTable(tree, parts)
+	}
 	return st, nil
 }
 
@@ -289,9 +291,16 @@ type partial struct {
 	targets, ends, runs []int32
 }
 
-// distTable gathers the workers' runs into the source's table, ordered by
-// vertex: the bytes do not depend on which worker built which target.
-func distTable(tree *wsp.Tree, parts []partial) *replace.DistTable {
+// keepTable gathers the workers' runs into st's table for the source of
+// tree, ordered by vertex: the bytes do not depend on which worker built
+// which target. It keeps no table when the build saw a residual tie,
+// T0's own included. With TieWarnings 0 every run's parent pointers are
+// the unique optima, so every Step-1 path returns to π only once, as
+// π(s,x_i) ∘ D_i ∘ π(y_i,v), and the table answers every |F| ≤ 2 query.
+func (st *Structure) keepTable(tree *wsp.Tree, parts []partial) {
+	if st.Stats.TieWarnings > 0 {
+		return
+	}
 	runs := make([][]int32, tree.Graph().N())
 	for _, p := range parts {
 		start := int32(0)
@@ -300,11 +309,11 @@ func distTable(tree *wsp.Tree, parts []partial) *replace.DistTable {
 			start = p.ends[k]
 		}
 	}
-	return replace.NewDistTable(tree, runs)
+	st.Tables = []*replace.DistTable{replace.NewDistTable(tree, runs)}
 }
 
 // union merges the workers' partials into st: edges unioned, counters
-// merged. The partials are consumed.
+// merged. The partials' edge sets are consumed.
 func (st *Structure) union(parts []partial, prog *Progress) {
 	tU := time.Now()
 	st.Edges = parts[0].edges

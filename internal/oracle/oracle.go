@@ -3,9 +3,9 @@
 // it returns dist(s, v, G \ F) and a realizing path. Routes are walked
 // inside the structure H — which is the point of the structure: H \ F
 // provably contains such a path (the paper's motivating routing
-// scenario). On a dual or multi structure this process built, every
-// query with |F| ≤ 2 reads the distances Cons2FTBFS computed for its fault
-// set from the build's tables (core.Structure.Tables): that is
+// scenario). On a dual or multi structure this process built without a
+// residual tie, every query reads the distances Cons2FTBFS computed for
+// its fault set from the build's tables (core.Structure.Tables): that is
 // dist(s, v, G \ F), and it equals dist(s, v, H \ F) because H is an
 // FT-BFS structure. A point query (Dist) is one lookup; a whole table is
 // the fault-free table with the few vertices F moves looked up; a route
@@ -17,11 +17,12 @@
 // mapping, and a two-tier byte-budgeted memo of per-failure-event distance
 // tables — built once per structure. Per-goroutine Oracle handles carry
 // only repair and lookup scratch and are cheap to create (or recycle
-// through Acquire/Release). A failure event the tables do not answer — any
-// query on a structure without tables (restored or uploaded snapshots,
-// single, f = 3, approximate and exhaustive builds), or a marked slot of
-// one that has them — is repaired once inside H and its distance table
-// shared through the memo across every concurrent client.
+// through Acquire/Release). A set with tables answers every query from
+// them and never reaches its memo. On a structure without tables
+// (restored or uploaded snapshots, single, f = 3, approximate and
+// exhaustive builds, and dual builds that saw a residual tie), each
+// failure event is repaired once inside H and its distance table shared
+// through the memo across every concurrent client.
 //
 // The memo's two tiers (see cache.go): tier 0 is each source's fault-free
 // BFS tree, pinned by the constructor outside the LRU — the base every
@@ -106,7 +107,7 @@ type OracleSet struct {
 	pinnedBytes int64
 	baseHits    atomic.Int64 // empty-fault-set queries served from a tree
 
-	// Ahead of both tiers, every query with |F| ≤ 2 reads the structure's
+	// In place of both tiers, every query reads the structure's
 	// replacement-distance tables (st.Tables, indexed like st.Sources)
 	// when it has them; tableBytes is their footprint.
 	tableBytes int64
@@ -348,11 +349,10 @@ func (o *Oracle) run(s, srcIdx int, canon []int32) DistView {
 }
 
 // Dist returns dist(s, v, G \ F) (bfs.Unreachable when v is cut off in
-// G \ F as well). On a structure with replacement-distance tables and
-// |F| ≤ 2 it is a table lookup: no lock, no search, no memo. Otherwise,
-// and for the table's marked slots, it is answered inside the structure
-// through the memo: on a hit a full-table index, or a short binary search
-// of a delta entry falling back to the pinned base.
+// G \ F as well). On a structure with replacement-distance tables it is a
+// table lookup: no lock, no search, no memo. Otherwise it is answered
+// inside the structure through the memo: on a hit a full-table index, or
+// a short binary search of a delta entry falling back to the pinned base.
 func (o *Oracle) Dist(s, v int, faults []int) (int32, error) {
 	canon, srcIdx, err := o.prepare(s, faults)
 	if err != nil {
@@ -361,42 +361,30 @@ func (o *Oracle) Dist(s, v int, faults []int) (int32, error) {
 	if v < 0 || v >= o.set.st.G.N() {
 		return bfs.Unreachable, errBadTarget(v)
 	}
-	if tabs := o.set.st.Tables; tabs != nil && len(canon) <= 2 {
-		if d, ok := tabs[srcIdx].Dist(v, canon); ok {
-			return d, nil
-		}
+	if tabs := o.set.st.Tables; tabs != nil {
+		return tabs[srcIdx].Dist(v, canon), nil
 	}
 	return o.run(s, srcIdx, canon).At(v), nil
 }
 
-// tableView returns the event's whole table read from the structure's
-// replacement-distance table: the source's fault-free table with the
+// tableView returns the event's whole table read from the source's
+// replacement-distance table tab: the source's fault-free table with the
 // vertices F moves overridden, the overrides written to the handle's
-// scratch and lent until its next query. ok is false when the table does
-// not hold the event — a structure without tables, |F| > 2, or a marked
-// slot — and the event must go through the memo whole.
+// scratch and lent until its next query.
 //
 //ftbfs:hotpath
-func (o *Oracle) tableView(srcIdx int, canon []int32) (DistView, bool) {
-	tabs := o.set.st.Tables
-	if tabs == nil || len(canon) > 2 {
-		return DistView{}, false
-	}
-	var ok bool
-	o.keys, o.vals, ok = tabs[srcIdx].AppendChanged(o.keys[:0], o.vals[:0], canon)
-	if !ok {
-		return DistView{}, false
-	}
-	return DistView{Base: o.set.trees[srcIdx].Dists(), Keys: o.keys, Vals: o.vals}, true
+func (o *Oracle) tableView(tab *replace.DistTable, srcIdx int, canon []int32) DistView {
+	o.keys, o.vals = tab.AppendChanged(o.keys[:0], o.vals[:0], canon)
+	return DistView{Base: o.set.trees[srcIdx].Dists(), Keys: o.keys, Vals: o.vals}
 }
 
 // event returns the event's whole table: from the structure's tables when
-// they hold it (lent, as tableView's), else through the memo (run).
+// it has them (lent, as tableView's), else through the memo (run).
 //
 //ftbfs:hotpath
 func (o *Oracle) event(s, srcIdx int, canon []int32) DistView {
-	if v, ok := o.tableView(srcIdx, canon); ok {
-		return v
+	if tabs := o.set.st.Tables; tabs != nil {
+		return o.tableView(tabs[srcIdx], srcIdx, canon)
 	}
 	return o.run(s, srcIdx, canon)
 }
@@ -435,7 +423,8 @@ func (o *Oracle) DistsView(s int, faults []int) (DistView, error) {
 	if err != nil {
 		return DistView{}, err
 	}
-	if v, ok := o.tableView(srcIdx, canon); ok {
+	if tabs := o.set.st.Tables; tabs != nil {
+		v := o.tableView(tabs[srcIdx], srcIdx, canon)
 		if len(v.Keys) == 0 {
 			v.Keys, v.Vals = nil, nil
 		} else {
@@ -479,13 +468,12 @@ func (o *Oracle) Route(s, v int, faults []int) (path.Path, error) {
 // when v is cut off, or when the query is rejected (err then says why),
 // and it allocates only to grow dst. The path is walked back from v over
 // the event's distances — looked up in the structure's table when it has
-// one and |F| ≤ 2, else read from the memo's table of the event (all of
-// it, when a lookup hits a marked slot) — since H \ F holds a BFS tree of
-// G \ F (Theorem 1.1), so a vertex at d > 0 has a neighbour at d−1. Each
-// hop takes the first non-faulted arc to d−1 in the vertex's span; spans
-// are in edge-ID order, so ties go to the lowest edge ID whatever the
-// vertex numbering, and both sources of distances give the same path.
-// Vertex IDs on the path are G's.
+// one, else read from the memo's table of the event — since H \ F holds
+// a BFS tree of G \ F (Theorem 1.1), so a vertex at d > 0 has a
+// neighbour at d−1. Each hop takes the first non-faulted arc to d−1 in
+// the vertex's span; spans are in edge-ID order, so ties go to the
+// lowest edge ID whatever the vertex numbering, and both sources of
+// distances give the same path. Vertex IDs on the path are G's.
 //
 //ftbfs:hotpath
 func (o *Oracle) AppendRoute(dst []int, s, v int, faults []int) ([]int, error) {
@@ -496,16 +484,13 @@ func (o *Oracle) AppendRoute(dst []int, s, v int, faults []int) ([]int, error) {
 	if v < 0 || v >= o.set.st.G.N() {
 		return dst, errBadTarget(v)
 	}
-	cut := o.translate(canon)
-	if tabs := o.set.st.Tables; tabs != nil && len(canon) <= 2 {
-		ev := eventDists{tab: tabs[srcIdx], canon: canon}
-		if p, ok := o.walk(dst, &ev, v, cut); ok {
-			return p, nil
-		}
+	ev := eventDists{canon: canon}
+	if tabs := o.set.st.Tables; tabs != nil {
+		ev.tab = tabs[srcIdx]
+	} else {
+		ev.view = o.run(s, srcIdx, canon)
 	}
-	ev := eventDists{view: o.run(s, srcIdx, canon)}
-	p, _ := o.walk(dst, &ev, v, cut)
-	return p, nil
+	return o.walk(dst, &ev, v, o.translate(canon)), nil
 }
 
 // eventDists reads one failure event's distances: lookups in a
@@ -516,26 +501,24 @@ type eventDists struct {
 	view  DistView
 }
 
-// at returns the event's distance to w; ok is false when the table does
-// not hold it (a marked slot).
+// at returns the event's distance to w.
 //
 //ftbfs:hotpath
-func (e *eventDists) at(w int) (int32, bool) {
+func (e *eventDists) at(w int) int32 {
 	if e.tab != nil {
 		return e.tab.Dist(w, e.canon)
 	}
-	return e.view.At(w), true
+	return e.view.At(w)
 }
 
 // walk appends the route to v over the event's distances to dst, as
 // AppendRoute documents, skipping the arcs of cut (F in sub-graph IDs).
-// ok is false, with dst as it was, when a lookup hits a marked slot.
 //
 //ftbfs:hotpath
-func (o *Oracle) walk(dst []int, ev *eventDists, v int, cut []int) ([]int, bool) {
-	d, ok := ev.at(v)
-	if !ok || d == bfs.Unreachable {
-		return dst, ok
+func (o *Oracle) walk(dst []int, ev *eventDists, v int, cut []int) []int {
+	d := ev.at(v)
+	if d == bfs.Unreachable {
+		return dst
 	}
 	off, arcs := o.set.sub.ArcData()
 	at := len(dst)
@@ -544,18 +527,11 @@ func (o *Oracle) walk(dst []int, ev *eventDists, v int, cut []int) ([]int, bool)
 	p[d] = v
 	for ; d > 0; d-- {
 		for _, a := range arcs[off[p[d]]:off[p[d]+1]] {
-			if slices.Contains(cut, int(a.ID)) {
-				continue
-			}
-			dw, ok := ev.at(int(a.To))
-			if !ok {
-				return dst[:at], false
-			}
-			if dw == d-1 {
+			if !slices.Contains(cut, int(a.ID)) && ev.at(int(a.To)) == d-1 {
 				p[d-1] = int(a.To)
 				break
 			}
 		}
 	}
-	return dst, true
+	return dst
 }

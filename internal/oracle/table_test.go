@@ -26,7 +26,9 @@ func tableless(st *core.Structure) *core.Structure {
 
 // TestDistTableMatchesBFS compares Dist and Dists on the table with BFS on
 // G∖F for every |F| ≤ 2, every source and every target, and checks that
-// the memo saw none of it: without residual ties no slot is marked.
+// the memo saw none of it. It first rebuilds each source's table from a
+// fresh engine's AppendDists, target by target, and requires it to equal
+// the build's.
 func TestDistTableMatchesBFS(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,6 +51,11 @@ func TestDistTableMatchesBFS(t *testing.T) {
 			}
 			if len(st.Tables) != len(tc.srcs) {
 				t.Fatalf("%d tables for %d sources", len(st.Tables), len(tc.srcs))
+			}
+			for k, s := range tc.srcs {
+				if !reflect.DeepEqual(rebuildTable(g, s), st.Tables[k]) {
+					t.Fatalf("source %d: the rebuilt table differs from the build's", s)
+				}
 			}
 			set, err := NewSet(st, 0)
 			if err != nil {
@@ -87,7 +94,7 @@ func TestDistTableMatchesBFS(t *testing.T) {
 				}
 			}
 			cs := set.CacheStats()
-			if st.Stats.TieWarnings == 0 && (cs.Hits != 0 || cs.Misses != 0) {
+			if cs.Hits != 0 || cs.Misses != 0 {
 				t.Fatalf("the table left queries to the memo: %+v", cs)
 			}
 			if cs.TableBytes == 0 {
@@ -98,112 +105,18 @@ func TestDistTableMatchesBFS(t *testing.T) {
 	}
 }
 
-// markAll rebuilds the table of st, a dual build of g from s with the
-// default seed, with every detour slot marked, as the engine marks a slot
-// whose Step-1 path leaves π more than once. It first checks that the
-// unmarked rebuild equals the build's own table. The slot offsets follow
-// replace.DistTable's layout.
-func markAll(t *testing.T, st *core.Structure, s int) *replace.DistTable {
-	t.Helper()
-	g := st.G
+// rebuildTable builds the table of g's dual build from s with the default
+// seed on one fresh engine, each target's run as AppendDists writes it.
+func rebuildTable(g *graph.Graph, s int) *replace.DistTable {
 	tree := wsp.NewTree(g, wsp.NewAssignment(g.M(), 1), s)
 	e := replace.NewEngine(tree)
-	plain, marked := make([][]int32, g.N()), make([][]int32, g.N())
+	runs := make([][]int32, g.N())
 	for v := range g.N() {
-		tr := e.BuildTarget(v, false)
-		if tr == nil {
-			continue
-		}
-		plain[v] = e.AppendDists(nil, tr)
-		marked[v] = slices.Clone(plain[v])
-		l := len(tr.PiEdgeIDs)
-		for i := range l {
-			marked[v][l+l*(l-1)/2+i] = -1
+		if tr := e.BuildTarget(v, false); tr != nil {
+			runs[v] = e.AppendDists(nil, tr)
 		}
 	}
-	if !reflect.DeepEqual(replace.NewDistTable(tree, plain), st.Tables[0]) {
-		t.Fatal("the rebuilt table differs from the build's")
-	}
-	return replace.NewDistTable(tree, marked)
-}
-
-// TestDistTableMarkedSlotUsesMemo marks every (v, e_i) slot and checks,
-// for every |F| ≤ 2 and target, that exactly the queries {e_i, f} with f
-// off π(s,v) and v still reachable without e_i go to the memo, and that
-// every answer still equals BFS on G∖F. A whole table goes to the memo
-// whole exactly when one of its vertices is such a query.
-func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
-	g := gen.SparseGNP(40, 5, 1)
-	st, err := core.BuildDual(g, 0, &core.Options{CollectPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	marked := *st
-	marked.Tables = []*replace.DistTable{markAll(t, st, 0)}
-	set, err := NewSet(&marked, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := set.Handle()
-	single := make([][]int32, g.M()) // dist(0, ·, G∖{e})
-	for a := range single {
-		single[a] = bfs.Distances(g, 0, []int{a})
-	}
-	fellBack := 0
-	check := func(faults []int) {
-		want := bfs.Distances(g, 0, faults)
-		anySlot := false
-		for v := 0; v < g.N(); v++ {
-			var onPi []int
-			if tr := st.Targets[v]; tr != nil {
-				for _, f := range faults {
-					if slices.Contains(tr.PiEdgeIDs, f) {
-						onPi = append(onPi, f)
-					}
-				}
-			}
-			slot := len(faults) == 2 && len(onPi) == 1 && single[onPi[0]][v] >= 0
-			before := set.CacheStats()
-			d, err := o.Dist(0, v, faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after := set.CacheStats()
-			if d != want[v] {
-				t.Fatalf("faults %v target %d: %d, BFS on G∖F %d", faults, v, d, want[v])
-			}
-			memo := after.Hits+after.Misses != before.Hits+before.Misses
-			if memo != slot {
-				t.Fatalf("faults %v target %d (on π: %v): memo consulted %t, want %t", faults, v, onPi, memo, slot)
-			}
-			if slot {
-				fellBack++
-				anySlot = true
-			}
-		}
-		before := set.CacheStats()
-		table, err := o.Dists(0, faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := set.CacheStats()
-		if !slices.Equal(table, want) {
-			t.Fatalf("faults %v: Dists %v, BFS on G∖F %v", faults, table, want)
-		}
-		if memo := after.Hits+after.Misses != before.Hits+before.Misses; memo != anySlot {
-			t.Fatalf("faults %v: whole table: memo consulted %t, want %t", faults, memo, anySlot)
-		}
-	}
-	check(nil)
-	for a := 0; a < g.M(); a++ {
-		check([]int{a})
-		for b := a + 1; b < g.M(); b++ {
-			check([]int{a, b})
-		}
-	}
-	if fellBack == 0 {
-		t.Fatal("no query reached a marked slot")
-	}
+	return replace.NewDistTable(tree, runs)
 }
 
 // FuzzDistTable builds a dual structure from its header — graph family,
@@ -212,8 +125,8 @@ func TestDistTableMarkedSlotUsesMemo(t *testing.T) {
 // already picked (or of the first π edge), or any edge. Dist and every
 // entry of Dists must equal BFS on G∖F; Route must be a path of H∖F of
 // that length, avoiding F, and equal the route of a copy without tables,
-// which walks the memo. Without residual ties, all three come from the
-// table alone.
+// which walks the memo. The build keeps its table exactly when it saw no
+// residual tie, and a set with a table makes no memo lookup at all.
 func FuzzDistTable(f *testing.F) {
 	f.Add([]byte{0, 20, 1, 0, 7, 0, 1, 1, 0})
 	f.Add([]byte{1, 3, 0, 5, 40, 0, 2, 2, 9})
@@ -300,8 +213,11 @@ func FuzzDistTable(f *testing.F) {
 				t.Fatalf("source %d target %d faults %v: hop %d-%d of route %v is not an edge of H∖F", s, v, faults, route[h-1], route[h], route)
 			}
 		}
-		if cs := set.CacheStats(); st.Stats.TieWarnings == 0 && cs.Hits+cs.Misses != 0 {
-			t.Fatalf("source %d target %d faults %v: the table left a query to the memo", s, v, faults)
+		if (st.Tables != nil) != (st.Stats.TieWarnings == 0) {
+			t.Fatalf("source %d: %d tie warnings, table kept %t", s, st.Stats.TieWarnings, st.Tables != nil)
+		}
+		if cs := set.CacheStats(); st.Tables != nil && cs.Hits+cs.Misses != 0 {
+			t.Fatalf("source %d target %d faults %v: the table left a query to the memo: %+v", s, v, faults, cs)
 		}
 		memo, err := NewSet(tableless(st), 0)
 		if err != nil {

@@ -145,13 +145,10 @@ type Engine struct {
 	memo           sfMemo
 
 	// What the current target's steps found, for AppendDists: Step 1's
-	// d(e_i) and whether P_i leaves π only once, Step 2's d(e_i, e_j)
-	// for i < j row by row, and Step 3's d(e_i, t) per detour edge t,
-	// detour i's run starting at d3At[i].
-	d1     []int32
-	once   []bool
-	d2, d3 []int32
-	d3At   []int32
+	// d(e_i), Step 2's d(e_i, e_j) for i < j row by row, and Step 3's
+	// d(e_i, t) per detour edge t, detour i's run starting at d3At[i].
+	d1, d2, d3 []int32
+	d3At       []int32
 
 	// scratch
 	disabledV  []int

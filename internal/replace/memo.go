@@ -15,12 +15,10 @@ const memoBound = 8
 // e_i and the π vertices u_{k+1..i} masked, k = i being the unmasked
 // G∖{e_i}. Because π(s, u_{i+1}) is the T0 path, the masks depend on
 // (e_i, k) and not on the target, so every target below e_i asks the same
-// search. The entry is one full repair run, kept as a wsp.Delta over T0:
-// its sorted detached region with the hops and parents found there, or a
-// dense copy of both when the run fell back. Vertices outside the region
-// keep their T0 values. The unmasked entry is T_{e_i}, the canonical tree
-// of G∖{e_i}, which Steps 2–3 repair against; only it also keeps the tie
-// weights and parent edges that a base needs.
+// search. The entry is one full repair run, kept as the wsp.Delta over T0
+// that RepairSearch.Capture reads from it; vertices outside its sorted
+// region keep their T0 values. The unmasked entry is T_{e_i}, the
+// canonical tree of G∖{e_i}, which Steps 2–3 repair against.
 type sfEntry struct {
 	i, k int // the key: π index of e_i, and the mask bound k
 	wsp.Delta
@@ -35,9 +33,6 @@ func (en *sfEntry) captured() int { return len(en.Hops) }
 // at returns v's hop distance (-1: unreachable) and parent in the entry's
 // search.
 func (en *sfEntry) at(t *wsp.Tree, v int) (int32, int) {
-	if en.Dense {
-		return en.Hops[v], int(en.Parent[v])
-	}
 	if j, ok := slices.BinarySearch(en.Verts, int32(v)); ok {
 		return en.Hops[j], int(en.Parent[j])
 	}
@@ -180,34 +175,6 @@ func (e *Engine) fillSingleFault(tr *TargetResult, i, k int) *sfEntry {
 	en.i, en.k = i, k
 	en.ties = e.search.TieWarnings() - t0
 	e.memoTies += en.ties
-	region, ok := e.search.Changed()
-	en.Dense = !ok
-	n := len(region)
-	if en.Dense {
-		n = e.g.N()
-	} else {
-		en.Verts = append(en.Verts[:0], region...)
-		slices.Sort(en.Verts)
-	}
-	nb := 0 // vertices with tie and parent edge: all of T_{e_i}'s, no others
-	if k == i {
-		nb = n
-	}
-	en.Hops = slices.Grow(en.Hops[:0], n)[:n]
-	en.Parent = slices.Grow(en.Parent[:0], n)[:n]
-	en.Tie = slices.Grow(en.Tie[:0], nb)[:nb]
-	en.ParentE = slices.Grow(en.ParentE[:0], nb)[:nb]
-	for j := range n {
-		v := j
-		if !en.Dense {
-			v = int(en.Verts[j])
-		}
-		en.Hops[j] = e.search.HopDist(v)
-		en.Parent[j] = int32(e.search.ParentOf(v))
-		if j < nb {
-			w, _ := e.search.Dist(v)
-			en.Tie[j], en.ParentE[j] = w.Tie, int32(e.search.ParentEdgeOf(v))
-		}
-	}
+	e.search.Capture(&en.Delta)
 	return en
 }

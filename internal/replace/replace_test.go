@@ -77,7 +77,7 @@ func TestSingleFaultPathsAreOptimal(t *testing.T) {
 			r.Run(0, rec.FaultIDs, nil)
 			if rec.Unreachable {
 				if r.Dist(v) != bfs.Unreachable {
-					t.Fatalf("v=%d e=%d: marked unreachable but dist=%d", v, rec.EIdx, r.Dist(v))
+					t.Fatalf("v=%d e=%d: recorded unreachable but dist=%d", v, rec.EIdx, r.Dist(v))
 				}
 				continue
 			}
@@ -155,7 +155,7 @@ func TestDualFaultPathsAreOptimal(t *testing.T) {
 			r.Run(0, rec.FaultIDs, nil)
 			if rec.Unreachable {
 				if r.Dist(v) != bfs.Unreachable {
-					t.Fatalf("v=%d %v: marked unreachable, dist=%d", v, rec.FaultIDs, r.Dist(v))
+					t.Fatalf("v=%d %v: recorded unreachable, dist=%d", v, rec.FaultIDs, r.Dist(v))
 				}
 				continue
 			}

@@ -36,16 +36,18 @@ import (
 //	[0, l)          d(e_i)
 //	[l, l+P)        d(e_i, e_j) for i < j, row by row
 //	[l+P, 2l+P)     per e_i, the run offset of D_i's block; 0 when no
-//	                edge of D_i lengthens the path, -1 for a marked slot
+//	                edge of D_i lengthens the path, -1 when e_i cuts v
+//	                off (never read: d(e_i) is -1 there)
 //	blocks          k, the k edge IDs t of D_i with d(e_i, t) > d(e_i),
 //	                then d(e_i, t) per such edge
 //
-// A slot whose Step-1 path had no valid detour or left π more than once
-// (the engine's residual-tie branches, where P_i ≠ π ∘ D_i ∘ π) is
-// marked -1, and the table does not answer {e_i, f} with f off π there;
-// d(e_i) is always known. All distances are hop counts, -1 when F cuts
-// v off. A table is never written after NewDistTable, so it may be read
-// from any goroutines.
+// The {e_i, f} case needs every Step-1 path to be π(s,x_i) ∘ D_i ∘
+// π(y_i,v), leaving π only at x_i. That holds when the build saw no
+// residual tie (BuildStats.TieWarnings 0): every run's parent pointers
+// are then the unique optima, and core keeps a table only for such
+// builds. All distances are hop counts, -1 when F cuts v off. A table is
+// never written after NewDistTable, so it may be read from any
+// goroutines.
 type DistTable struct {
 	pre   []int32 // T0 preorder index of each vertex
 	end   []int32 // pre + subtree size: v's subtree is [pre[v], end[v])
@@ -68,8 +70,8 @@ func (e *Engine) AppendDists(dst []int32, tr *TargetResult) []int32 {
 		dst = append(dst, -1)
 	}
 	for i := range tr.Detours {
-		if !e.once[i] {
-			continue // marked
+		if e.d1[i] < 0 {
+			continue // e_i cuts v off: the slot stays -1
 		}
 		ids, d3 := tr.Detours[i].EdgeIDs, e.d3[e.d3At[i]:]
 		at := len(dst)
@@ -144,15 +146,13 @@ func (t *DistTable) Bytes() int64 {
 }
 
 // Dist returns dist(s,v,G∖F) for the fault set F given as sorted, distinct
-// G edge IDs with |F| ≤ 2, or ok = false when the table does not hold it:
-// F is {e_i, f} with f off π(s,v) and (v, e_i) a marked slot. It takes no
-// lock and does not allocate.
+// G edge IDs with |F| ≤ 2. It takes no lock and does not allocate.
 //
 //ftbfs:hotpath
-func (t *DistTable) Dist(v int, faults []int32) (d int32, ok bool) {
+func (t *DistTable) Dist(v int, faults []int32) int32 {
 	l := t.depth[v]
 	if l <= 0 {
-		return l, true // the source, or cut off in G itself
+		return l // the source, or cut off in G itself
 	}
 	pv := t.pre[v]
 	i, j, off := int32(-1), int32(-1), int32(-1)
@@ -168,27 +168,28 @@ func (t *DistTable) Dist(v int, faults []int32) (d int32, ok bool) {
 		}
 	}
 	if i < 0 {
-		return l, true
+		return l
 	}
 	run := t.runs[t.off[v]:t.off[v+1]]
 	if j >= 0 {
 		i, j = min(i, j), max(i, j)
-		return run[l+i*(2*l-i-1)/2+j-i-1], true
+		return run[l+i*(2*l-i-1)/2+j-i-1]
 	}
-	if d = run[i]; d < 0 || off < 0 {
-		return d, true
+	d := run[i]
+	if d < 0 || off < 0 {
+		return d
 	}
 	b := run[l+l*(l-1)/2+i]
-	if b <= 0 {
-		return d, b == 0
+	if b == 0 {
+		return d
 	}
 	k := run[b]
 	for x, id := range run[b+1 : b+1+k] {
 		if id == off {
-			return run[b+1+k+int32(x)], true
+			return run[b+1+k+int32(x)]
 		}
 	}
-	return d, true
+	return d
 }
 
 // AppendChanged appends to keys, in increasing order, every vertex whose
@@ -197,12 +198,11 @@ func (t *DistTable) Dist(v int, faults []int32) (d int32, ok bool) {
 // T0 edge can change, since every other vertex keeps its T0 path, which
 // avoids F; and the vertices below a T0 edge are one interval of T0's
 // preorder. So it looks up one interval per faulted T0 edge, or only the
-// outer one when the two nest. ok is false when a lookup hits a marked
-// slot: keys and vals then hold a partial answer, which the caller must
-// discard. It takes no lock and allocates only to grow keys and vals.
+// outer one when the two nest. It takes no lock and allocates only to
+// grow keys and vals.
 //
 //ftbfs:hotpath
-func (t *DistTable) AppendChanged(keys, vals, faults []int32) ([]int32, []int32, bool) {
+func (t *DistTable) AppendChanged(keys, vals, faults []int32) ([]int32, []int32) {
 	var lo, hi [2]int32
 	k := 0
 	for _, f := range faults {
@@ -224,11 +224,7 @@ func (t *DistTable) AppendChanged(keys, vals, faults []int32) ([]int32, []int32,
 	start := len(keys)
 	for x := range k {
 		for _, w := range t.order[lo[x]:hi[x]] {
-			d, ok := t.Dist(int(w), faults)
-			if !ok {
-				return keys, vals, false
-			}
-			if d != t.depth[w] {
+			if t.Dist(int(w), faults) != t.depth[w] {
 				keys = append(keys, w)
 			}
 		}
@@ -237,8 +233,7 @@ func (t *DistTable) AppendChanged(keys, vals, faults []int32) ([]int32, []int32,
 	// keeps keys and vals aligned without a scratch array of pairs.
 	slices.Sort(keys[start:])
 	for _, w := range keys[start:] {
-		d, _ := t.Dist(int(w), faults)
-		vals = append(vals, d)
+		vals = append(vals, t.Dist(int(w), faults))
 	}
-	return keys, vals, true
+	return keys, vals
 }

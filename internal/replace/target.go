@@ -133,14 +133,12 @@ func (e *Engine) piPos(u int) int {
 func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 	l := tr.Pi.Len()
 	tr.Detours = make([]Detour, l)
-	e.d1, e.once = e.d1[:0], e.once[:0]
+	e.d1 = e.d1[:0]
 	for i := 0; i < l; i++ {
 		rec := e.singleFaultPath(tr, i)
 		e.d1 = append(e.d1, hops(rec.Path))
-		e.once = append(e.once, false)
 		if rec.Path != nil {
 			tr.Detours[i] = e.extractDetour(tr, rec.Path)
-			e.once[i] = leavesOnce(tr, &tr.Detours[i], rec.Path)
 			if !inH[rec.LastEdgeID] {
 				rec.NewEnding = true
 				inH[rec.LastEdgeID] = true
@@ -156,15 +154,7 @@ func (e *Engine) step1(tr *TargetResult, inH map[int]bool, collect bool) {
 // singleFaultPath computes P(s,v,{e_i}) with the earliest-divergence rule.
 // Every search it makes is a G(u_k, u_i)∖{e_i} of the single-fault memo.
 func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
-	rec := Record{
-		Kind:       KindSingle,
-		EIdx:       i,
-		SecondIdx:  -1,
-		FaultIDs:   []int{tr.PiEdgeIDs[i]},
-		LastEdgeID: -1,
-		BPos:       -1,
-		CPos:       -1,
-	}
+	rec := newRecord(KindSingle, i, -1, tr.PiEdgeIDs[i])
 	v := tr.V
 	d, _ := e.singleFault(tr, i, i).at(e.t, v)
 	if d < 0 {
@@ -173,20 +163,12 @@ func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
 	}
 	// Binary search the minimal k in [0, i] such that the restricted graph
 	// G(u_k, u_i) \ {e_i} still realizes distance d. The predicate is
-	// monotone because larger k disables fewer π vertices.
-	pred := func(k int) bool {
+	// monotone because larger k disables fewer π vertices, and pred(i)
+	// holds: G(u_i, u_i) = G.
+	lo, _ := bisect(0, i, func(k int) bool {
 		h, _ := e.singleFault(tr, i, k).at(e.t, v)
 		return h == d
-	}
-	lo, hi := 0, i // pred(i) is true: G(u_i,u_i) = G
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pred(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	})
 	// Re-run at the chosen k to materialize the path.
 	en := e.singleFault(tr, i, lo)
 	if h, _ := en.at(e.t, v); h != d {
@@ -195,7 +177,35 @@ func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
 		rec.UsedFallback = true
 		en = e.singleFault(tr, i, i)
 	}
-	p := en.pathTo(e.t, v)
+	e.setPath(&rec, tr, en.pathTo(e.t, v))
+	return rec
+}
+
+// bisect returns the least k in [lo, hi] at which the monotone pred
+// holds, probing only below hi, and whether the last probe was at k and
+// held there, so that the caller's search still holds that probe's run.
+func bisect(lo, hi int, pred func(int) bool) (int, bool) {
+	held := false
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if held = pred(mid); held {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, held
+}
+
+// newRecord starts the record of one replacement path, for the faults
+// given as edge IDs, with no path yet.
+func newRecord(kind Kind, eIdx, secondIdx int, faults ...int) Record {
+	return Record{Kind: kind, EIdx: eIdx, SecondIdx: secondIdx, FaultIDs: faults, LastEdgeID: -1, BPos: -1, CPos: -1}
+}
+
+// setPath makes p rec's path, with its last edge and its first divergence
+// point from π.
+func (e *Engine) setPath(rec *Record, tr *TargetResult, p path.Path) {
 	rec.Path = p
 	if le, ok := p.LastEdge(); ok {
 		if id, ok := e.g.EdgeID(le.U, le.V); ok {
@@ -203,7 +213,6 @@ func (e *Engine) singleFaultPath(tr *TargetResult, i int) Record {
 		}
 	}
 	rec.BPos = p.FirstDivergence(tr.Pi)
-	return rec
 }
 
 // hops is the length of a replacement path: the distance the step found,
@@ -213,14 +222,6 @@ func hops(p path.Path) int32 {
 		return -1
 	}
 	return int32(p.Len())
-}
-
-// leavesOnce reports whether the Step-1 path p is π(s,x_i) ∘ D_i ∘
-// π(y_i,v): whether it follows π from y_i to v once it has rejoined it.
-// Only residual ties can make it leave π again.
-func leavesOnce(tr *TargetResult, det *Detour, p path.Path) bool {
-	tail := len(tr.Pi) - det.YPos
-	return det.Valid && len(p) >= tail && slices.Equal(p[len(p)-tail:], tr.Pi[det.YPos:])
 }
 
 // extractDetour pulls the detour segment out of a Step-1 path: the maximal
@@ -285,15 +286,7 @@ func (e *Engine) step2(tr *TargetResult, inH map[int]bool, collect bool) {
 // piPiPair computes P(s,v,{e_i,e_j}) for two π edges, preferring the
 // composition of the Step-1 detours when it is a valid shortest path.
 func (e *Engine) piPiPair(tr *TargetResult, i, j int) Record {
-	rec := Record{
-		Kind:       KindPiPi,
-		EIdx:       i,
-		SecondIdx:  j,
-		FaultIDs:   []int{tr.PiEdgeIDs[i], tr.PiEdgeIDs[j]},
-		LastEdgeID: -1,
-		BPos:       -1,
-		CPos:       -1,
-	}
+	rec := newRecord(KindPiPi, i, j, tr.PiEdgeIDs[i], tr.PiEdgeIDs[j])
 	v := tr.V
 	e.runPair(i, v, rec.FaultIDs)
 	d := e.search.HopDist(v)
@@ -301,18 +294,12 @@ func (e *Engine) piPiPair(tr *TargetResult, i, j int) Record {
 		rec.Unreachable = true
 		return rec
 	}
-	if p := e.composeDetours(tr, i, j, d, rec.FaultIDs); p != nil {
-		rec.Path = p
-	} else {
+	p := e.composeDetours(tr, i, j, d, rec.FaultIDs)
+	if p == nil {
 		// Canonical shortest path in G \ F (search state already holds it).
-		rec.Path = e.search.PathTo(v)
+		p = e.search.PathTo(v)
 	}
-	if le, ok := rec.Path.LastEdge(); ok {
-		if id, ok := e.g.EdgeID(le.U, le.V); ok {
-			rec.LastEdgeID = id
-		}
-	}
-	rec.BPos = rec.Path.FirstDivergence(tr.Pi)
+	e.setPath(&rec, tr, p)
 	return rec
 }
 
@@ -411,15 +398,7 @@ func (e *Engine) step3(tr *TargetResult, inH map[int]bool, collect bool) {
 // piDPair processes one (π,D) fault pair at its turn τ.
 func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record {
 	det := &tr.Detours[f.eIdx]
-	rec := Record{
-		Kind:       KindPiD,
-		EIdx:       f.eIdx,
-		SecondIdx:  f.tIdx,
-		FaultIDs:   []int{tr.PiEdgeIDs[f.eIdx], det.EdgeIDs[f.tIdx]},
-		LastEdgeID: -1,
-		BPos:       -1,
-		CPos:       -1,
-	}
+	rec := newRecord(KindPiD, f.eIdx, f.tIdx, tr.PiEdgeIDs[f.eIdx], det.EdgeIDs[f.tIdx])
 	v := tr.V
 	swept := e.runPair(f.eIdx, v, rec.FaultIDs)
 	d := e.search.HopDist(v)
@@ -427,28 +406,14 @@ func (e *Engine) piDPair(tr *TargetResult, f piDFault, inH map[int]bool) Record 
 		rec.Unreachable = true
 		return rec
 	}
-	// Satisfied by the current structure G_{τ-1}(v)?
-	if p := e.gtauPath(v, d, rec.FaultIDs, inH, swept); p != nil {
-		rec.Path = p
-		if le, ok := rec.Path.LastEdge(); ok {
-			if id, ok := e.g.EdgeID(le.U, le.V); ok {
-				rec.LastEdgeID = id
-			}
-		}
-		rec.BPos = rec.Path.FirstDivergence(tr.Pi)
-		rec.CPos = e.detourDivergence(det, rec.Path)
-		return rec
+	// Satisfied by the current structure G_{τ-1}(v)? Else new-ending:
+	// select the path with the highest π-divergence point.
+	p := e.gtauPath(v, d, rec.FaultIDs, inH, swept)
+	if p == nil {
+		p = e.newEndingPiD(tr, f, d, rec.FaultIDs, &rec)
+		rec.NewEnding = true
 	}
-	// New-ending: select the path with the highest π-divergence point.
-	p := e.newEndingPiD(tr, f, d, rec.FaultIDs, &rec)
-	rec.Path = p
-	rec.NewEnding = true
-	if le, ok := p.LastEdge(); ok {
-		if id, ok := e.g.EdgeID(le.U, le.V); ok {
-			rec.LastEdgeID = id
-		}
-	}
-	rec.BPos = p.FirstDivergence(tr.Pi)
+	e.setPath(&rec, tr, p)
 	rec.CPos = e.detourDivergence(det, p)
 	return rec
 }
@@ -522,17 +487,9 @@ func (e *Engine) newEndingPiD(tr *TargetResult, f piDFault, d int32, faults []in
 		e.run(e.s, wsp.Options{Target: v, DisabledEdges: faults, DisabledVertices: e.disabledV})
 		return e.search.HopDist(v) == d
 	}
-	// held: the last probe was at lo and held, so the search still holds
-	// pred(lo)'s run and confirming it needs no second run.
-	lo, hi, held := 0, f.eIdx, false
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if held = pred(mid); held {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	// held: the search still holds pred(lo)'s run, so confirming it needs
+	// no second run.
+	lo, held := bisect(0, f.eIdx, pred)
 	if held {
 		e.stats.Dijkstras++ // the confirmation, answered by that probe
 	} else if !pred(lo) {
@@ -568,15 +525,7 @@ func (e *Engine) newEndingPiD(tr *TargetResult, f piDFault, d int32, faults []in
 		e.run(e.s, wsp.Options{Target: v, DisabledEdges: faults, DisabledVertices: e.disabledV})
 		return e.search.HopDist(v) == d
 	}
-	lo2, hi2, held2 := 0, f.tIdx, false
-	for lo2 < hi2 {
-		mid := (lo2 + hi2) / 2
-		if held2 = predD(mid); held2 {
-			hi2 = mid
-		} else {
-			lo2 = mid + 1
-		}
-	}
+	lo2, held2 := bisect(0, f.tIdx, predD)
 	if held2 {
 		e.stats.Dijkstras++ // the confirmation, answered by the last probe
 	} else if !predD(lo2) {

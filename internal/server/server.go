@@ -68,10 +68,11 @@ type Config struct {
 	// the memo off. The memo serves builds without replacement-distance
 	// tables (restored or uploaded snapshots, single, f = 3, approximate
 	// and exhaustive builds); a dual or multi build made by this process
-	// answers every query from its tables and uses the memo only for the
-	// slots they leave open. Entries are byte-accounted — delta-compressed
-	// events are charged only for what the fault actually changed — and
-	// least-recently-used events are evicted to stay within the budget.
+	// answers every query from its tables and never uses the memo, unless
+	// it saw a residual tie and so kept no tables. Entries are
+	// byte-accounted — delta-compressed events are charged only for what
+	// the fault actually changed — and least-recently-used events are
+	// evicted to stay within the budget.
 	// Untrusted clients can force one entry per distinct fault set, so
 	// the bound must not scale with n; the pinned fault-free base trees
 	// that every miss repairs against (distances, parents and child CSR:

@@ -73,7 +73,8 @@ func BenchmarkRepairSearch(b *testing.B) {
 				continue
 			}
 			bases[k] = new(Delta)
-			captureDelta(r, bases[k], 0, ev.faults[0], false)
+			r.Run(0, Options{Target: -1, DisabledEdges: ev.faults[:1]})
+			r.Capture(bases[k])
 		}
 		run := func(k int) {
 			if bases[k] != r.base {

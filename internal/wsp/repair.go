@@ -26,28 +26,17 @@ type Options struct {
 
 // Delta is a repair base other than T0: the canonical tree of G∖F0 for
 // some fault set F0, given as T0 overlaid with new values on a region.
-// Verts lists the region, in any order (unused when Dense: the region is
-// then all of V, indexed by vertex). Hops, Tie, Parent and ParentE hold,
-// per Verts entry, the vertex's hops (-1: unreachable), tie weight,
-// parent and parent edge (-1 at the source and at unreachable vertices).
-// One full run from the tree's source under F0, read through the
-// accessors over its Changed region (every vertex when it ran from
-// scratch), is such a delta. The zero Delta is T0 itself.
+// Verts lists the region; Hops, Tie, Parent and ParentE hold, per Verts
+// entry, the vertex's hops (-1: unreachable), tie weight, parent and
+// parent edge (-1 at the source and at unreachable vertices). Every
+// vertex outside the region keeps its T0 values. Capture fills one from a
+// full run under F0, with Verts sorted. The zero Delta is T0 itself.
 type Delta struct {
 	Verts   []int32
 	Hops    []int32
 	Tie     []int64
 	Parent  []int32
 	ParentE []int32
-	Dense   bool
-}
-
-// vertex returns the vertex of entry j.
-func (d *Delta) vertex(j int) int {
-	if d.Dense {
-		return j
-	}
-	return int(d.Verts[j])
 }
 
 // RepairSearch computes the unique shortest paths under W from a source in
@@ -99,7 +88,8 @@ type RepairSearch struct {
 	// base is the Delta set over T0, nil for T0 itself. ovAt holds each
 	// vertex's entry in it (-1 outside it), and the base's children of a
 	// vertex are its T0 children outside the delta plus the delta
-	// vertices listed from ovKid[v] along ovSib.
+	// vertices listed from ovKid[v] along ovSib. All three are nil in a
+	// search made by newSweep.
 	base         *Delta
 	ovAt         []int32
 	ovKid, ovSib []int32
@@ -142,18 +132,25 @@ type RepairSearch struct {
 // NewRepairSearch returns a repair engine over the shared base tree t.
 // Accessors are immediately valid and reflect the fault-free tree.
 func NewRepairSearch(t *Tree) *RepairSearch {
-	g := t.g
-	n, m := g.N(), g.M()
+	r := newSweep(t)
+	n := t.g.N()
 	none := make([]int32, 2*n)
 	for i := range none {
 		none[i] = -1
 	}
+	r.ovAt, r.ovKid, r.ovSib = none[:n], none[n:], make([]int32, n)
+	return r
+}
+
+// newSweep returns a search over t without the overlay index SetBase
+// needs: enough for scratch runs, which never read it, as NewTree's run
+// is.
+func newSweep(t *Tree) *RepairSearch {
+	g := t.g
+	n, m := g.N(), g.M()
 	return &RepairSearch{
 		g:       g,
 		t:       t,
-		ovAt:    none[:n],
-		ovKid:   none[n:],
-		ovSib:   make([]int32, n),
 		hops:    slices.Clone(t.hops),
 		tie:     slices.Clone(t.tie),
 		parent:  slices.Clone(t.parent),
@@ -188,6 +185,44 @@ func (r *RepairSearch) Changed() ([]int32, bool) {
 	return r.region, true
 }
 
+// Capture fills d, reusing its buffers, with the tree the last Run found,
+// as a Delta over T0. That run must be a full one (Target -1) from the
+// tree's source on T0 (no base set): it found the canonical tree of
+// G∖F0 for its faults F0. Verts is the run's detached region, sorted;
+// when the run fell back to a scratch sweep, it is the vertices whose
+// hops, tie weight, parent or parent edge differ from T0's instead.
+func (r *RepairSearch) Capture(d *Delta) {
+	t := r.t
+	d.Verts = d.Verts[:0]
+	if r.full {
+		for v := range t.hops {
+			if h, w, p, pe := r.view(v); h != t.hops[v] || w != t.tie[v] || p != t.parent[v] || pe != t.parentE[v] {
+				d.Verts = append(d.Verts, int32(v))
+			}
+		}
+	} else {
+		d.Verts = append(d.Verts, r.region...)
+		slices.Sort(d.Verts)
+	}
+	n := len(d.Verts)
+	d.Hops = slices.Grow(d.Hops[:0], n)[:n]
+	d.Tie = slices.Grow(d.Tie[:0], n)[:n]
+	d.Parent = slices.Grow(d.Parent[:0], n)[:n]
+	d.ParentE = slices.Grow(d.ParentE[:0], n)[:n]
+	for j, v := range d.Verts {
+		d.Hops[j], d.Tie[j], d.Parent[j], d.ParentE[j] = r.view(int(v))
+	}
+}
+
+// view returns v's hops, tie weight, parent and parent edge as the
+// accessors read them: -1, 0, -1, -1 when the last run left v unsettled.
+func (r *RepairSearch) view(v int) (int32, int64, int32, int32) {
+	if r.gated(v) {
+		return -1, 0, -1, -1
+	}
+	return r.hops[v], r.tie[v], r.parent[v], r.parentE[v]
+}
+
 // SetBase makes d the base the following runs repair against, or T0 when
 // d is nil or empty. d must be the canonical tree of G∖F0 for some fault
 // set F0 under the tree's assignment, and every run on it must fault F0
@@ -205,7 +240,7 @@ func (r *RepairSearch) SetBase(d *Delta) {
 	t := r.t
 	if b := r.base; b != nil {
 		for j, p := range b.Parent {
-			v := b.vertex(j)
+			v := b.Verts[j]
 			r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = t.hops[v], t.tie[v], t.parent[v], t.parentE[v]
 			r.ovAt[v] = -1
 			if p >= 0 {
@@ -223,11 +258,11 @@ func (r *RepairSearch) SetBase(d *Delta) {
 	// Listing each parent's delta children from the last entry back keeps
 	// them in entry order.
 	for j := len(d.Parent) - 1; j >= 0; j-- {
-		v := d.vertex(j)
+		v := d.Verts[j]
 		r.ovAt[v] = int32(j)
 		if p := d.Parent[j]; p >= 0 {
 			r.ovSib[v] = r.ovKid[p]
-			r.ovKid[p] = int32(v)
+			r.ovKid[p] = v
 		}
 		deepest = max(deepest, d.Hops[j])
 	}
@@ -240,9 +275,8 @@ func (r *RepairSearch) SetBase(d *Delta) {
 // overlay writes the base delta's values into the live arrays.
 func (r *RepairSearch) overlay() {
 	d := r.base
-	for j, h := range d.Hops {
-		v := d.vertex(j)
-		r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = h, d.Tie[j], d.Parent[j], d.ParentE[j]
+	for j, v := range d.Verts {
+		r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = d.Hops[j], d.Tie[j], d.Parent[j], d.ParentE[j]
 	}
 }
 

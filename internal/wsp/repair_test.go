@@ -278,9 +278,9 @@ func TestRepairSearchResidualTie(t *testing.T) {
 // never reaches and the level buckets must grow. Each base is checked
 // just after it is set, then under every second fault f, with and
 // without a target; the runs switch between T_e, T_{e'} for e' = (0, 39),
-// and T0, over the sparse delta and the dense one of a fallen-back run.
-// Another search over the same tree captures the deltas, so the buckets
-// of the one under test have never been deeper than T0.
+// and T0, over the delta of a repair and the delta of a run forced to
+// fall back. Another search over the same tree captures the deltas, so
+// the buckets of the one under test have never been deeper than T0.
 func TestRepairSearchPatchedBase(t *testing.T) {
 	b := graph.NewBuilder(40)
 	for v := range 40 {
@@ -295,20 +295,27 @@ func TestRepairSearchPatchedBase(t *testing.T) {
 	e, _ := g.EdgeID(0, 1)
 	e2, _ := g.EdgeID(0, 39)
 	var d, d2 Delta
-	for _, dense := range []bool{false, true} {
+	lim := capture.volLimit
+	for _, fallback := range []bool{false, true} {
 		rep.SetBase(nil)
-		captureDelta(capture, &d, 0, e, dense)
-		captureDelta(capture, &d2, 0, e2, false)
-		if dense != d.Dense {
-			t.Fatalf("dense = %v, delta dense = %v", dense, d.Dense)
+		if fallback {
+			capture.volLimit = 1
 		}
+		capture.Run(0, Options{Target: -1, DisabledEdges: []int{e}})
+		if _, ok := capture.Changed(); ok == fallback {
+			t.Fatalf("fallback forced %v, run repaired %v", fallback, ok)
+		}
+		capture.Capture(&d)
+		capture.volLimit = lim
+		capture.Run(0, Options{Target: -1, DisabledEdges: []int{e2}})
+		capture.Capture(&d2)
 		for _, base := range []struct {
 			d *Delta
 			e []int
 		}{{&d, []int{e}}, {&d2, []int{e2}}, {nil, nil}, {&d, []int{e}}} {
 			rep.SetBase(base.d)
 			ref.Run(0, Options{Target: -1, DisabledEdges: base.e})
-			tag := fmt.Sprintf("dense %v, base %v", dense, base.e)
+			tag := fmt.Sprintf("fallback %v, base %v", fallback, base.e)
 			checkRepairMatchesScratch(t, rep, ref, 0, Options{Target: -1}, tag)
 			// below[f] counts the vertices whose base path uses edge f:
 			// exactly the region a run faulting f on top may detach.
@@ -336,6 +343,62 @@ func TestRepairSearchPatchedBase(t *testing.T) {
 	}
 }
 
+// TestCaptureFallback holds Capture to one tree whichever way the run
+// went. Every one-fault run on T0, and every run of Step 1's masked shape
+// (a tree edge and the vertex above it), is made by a search that repairs
+// and by one whose volume cap forces a fallback. The two deltas must
+// overlay T0 to the same values at every vertex; the repaired one lists
+// the run's detached region, sorted, and every entry of the fallen-back
+// one differs from T0.
+func TestCaptureFallback(t *testing.T) {
+	g := gen.SparseGNP(120, 4, 3)
+	tree := NewTree(g, NewAssignment(g.M(), 5), 0)
+	rep, forced := NewRepairSearch(tree), NewRepairSearch(tree)
+	forced.volLimit = 1
+	t0 := func(v int) [4]int64 {
+		return [4]int64{int64(tree.hops[v]), tree.tie[v], int64(tree.parent[v]), int64(tree.parentE[v])}
+	}
+	at := func(d *Delta, v int) [4]int64 {
+		if j, ok := slices.BinarySearch(d.Verts, int32(v)); ok {
+			return [4]int64{int64(d.Hops[j]), d.Tie[j], int64(d.Parent[j]), int64(d.ParentE[j])}
+		}
+		return t0(v)
+	}
+	var a, b Delta
+	fellBack := 0
+	for e := range g.M() {
+		opts := []Options{{Target: -1, DisabledEdges: []int{e}}}
+		if c := g.EdgeAt(e).V; tree.ParentEdgeOf(c) == e && tree.ParentOf(c) != 0 {
+			opts = append(opts, Options{Target: -1, DisabledEdges: []int{e}, DisabledVertices: []int{tree.ParentOf(c)}})
+		}
+		for _, opt := range opts {
+			rep.Run(0, opt)
+			rep.Capture(&a)
+			if region, ok := rep.Changed(); ok && !slices.Equal(a.Verts, slices.Sorted(slices.Values(region))) {
+				t.Fatalf("%+v: delta lists %v, detached region %v", opt, a.Verts, region)
+			}
+			forced.Run(0, opt)
+			forced.Capture(&b)
+			if _, ok := forced.Changed(); !ok {
+				fellBack++
+			}
+			for v := range g.N() {
+				if at(&a, v) != at(&b, v) {
+					t.Fatalf("%+v: vertex %d reads %v from the repair, %v from the fallback", opt, v, at(&a, v), at(&b, v))
+				}
+			}
+			for _, v := range b.Verts {
+				if at(&b, int(v)) == t0(int(v)) {
+					t.Fatalf("%+v: the fallback delta lists vertex %d, which kept its T0 values", opt, v)
+				}
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no forced run fell back")
+	}
+}
+
 // FuzzRepairSearchEquivalence holds RepairSearch to the Target contract the
 // builders rely on (see checkRepairMatchesScratch). The first four bytes
 // pick the graph (family, size, generator seed), the source, whether the
@@ -350,9 +413,10 @@ func TestRepairSearchPatchedBase(t *testing.T) {
 // foreign source.
 //
 // With patched bases, a run picks T0 or one of two bases T_e, the
-// canonical tree of G∖{e}: a full one-fault run on T0 captured as a Delta
-// over its Changed region, dense when that run fell back (forced now and
-// then). e is a random edge or an edge of the target's base path, as
+// canonical tree of G∖{e}: a full one-fault run on T0 that Capture reads
+// as a Delta, over its detached region or, when the run fell back (forced
+// now and then), over the vertices that differ from T0. e is a random
+// edge or an edge of the target's base path, as
 // Steps 2–3's e_i is. A run on T_e faults e and up to two more edges, has
 // a target or -1, and now and then a foreign source. The runs switch
 // between two deltas and T0, only when the pick changes, as Engine does,
@@ -427,7 +491,14 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 							e, _ = g.EdgeID(pi[i], pi[i+1])
 						}
 						slot.e, slot.ok = e, true
-						captureDelta(rep, &slot.d, src, e, c&0x08 != 0)
+						rep.SetBase(nil) // slot.d may be the base
+						lim := rep.volLimit
+						if c&0x08 != 0 {
+							rep.volLimit = 1
+						}
+						rep.Run(src, Options{Target: -1, DisabledEdges: []int{e}})
+						rep.volLimit = lim
+						rep.Capture(&slot.d)
 						ref.Run(src, Options{Target: -1, DisabledEdges: []int{e}})
 						rep.SetBase(&slot.d)
 						on = &slot.d
@@ -467,34 +538,4 @@ func FuzzRepairSearchEquivalence(f *testing.F) {
 			checkRepairMatchesScratch(t, rep, ref, runSrc, opt, fmt.Sprintf("run %d (src %d, %+v)", runs, runSrc, opt))
 		}
 	})
-}
-
-// captureDelta fills d, reusing its buffers, with T_e: a full run of rep
-// from src on T0 with e faulted, read over its Changed region, or over
-// every vertex when the run fell back; dense forces that fallback. It
-// leaves rep on T0.
-func captureDelta(rep *RepairSearch, d *Delta, src, e int, dense bool) {
-	rep.SetBase(nil) // d may be the base
-	lim := rep.volLimit
-	if dense {
-		rep.volLimit = 1
-	}
-	rep.Run(src, Options{Target: -1, DisabledEdges: []int{e}})
-	rep.volLimit = lim
-	region, ok := rep.Changed()
-	d.Dense = !ok
-	d.Verts = append(d.Verts[:0], region...)
-	d.Hops, d.Tie, d.Parent, d.ParentE = d.Hops[:0], d.Tie[:0], d.Parent[:0], d.ParentE[:0]
-	n := len(region)
-	if d.Dense {
-		n = rep.g.N()
-	}
-	for j := range n {
-		v := d.vertex(j)
-		w, _ := rep.Dist(v)
-		d.Hops = append(d.Hops, rep.HopDist(v))
-		d.Tie = append(d.Tie, w.Tie)
-		d.Parent = append(d.Parent, int32(rep.ParentOf(v)))
-		d.ParentE = append(d.ParentE, int32(rep.ParentEdgeOf(v)))
-	}
 }

@@ -36,7 +36,7 @@ func NewTree(g *graph.Graph, w *Assignment, src int) *Tree {
 	for v := range none {
 		none[v] = -1
 	}
-	r := NewRepairSearch(&Tree{g: g, w: w, src: -1,
+	r := newSweep(&Tree{g: g, w: w, src: -1,
 		hops: none, tie: make([]int64, n), parent: none, parentE: none})
 	r.Run(src, Options{Target: -1})
 	t := &Tree{g: g, w: w, src: src,
